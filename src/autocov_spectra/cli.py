@@ -136,23 +136,25 @@ def validate_keys(subcommand: str, cfg: dict) -> None:
 
 
 def _spec_from(cfg: dict) -> EnsembleSpec:
-    law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
     try:
+        law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
         return EnsembleSpec(n=int(cfg["n"]), N=int(cfg["N"]), k=int(cfg["k"]),
                             law=law, master_seed=int(cfg["seed"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 
 def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
-    z_list = [_parse_complex(z) for z in cfg.get("z_list", [1.0])]
-    return ExperimentConfig(
-        spec=spec,
-        trials=int(cfg.get("trials", 1)),
-        z_list=z_list,
-        t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
-        thresholds=cfg.get("thresholds", {}),
-    )
+    try:
+        return ExperimentConfig(
+            spec=spec,
+            trials=int(cfg.get("trials", 1)),
+            z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
+            t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
+            thresholds=cfg.get("thresholds", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc))
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -237,7 +239,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     z = _parse_complex(cfg["z"])
     if z == 0:
         raise ConfigError("linearize-check: z = 0 is excluded")
-    trials = int(cfg["trials"])
+    trials = _experiment_config(cfg, spec).trials
     all_ok = True
     reports = []
     for trial_index in range(trials):
@@ -254,8 +256,13 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec)
-    report = experiments.hermitization_pipeline(
-        config, h=float(cfg.get("h", 0.1)))
+    try:
+        h = float(cfg.get("h", 0.1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"hermitize: {exc}")
+    if not h > 0:
+        raise ConfigError(f"hermitize: grid spacing h must be positive, got {h}")
+    report = experiments.hermitization_pipeline(config, h=h)
     experiments.write_report_json(
         manifest.register(os.path.join(manifest.out_dir, "hermitization_report.json")),
         report)
@@ -263,29 +270,39 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
 
 
 def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
-    gamma0 = float(cfg["gamma0"])
-    gamma1 = float(cfg["gamma1"])
+    try:
+        gamma0 = float(cfg["gamma0"])
+        gamma1 = float(cfg["gamma1"])
+        points = [ResolventParams(z=_parse_complex(z), t=float(t), gamma0=gamma0,
+                                  a=1.0 - gamma1)
+                  for z in cfg["z_list"] for t in cfg["t_list"]]
+        spec = None
+        if "n" in cfg and "seed" in cfg:
+            spec = EnsembleSpec(
+                n=int(cfg["n"]), N=int(round(gamma0 * int(cfg["n"]))),
+                k=int(round(gamma1 * int(cfg["n"]))),
+                law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
+                master_seed=int(cfg["seed"]))
+            trials = int(cfg.get("trials", 1))
+            if trials < 1:
+                raise ValueError("trials must be >= 1")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fixed-point: {exc}")
     rows = []
-    for z in (_parse_complex(v) for v in cfg["z_list"]):
-        for t in (float(v) for v in cfg["t_list"]):
-            params = ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
-            sol = solve_s(params)
-            emp = 0j
-            err = float("nan")
-            if "n" in cfg and "seed" in cfg:
-                spec = EnsembleSpec(
-                    n=int(cfg["n"]), N=int(round(gamma0 * int(cfg["n"]))),
-                    k=int(round(gamma1 * int(cfg["n"]))),
-                    law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
-                    master_seed=int(cfg["seed"]))
-                vals = []
-                for trial_index in range(int(cfg.get("trials", 1))):
-                    X = sample_entry_matrix(spec, trial_index)
-                    Y = build_autocov(X, spec.k)
-                    vals.append(empirical_resolvent_trace(Y, z, t))
-                emp = complex(np.mean(vals))
-                err = abs(emp - 1j * sol.s / gamma0)
-            rows.append((z, t, sol.s, sol.g12, emp, err))
+    for params in points:
+        z, t = params.z, params.t
+        sol = solve_s(params)
+        emp = 0j
+        err = float("nan")
+        if spec is not None:
+            vals = []
+            for trial_index in range(trials):
+                X = sample_entry_matrix(spec, trial_index)
+                Y = build_autocov(X, spec.k)
+                vals.append(empirical_resolvent_trace(Y, z, t))
+            emp = complex(np.mean(vals))
+            err = abs(emp - 1j * sol.s / gamma0)
+        rows.append((z, t, sol.s, sol.g12, emp, err))
     write_comparison_csv(
         manifest.register(os.path.join(manifest.out_dir, "fixed_point.csv")), rows)
     return EXIT_OK

@@ -114,11 +114,6 @@ class SeededTrial:
         return cls(trial_index=trial_index, derived_seed=mix_seed(master_seed, trial_index))
 
 
-def trial_rng(spec: EnsembleSpec, trial_index: int) -> np.random.Generator:
-    trial = SeededTrial.from_master(spec.master_seed, trial_index)
-    return np.random.Generator(np.random.PCG64(trial.derived_seed))
-
-
 def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
     """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
     if isinstance(trial, int):

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
-from autocov_spectra.linalg import _as_matrix, singular_values
+from autocov_spectra.linalg import NumericBackendError, _as_matrix, singular_values
 
 SOLVER_TOL = 1e-12
 
@@ -129,7 +129,7 @@ def solve_s(params: ResolventParams, steps_per_decade: int = 40) -> FixedPointSo
         p_t = ResolventParams(params.z, float(t), params.gamma0, params.a)
         roots = _positive_roots(p_t)
         if roots.size == 0:
-            raise RuntimeError(
+            raise NumericBackendError(
                 f"no positive root of the master relation at t={t} "
                 f"(previous s={s_prev}); relation at 0 is {master_relation(0.0, p_t)}")
         if roots.size > 1:

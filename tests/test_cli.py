@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from autocov_spectra import cli
+import autocov_spectra
+from autocov_spectra import cli, fixed_point
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -146,3 +151,36 @@ class TestLargeKRun:
         })
         assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_CONFIG
         assert "k >= n/2" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": "bogus"}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": "x"}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.2, "z_list": [1.0], "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [-1]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
+                         "n": 16, "seed": 1, "trials": 0}),
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 0}),
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": "x"}),
+    ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
+            "zero-trials", "zero-h", "non-numeric-h"])
+    def test_config_errors_exit_three_without_traceback(self, tmp_path, subcommand, payload):
+        cfg = write_config(tmp_path, payload)
+        src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "autocov_spectra.cli", subcommand, cfg,
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "config error" in proc.stderr
+
+    def test_fixed_point_solver_failure_exits_four(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fixed_point, "_positive_roots", lambda params: np.empty(0))
+        cfg = write_config(tmp_path, {
+            "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
+        assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        assert "no positive root" in capsys.readouterr().err

@@ -1,14 +1,17 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from autocov_spectra.ensembles import EnsembleSpec, sample_entry_matrix
+from autocov_spectra import linalg
+from autocov_spectra.ensembles import EnsembleSpec, build_autocov, sample_entry_matrix
 from autocov_spectra.experiments import (
     DEFAULT_THRESHOLDS,
     ExperimentConfig,
     esd_experiment,
     hermitization_pipeline,
+    log_potential_grid,
     ks_statistic,
     ks_two_sample,
     large_k_experiment,
@@ -20,6 +23,7 @@ from autocov_spectra.experiments import (
     write_radial_cdf_csv,
     write_report_json,
 )
+from autocov_spectra.limit_law import Gamma0Law
 
 
 class TestKsHelpers:
@@ -137,6 +141,64 @@ class TestHermitization:
         assert rep.passed
 
 
+def svd_log_potential_grid(Y, xs, s_floor=1e-12):
+    """Reference: one SVD of Y - zI per cell, clamped at s_floor."""
+    L = np.empty((xs.size, xs.size))
+    flagged = 0
+    I = np.eye(Y.shape[0])
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            s = linalg.singular_values(Y - complex(x, y) * I)
+            if s[-1] < s_floor:
+                flagged += 1
+            s = np.maximum(s, s_floor)
+            L[i, j] = -float(np.mean(np.log(s)))
+    return L, flagged
+
+
+def reference_tv(L, eigs, xs, h, tv_block=2):
+    """Reference TV between the density recovered from the grid L and the
+    histogram of eigs, as hermitization_pipeline computed it over SVDs."""
+    lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
+           - 4.0 * L[1:-1, 1:-1]) / (h * h)
+    density = np.clip(-lap / (2.0 * np.pi), 0.0, None)
+    density = density / np.sum(density)
+    interior = xs[1:-1]
+    edges = np.concatenate([interior - h / 2, [interior[-1] + h / 2]])
+    hist, _, _ = np.histogram2d(eigs.real, eigs.imag, bins=[edges, edges])
+    hist = hist / eigs.size
+    m = (density.shape[0] // tv_block) * tv_block
+    blocks = (m // tv_block, tv_block, m // tv_block, tv_block)
+    coarse_dens = density[:m, :m].reshape(blocks).sum(axis=(1, 3))
+    coarse_hist = hist[:m, :m].reshape(blocks).sum(axis=(1, 3))
+    return float(0.5 * np.sum(np.abs(coarse_dens - coarse_hist)))
+
+
+class TestLogPotentialGrid:
+    """The Schur-once grid against the per-cell SVD reference. A node at
+    half_width=1.0, h=0.1 sits within 1e-15 of the structural zero eigenvalue
+    of Y (rank <= n - k), so that grid has one flagged cell."""
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("half_width,flagged", [(None, 0), (1.0, 1)])
+    def test_matches_svd_reference(self, N, half_width, flagged):
+        spec = EnsembleSpec(n=N, N=N, k=1, master_seed=3)
+        config = ExperimentConfig(spec=spec)
+        h = 0.1
+        if half_width is None:
+            half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
+        xs = np.arange(-half_width, half_width + h / 2, h)
+        Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
+        L_ref, flagged_ref = svd_log_potential_grid(Y, xs)
+        L, flagged_new = log_potential_grid(Y, linalg.schur_form(Y), xs, 1e-12)
+        assert flagged_ref == flagged_new == flagged
+        assert np.max(np.abs(L - L_ref)) <= 1e-10
+        rep = hermitization_pipeline(config, half_width=half_width, h=h)
+        assert rep.flagged_cells == flagged
+        tv_ref = reference_tv(L_ref, linalg.eigenvalues(Y), xs, h)
+        assert abs(rep.tv_distance - tv_ref) <= 1e-9
+
+
 class TestLargeK:
     def test_small_scale(self):
         config = ExperimentConfig(
@@ -182,6 +244,16 @@ class TestOutputs:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "re_lambda,im_lambda"
         assert len(lines) == 3
+
+    def test_eigenvalue_csv_fields_are_exact_floats(self, tmp_path):
+        spec = EnsembleSpec(n=16, N=16, k=1, master_seed=12)
+        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, 0), 1))
+        path = tmp_path / "eigs.csv"
+        write_eigenvalue_csv(path, eigs)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        parsed = np.array([complex(float(re), float(im)) for re, im in rows])
+        assert np.array_equal(parsed, eigs)
 
     def test_radial_cdf_csv(self, tmp_path):
         path = tmp_path / "cdf.csv"

@@ -84,6 +84,46 @@ class TestLeastSingularValue:
         assert lsv * inv_norm == pytest.approx(1.0, rel=1e-8)
 
 
+class TestSchurForm:
+    def test_triangular_with_the_spectrum_and_singular_values(self):
+        rng = np.random.default_rng(4)
+        M = random_complex(rng, (10, 10))
+        T = linalg.schur_form(M)
+        assert np.array_equal(T, np.triu(T))
+        assert np.sort_complex(np.diag(T)) == pytest.approx(
+            np.sort_complex(np.linalg.eigvals(M)), abs=1e-10)
+        z = 0.3 - 0.7j
+        assert linalg.singular_values(T - z * np.eye(10)) == pytest.approx(
+            linalg.singular_values(M - z * np.eye(10)), abs=1e-10)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            linalg.schur_form(np.zeros((2, 3)))
+
+
+class TestTriangularLsvBound:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_svd_from_above(self, seed):
+        rng = np.random.default_rng(seed)
+        T = np.triu(random_complex(rng, (40, 40)))
+        s_min = linalg.least_singular_value(T)
+        bound = linalg.triangular_lsv_bound(T)
+        # The SVD oracle itself is accurate to about eps ||T||.
+        assert s_min - 1e-13 * linalg.operator_norm(T) <= bound <= 10 * s_min
+
+    def test_near_singular_is_small(self):
+        T = np.triu(random_complex(np.random.default_rng(5), (20, 20)))
+        T[7, 7] = 1e-15
+        assert linalg.triangular_lsv_bound(T) <= 1e-13
+
+    def test_zero_diagonal_is_zero(self):
+        assert linalg.triangular_lsv_bound(np.array([[1.0, 2.0], [0.0, 0.0]])) == 0.0
+
+    def test_repeatable(self):
+        T = np.triu(random_complex(np.random.default_rng(6), (16, 16)))
+        assert linalg.triangular_lsv_bound(T) == linalg.triangular_lsv_bound(T.copy())
+
+
 class TestBlockInverse:
     def test_identity_blocks(self):
         out = linalg.block_inverse(np.eye(2), np.zeros((2, 3)), np.zeros((3, 2)), np.eye(3))
