@@ -33,7 +33,6 @@ from autocov_spectra.ensembles import (
 from autocov_spectra.experiments import ExperimentConfig
 from autocov_spectra.fixed_point import (
     ResolventParams,
-    empirical_resolvent_trace,
     solve_s,
     write_comparison_csv,
 )
@@ -273,9 +272,10 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     try:
         gamma0 = float(cfg["gamma0"])
         gamma1 = float(cfg["gamma1"])
-        points = [ResolventParams(z=_parse_complex(z), t=float(t), gamma0=gamma0,
-                                  a=1.0 - gamma1)
-                  for z in cfg["z_list"] for t in cfg["t_list"]]
+        z_list = [_parse_complex(z) for z in cfg["z_list"]]
+        t_list = [float(t) for t in cfg["t_list"]]
+        points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
+                  for z in z_list for t in t_list]
         spec = None
         if "n" in cfg and "seed" in cfg:
             spec = EnsembleSpec(
@@ -288,21 +288,20 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
                 raise ValueError("trials must be >= 1")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fixed-point: {exc}")
+    solutions = [solve_s(params) for params in points]
+    means = [None] * len(points)
+    if spec is not None:
+        means = experiments.resolvent_trace_means(
+            (build_autocov(sample_entry_matrix(spec, i), spec.k) for i in range(trials)),
+            z_list, t_list)
     rows = []
-    for params in points:
-        z, t = params.z, params.t
-        sol = solve_s(params)
+    for params, sol, mean in zip(points, solutions, means):
         emp = 0j
         err = float("nan")
-        if spec is not None:
-            vals = []
-            for trial_index in range(trials):
-                X = sample_entry_matrix(spec, trial_index)
-                Y = build_autocov(X, spec.k)
-                vals.append(empirical_resolvent_trace(Y, z, t))
-            emp = complex(np.mean(vals))
+        if mean is not None:
+            emp = complex(mean)
             err = abs(emp - 1j * sol.s / gamma0)
-        rows.append((z, t, sol.s, sol.g12, emp, err))
+        rows.append((params.z, params.t, sol.s, sol.g12, emp, err))
     write_comparison_csv(
         manifest.register(os.path.join(manifest.out_dir, "fixed_point.csv")), rows)
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from autocov_spectra.linalg import _as_matrix
+from autocov_spectra.linalg import _as_matrix, eigenvalues
 
 ENTRY_LAW_KINDS = (
     "complex-gaussian",
@@ -142,6 +142,25 @@ def build_autocov(X, k: int) -> np.ndarray:
     return X[:, k:] @ X[:, : n - k].conj().T
 
 
+def autocov_eigenvalues(X, k: int) -> np.ndarray:
+    """The N eigenvalues of Y = build_autocov(X, k), unordered.
+
+    Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :n-k], both N x (n-k).
+    AB and BA share their nonzero spectra, so when n - k < N the eigenvalues
+    are those of the (n-k) x (n-k) matrix X_0* X_k followed by N - (n-k)
+    exact zeros, Y's structural atom. Otherwise Y itself is decomposed.
+    """
+    X = _as_matrix(X)
+    N, n = X.shape
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    m = n - k
+    if m >= N:
+        return eigenvalues(build_autocov(X, k))
+    nonzero = eigenvalues(X[:, :m].conj().T @ X[:, k:])
+    return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
+
+
 def build_circular(X) -> np.ndarray:
     """Circular lag-1 variant Z = Y_1 + x_1 x_n* = X J X* (J cyclic)."""
     X = _as_matrix(X)
@@ -234,33 +253,3 @@ def moment_diagnostics(law: EntryLaw, n: int, sample_count: int = 100_000,
         violates_c2=bool(violates),
     )
 
-
-MATRIX_FORMAT_VERSION = 1
-
-
-def save_matrix(path, M) -> None:
-    """Write a matrix as a versioned text grid: one row per line, entries as
-    're,im' pairs separated by tabs."""
-    M = _as_matrix(M)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# autocov-spectra matrix v{MATRIX_FORMAT_VERSION} "
-                 f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write("\t".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) < 6 or header[3] != f"v{MATRIX_FORMAT_VERSION}":
-            raise ValueError(f"unrecognized matrix header in {path}")
-        rows, cols = int(header[4]), int(header[5])
-        out = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            parts = fh.readline().split("\t")
-            if len(parts) != cols:
-                raise ValueError(f"row {i} has {len(parts)} entries, expected {cols}")
-            for j, p in enumerate(parts):
-                re, im = p.split(",")
-                out[i, j] = complex(float(re), float(im))
-    return out

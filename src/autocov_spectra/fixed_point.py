@@ -196,9 +196,13 @@ def empirical_resolvent_trace(M, z: complex, t: float) -> complex:
         raise ValueError("requires a square matrix")
     if t <= 0:
         raise ValueError("t must be positive")
-    N = M.shape[0]
-    s = singular_values(M - z * np.eye(N))
-    return 1j * t / N * float(np.sum(1.0 / (s**2 + t * t)))
+    return resolvent_trace(singular_values(M - z * np.eye(M.shape[0])), t)
+
+
+def resolvent_trace(s, t: float) -> complex:
+    """(i t / N) sum_i 1 / (s_i^2 + t^2) for the N singular values s of
+    M - zI: the dilation resolvent trace at i t. One SVD serves every t."""
+    return 1j * t / s.size * float(np.sum(1.0 / (s**2 + t * t)))
 
 
 def write_comparison_csv(path, rows) -> None:

@@ -8,6 +8,8 @@ import pytest
 
 import autocov_spectra
 from autocov_spectra import cli, fixed_point
+from autocov_spectra.ensembles import EnsembleSpec, build_autocov, sample_entry_matrix
+from autocov_spectra.fixed_point import ResolventParams
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -123,6 +125,26 @@ class TestFixedPointRun:
         assert cli.run("fixed-point", cfg, output_dir=str(out)) == cli.EXIT_OK
         lines = (out / "fixed_point.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 2 z * 2 t
+
+    def test_simulation_matches_per_point_loop(self, tmp_path):
+        payload = {"gamma0": 1.5, "gamma1": 0.5, "n": 24, "seed": 8, "trials": 3,
+                   "z_list": [0.5, [1.0, 1.0]], "t_list": [0.3, 1.0]}
+        out = tmp_path / "out"
+        assert cli.run("fixed-point", write_config(tmp_path, payload),
+                       output_dir=str(out)) == cli.EXIT_OK
+        # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial).
+        spec = EnsembleSpec(n=24, N=36, k=12, master_seed=8)
+        rows = []
+        for z in (0.5 + 0j, 1.0 + 1.0j):
+            for t in (0.3, 1.0):
+                params = ResolventParams(z=z, t=t, gamma0=1.5, a=0.5)
+                sol = fixed_point.solve_s(params)
+                emp = complex(np.mean([fixed_point.empirical_resolvent_trace(
+                    build_autocov(sample_entry_matrix(spec, i), 12), z, t)
+                    for i in range(3)]))
+                rows.append((z, t, sol.s, sol.g12, emp, abs(emp - 1j * sol.s / 1.5)))
+        fixed_point.write_comparison_csv(tmp_path / "reference.csv", rows)
+        assert (out / "fixed_point.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestLawDiagnostics:

@@ -6,15 +6,14 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
     SeededTrial,
+    autocov_eigenvalues,
     build_autocov,
     build_circular,
     build_linearization,
     hermitize,
-    load_matrix,
     mix_seed,
     moment_diagnostics,
     sample_entry_matrix,
-    save_matrix,
     shift_matrix,
 )
 
@@ -126,6 +125,38 @@ class TestCircular:
         assert np.allclose(build_circular(X), X @ J @ X.conj().T)
 
 
+class TestAutocovEigenvalues:
+    @pytest.mark.parametrize("n,N,k", [
+        (32, 48, 16),   # wide, N > n - k
+        (64, 64, 32),   # square, large lag
+        (48, 96, 40),   # wide with a large atom
+    ])
+    def test_reduction_matches_full_eigensolve(self, n, N, k):
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=n + k), 0)
+        fast = autocov_eigenvalues(X, k)
+        full = linalg.eigenvalues(build_autocov(X, k))
+        assert fast.shape == (N,)
+        # N - (n-k) exact zeros; the full solve puts them inside the atom.
+        assert np.count_nonzero(fast == 0) == N - (n - k)
+        in_atom = np.abs(full) <= 1e-8
+        assert np.count_nonzero(in_atom) == N - (n - k)
+        r_fast = np.sort(np.abs(fast))
+        r_full = np.sort(np.where(in_atom, 0.0, np.abs(full)))
+        assert np.max(np.abs(r_fast - r_full)) <= 1e-12
+        nz_fast, nz_full = fast[fast != 0], full[~in_atom]
+        assert np.max(np.min(np.abs(nz_fast[:, None] - nz_full[None, :]), axis=1)) <= 1e-10
+
+    def test_full_eigensolve_when_lag_leaves_n_minus_k_at_least_N(self):
+        X = sample_entry_matrix(EnsembleSpec(n=64, N=16, k=32, master_seed=3), 0)
+        assert np.array_equal(autocov_eigenvalues(X, 32),
+                              linalg.eigenvalues(build_autocov(X, 32)))
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_lag_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            autocov_eigenvalues(np.ones((4, 8), dtype=complex), k)
+
+
 class TestLinearization:
     @pytest.mark.parametrize("k,z", [(1, 1 + 0j), (5, 1j), (20, -0.5 + 0j), (40, 1 + 0j)])
     def test_structural_relations(self, k, z):
@@ -203,11 +234,3 @@ class TestMomentDiagnostics:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             moment_diagnostics(EntryLaw(), n=10, sample_count=100)
-
-
-def test_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    path = tmp_path / "m.grid"
-    save_matrix(path, M)
-    assert np.array_equal(load_matrix(path), M)

@@ -23,6 +23,11 @@ from autocov_spectra.experiments import (
     write_radial_cdf_csv,
     write_report_json,
 )
+from autocov_spectra.fixed_point import (
+    ResolventParams,
+    empirical_resolvent_trace,
+    predicted_stieltjes,
+)
 from autocov_spectra.limit_law import Gamma0Law
 
 
@@ -223,6 +228,36 @@ class TestLargeK:
         config = ExperimentConfig(spec=EnsembleSpec(n=64, N=64, k=1))
         with pytest.raises(ValueError):
             large_k_experiment(config)
+
+    def test_resolvent_errors_match_per_point_loop(self):
+        spec = EnsembleSpec(n=32, N=48, k=16, master_seed=12)
+        config = ExperimentConfig(spec=spec, trials=3, z_list=[0.5 + 0j, 1.0 + 1j],
+                                  t_list=[0.3, 1.0])
+        # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial).
+        errors = []
+        for z in config.z_list:
+            for t in config.t_list:
+                pred = predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0,
+                                                           a=1.0 - spec.gamma1))
+                per_trial = [empirical_resolvent_trace(
+                    build_autocov(sample_entry_matrix(spec, i), spec.k), z, t)
+                    for i in range(config.trials)]
+                errors.append(float(abs(np.mean(per_trial) - pred)))
+        assert large_k_experiment(config).resolvent_errors == errors
+
+    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (32, 32, 16), (64, 16, 32)])
+    def test_stability_ks_is_ks_of_snapped_full_eigensolves(self, n, N, k):
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=13)
+        config = ExperimentConfig(spec=spec, trials=1, z_list=[1.0 + 0j], t_list=[0.5])
+
+        def snapped_radii(n, N, k, seed):
+            X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=seed), 0)
+            r = np.abs(linalg.eigenvalues(build_autocov(X, k)))
+            return np.where(r <= 1e-8, 0.0, r)
+
+        expected = ks_two_sample(snapped_radii(n, N, k, 13),
+                                 snapped_radii(2 * n, 2 * N, 2 * k, 14))
+        assert large_k_experiment(config).stability_ks == expected
 
 
 class TestConfig:
