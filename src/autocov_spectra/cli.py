@@ -8,6 +8,10 @@ configuration error, 4 numeric backend failure.
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values) and by environment variables ``AUTOCOV_<KEY>`` with ``__`` as the
 nesting separator; explicit --set wins over the environment.
+
+Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
+not depend on the caller's BLAS thread setting; the manifest records the
+count together with the library versions.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 import autocov_spectra
 from autocov_spectra import experiments, linalg
@@ -144,13 +150,21 @@ def _spec_from(cfg: dict) -> EnsembleSpec:
 
 
 def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
+    # Checked before the run: a non-numeric threshold would otherwise fail
+    # only at its comparison, after the whole experiment has run.
+    thresholds = cfg.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ConfigError(f"thresholds must be a mapping, got {thresholds!r}")
+    for key, value in thresholds.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"threshold {key!r} must be a number, got {value!r}")
     try:
         return ExperimentConfig(
             spec=spec,
             trials=int(cfg.get("trials", 1)),
             z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
             t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
-            thresholds=cfg.get("thresholds", {}),
+            thresholds=thresholds,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
@@ -168,6 +182,25 @@ def _atomic_write_json(path: str, payload: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _blas_build(module) -> dict:
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _environment() -> dict:
+    """Library versions, BLAS builds, CPU count and the BLAS thread count in
+    force where this is called."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas_build(np),
+        "scipy_blas": _blas_build(scipy),
+        "blas_threads": linalg.blas_thread_counts(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 class RunManifest:
@@ -194,6 +227,7 @@ class RunManifest:
             "outputs": sorted(self.outputs),
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "environment": _environment(),
         }
         _atomic_write_json(os.path.join(self.out_dir, "manifest.json"), payload)
 
@@ -319,12 +353,19 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
 
 
 def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
-    law = Gamma0Law(float(cfg["gamma0"]))
     grid = cfg["grid"]
+    if not isinstance(grid, dict):
+        raise ConfigError(f"limit-law-table: grid must be a mapping, got {grid!r}")
     for key in ("start", "stop", "step"):
         if key not in grid:
             raise ConfigError(f"limit-law-table: grid missing key {key!r}")
-    start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
+    try:
+        law = Gamma0Law(float(cfg["gamma0"]))
+        start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"limit-law-table: {exc}")
+    if not step > 0:
+        raise ConfigError(f"limit-law-table: grid step must be positive, got {step}")
     r_grid = np.arange(start, stop, step)
     # Snap the final point to the exact stop value so the table closes at the
     # CDF endpoint.
@@ -340,11 +381,13 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
 def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
     try:
         law = EntryLaw(kind=cfg["law"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    report = moment_diagnostics(law, n=int(cfg["n"]),
-                                sample_count=int(cfg.get("sample_count", 100_000)),
-                                seed=int(cfg["seed"]))
+        # moment_diagnostics raises ValueError only for a too-small
+        # sample_count or n.
+        report = moment_diagnostics(law, n=int(cfg["n"]),
+                                    sample_count=int(cfg.get("sample_count", 100_000)),
+                                    seed=int(cfg["seed"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"law-diagnostics: {exc}")
     experiments.write_report_json(
         manifest.register(os.path.join(manifest.out_dir, "law_diagnostics.json")), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
@@ -372,8 +415,9 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         out_dir = output_dir or cfg.get("output_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
         manifest = RunManifest(subcommand, cfg, out_dir)
-        status = RUNNERS[subcommand](cfg, manifest)
-        manifest.write()
+        with linalg.one_blas_thread():
+            status = RUNNERS[subcommand](cfg, manifest)
+            manifest.write()
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

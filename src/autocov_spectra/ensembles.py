@@ -236,6 +236,8 @@ def moment_diagnostics(law: EntryLaw, n: int, sample_count: int = 100_000,
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(mix_seed(seed, 0)))
     x = law.sample(rng, sample_count, n)
     mean = complex(x.mean())

@@ -439,7 +439,8 @@ def resolvent_trace_means(Ys, z_list, t_list) -> list:
 
 def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     """Large-lag regime (k >= n/2): ESD stability between n and 2n, resolvent
-    match against the fixed-point prediction, and the zero atom for N > n.
+    match against the fixed-point prediction, and the zero atom: the count of
+    |lambda| <= ZERO_EIGENVALUE_TOL, of which N > n requires at least N - n.
 
     Trial 0 of the resolvent average is also the stability check's n-sample,
     and the zero atom is counted on its full eigendecomposition. The 2n-sample
@@ -477,10 +478,7 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     resolvent_ok = mean_error <= config.thresholds["resolvent_abs_error"]
 
     zero_required = max(0, spec.N - spec.n)
-    if zero_required > 0:
-        zero_eigs = int(np.count_nonzero(np.abs(eigs) <= ZERO_EIGENVALUE_TOL))
-    else:
-        zero_eigs = 0
+    zero_eigs = int(np.count_nonzero(np.abs(eigs) <= ZERO_EIGENVALUE_TOL))
     atom_ok = zero_eigs >= zero_required
     return LargeKReport(
         stability_ks=float(stability),

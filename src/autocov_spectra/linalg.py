@@ -3,11 +3,14 @@
 All functions are pure and operate on 2-d numpy arrays. Singular values are
 returned in descending order; eigenvalues as an unordered array. Checks
 return small report objects rather than raising, so Monte Carlo drivers can
-aggregate margins.
+aggregate margins. one_blas_thread pins the BLAS thread count for a block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,66 @@ BLOCK_INV_TOL = 1e-10
 class NumericBackendError(RuntimeError):
     """Raised when an eigen/SVD/Schur routine fails to converge, or when the
     fixed-point solver finds no positive root."""
+
+
+# (get, set) thread-count symbols, tried in this order in each loaded
+# OpenBLAS: scipy-openblas 64-bit and 32-bit builds, then plain OpenBLAS.
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> dict:
+    """{library file name: (get, set)} for every OpenBLAS mapped into this
+    process; numpy's and scipy's each ship their own. Empty when the memory
+    map cannot be read or no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return {}
+    controls = {}
+    for path in sorted(p for p in paths
+                       if p.startswith("/") and "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls[os.path.basename(path)] = (getter, setter)
+                break
+    return controls
+
+
+def blas_thread_counts() -> dict:
+    """{library file name: thread count} of every loaded OpenBLAS."""
+    return {name: get() for name, (get, _) in _openblas_thread_controls().items()}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    Each library's previous count is restored on exit, exceptions included.
+    The Monte Carlo drivers decompose many small matrices, where OpenBLAS's
+    worker threads cost more than they save, and a threaded BLAS may sum in
+    a different order, so one thread also makes results independent of the
+    caller's thread setting. Does nothing when no OpenBLAS is loaded. The
+    count is process-wide: other threads calling BLAS meanwhile see it too.
+    """
+    controls = _openblas_thread_controls()
+    previous = {name: get() for name, (get, _) in controls.items()}
+    try:
+        for _, set_threads in controls.values():
+            set_threads(1)
+        yield
+    finally:
+        for name, (_, set_threads) in controls.items():
+            set_threads(previous[name])
 
 
 def _as_matrix(M) -> np.ndarray:

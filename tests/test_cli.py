@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import autocov_spectra
-from autocov_spectra import cli, fixed_point
+from autocov_spectra import cli, fixed_point, linalg
 from autocov_spectra.ensembles import EnsembleSpec, build_autocov, sample_entry_matrix
 from autocov_spectra.fixed_point import ResolventParams
 
@@ -16,6 +16,19 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli(subcommand, cfg, out_dir, **env_vars):
+    """Run the CLI in a fresh interpreter on this source tree, with no
+    AUTOCOV_* variable and with env_vars added to the environment."""
+    src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run(
+        [sys.executable, "-m", "autocov_spectra.cli", subcommand, cfg,
+         "--output-dir", str(out_dir)],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestConfigLoading:
@@ -132,17 +145,19 @@ class TestFixedPointRun:
         out = tmp_path / "out"
         assert cli.run("fixed-point", write_config(tmp_path, payload),
                        output_dir=str(out)) == cli.EXIT_OK
-        # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial).
+        # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial),
+        # on one BLAS thread as the CLI runs.
         spec = EnsembleSpec(n=24, N=36, k=12, master_seed=8)
         rows = []
-        for z in (0.5 + 0j, 1.0 + 1.0j):
-            for t in (0.3, 1.0):
-                params = ResolventParams(z=z, t=t, gamma0=1.5, a=0.5)
-                sol = fixed_point.solve_s(params)
-                emp = complex(np.mean([fixed_point.empirical_resolvent_trace(
-                    build_autocov(sample_entry_matrix(spec, i), 12), z, t)
-                    for i in range(3)]))
-                rows.append((z, t, sol.s, sol.g12, emp, abs(emp - 1j * sol.s / 1.5)))
+        with linalg.one_blas_thread():
+            for z in (0.5 + 0j, 1.0 + 1.0j):
+                for t in (0.3, 1.0):
+                    params = ResolventParams(z=z, t=t, gamma0=1.5, a=0.5)
+                    sol = fixed_point.solve_s(params)
+                    emp = complex(np.mean([fixed_point.empirical_resolvent_trace(
+                        build_autocov(sample_entry_matrix(spec, i), 12), z, t)
+                        for i in range(3)]))
+                    rows.append((z, t, sol.s, sol.g12, emp, abs(emp - 1j * sol.s / 1.5)))
         fixed_point.write_comparison_csv(tmp_path / "reference.csv", rows)
         assert (out / "fixed_point.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -185,20 +200,35 @@ class TestExitCodes:
                          "n": 16, "seed": 1, "trials": 0}),
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 0}),
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": "x"}),
+        ("limit-law-table", {"gamma0": -1, "grid": {"start": 0, "stop": 1, "step": 0.1}}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0, "stop": 1, "step": "x"}}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0, "stop": 1, "step": 0}}),
+        ("law-diagnostics", {"law": "complex-gaussian", "n": "x", "seed": 1}),
+        ("law-diagnostics", {"law": "complex-gaussian", "n": 0, "seed": 1}),
+        ("law-diagnostics", {"law": "complex-gaussian", "n": 64, "seed": 1,
+                             "sample_count": 5}),
+        ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 2, "z": 1.0,
+                      "thresholds": {"lsv_tail_freq": "x"}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
-            "zero-trials", "zero-h", "non-numeric-h"])
+            "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
+            "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
+            "small-sample-count", "non-numeric-threshold"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, subcommand, payload):
         cfg = write_config(tmp_path, payload)
-        src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
-        env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "autocov_spectra.cli", subcommand, cfg,
-             "--output-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli(subcommand, cfg, tmp_path / "out")
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "config error" in proc.stderr
+
+    def test_threshold_checked_before_the_experiment(self, tmp_path, monkeypatch, capsys):
+        def experiment(*args):
+            raise AssertionError("experiment ran")
+
+        monkeypatch.setattr(cli.experiments, "esd_experiment", experiment)
+        cfg = write_config(tmp_path, {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                                      "thresholds": {"radial_ks": [0.1]}})
+        assert cli.run("esd", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_CONFIG
+        assert "radial_ks" in capsys.readouterr().err
 
     def test_fixed_point_solver_failure_exits_four(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(fixed_point, "_positive_roots", lambda params: np.empty(0))
@@ -206,3 +236,36 @@ class TestExitCodes:
             "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert "no positive root" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("lsv-tail", {"n": 100, "N": 100, "k": 1, "seed": 1, "trials": 20, "z": 1.0}),
+        ("esd", {"n": 256, "N": 256, "k": 1, "seed": 1, "trials": 2}),
+        ("large-k", {"n": 120, "N": 180, "k": 60, "seed": 1, "trials": 3,
+                     "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
+    ], ids=["lsv-tail", "esd", "large-k"])
+    def test_outputs_independent_of_openblas_threads(self, tmp_path, subcommand, payload):
+        cfg = write_config(tmp_path, payload)
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_cli(subcommand, cfg, out, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode in (cli.EXIT_OK, cli.EXIT_ASSERTION), proc.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                                if p.name != "manifest.json"}
+        assert outputs["1"] and outputs["1"] == outputs["2"]
+
+    def test_manifest_records_the_run_environment(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}})
+        before = linalg.blas_thread_counts()
+        assert cli.run("limit-law-table", cfg, output_dir=str(tmp_path)) == cli.EXIT_OK
+        assert linalg.blas_thread_counts() == before
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["blas_threads"] == {name: 1 for name in before}
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert set(env) == {"python", "numpy", "scipy", "numpy_blas", "scipy_blas",
+                            "blas_threads", "cpu_count"}
+        assert set(env["numpy_blas"]) == set(env["scipy_blas"]) == {"name", "version"}

@@ -224,6 +224,16 @@ class TestLargeK:
         assert rep.zero_eigs >= 32
         assert rep.atom_ok
 
+    def test_zeros_counted_when_not_wide(self):
+        # N = n still leaves N - (n - k) = 32 zero eigenvalues; none are required.
+        config = ExperimentConfig(
+            spec=EnsembleSpec(n=64, N=64, k=32, master_seed=4),
+            trials=1, z_list=[1.0 + 0j], t_list=[0.5])
+        rep = large_k_experiment(config)
+        assert rep.zero_eigs == 32
+        assert rep.zero_required == 0
+        assert rep.atom_ok
+
     def test_small_lag_rejected(self):
         config = ExperimentConfig(spec=EnsembleSpec(n=64, N=64, k=1))
         with pytest.raises(ValueError):

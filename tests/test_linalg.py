@@ -124,6 +124,45 @@ class TestTriangularLsvBound:
         assert linalg.triangular_lsv_bound(T) == linalg.triangular_lsv_bound(T.copy())
 
 
+class TestOneBlasThread:
+    @pytest.fixture
+    def two_threads(self):
+        """Every loaded OpenBLAS at two threads; the original counts restored after."""
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        original = linalg.blas_thread_counts()
+        for _, set_threads in controls.values():
+            set_threads(2)
+        yield {name: 2 for name in controls}
+        for name, (_, set_threads) in controls.items():
+            set_threads(original[name])
+
+    def test_one_thread_inside_and_previous_count_after(self, two_threads):
+        assert linalg.blas_thread_counts() == two_threads
+        with linalg.one_blas_thread():
+            assert linalg.blas_thread_counts() == {name: 1 for name in two_threads}
+        assert linalg.blas_thread_counts() == two_threads
+
+    def test_previous_count_restored_after_an_exception(self, two_threads):
+        with pytest.raises(KeyError):
+            with linalg.one_blas_thread():
+                raise KeyError("boom")
+        assert linalg.blas_thread_counts() == two_threads
+
+    def test_no_op_when_discovery_finds_nothing(self, two_threads, monkeypatch):
+        discover = linalg._openblas_thread_controls
+
+        def real_counts():
+            return {name: get() for name, (get, _) in discover().items()}
+
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", dict)
+        with linalg.one_blas_thread():
+            assert linalg.blas_thread_counts() == {}
+            assert real_counts() == two_threads
+        assert real_counts() == two_threads
+
+
 class TestBlockInverse:
     def test_identity_blocks(self):
         out = linalg.block_inverse(np.eye(2), np.zeros((2, 3)), np.zeros((3, 2)), np.eye(3))
