@@ -17,8 +17,10 @@ count together with the library versions.
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import json
+import math
 import os
 import platform
 import sys
@@ -79,16 +81,19 @@ class ConfigError(ValueError):
 
 
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, str):
-        try:
-            return complex(v.replace("i", "j"))
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse complex value {v!r}")
+    z = None
+    try:
+        if isinstance(v, (int, float)):
+            z = complex(v)
+        elif isinstance(v, (list, tuple)) and len(v) == 2:
+            z = complex(float(v[0]), float(v[1]))
+        elif isinstance(v, str):
+            z = complex(v.replace("i", "j"))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if z is None or not cmath.isfinite(z):
+        raise ConfigError(f"cannot parse finite complex value {v!r}")
+    return z
 
 
 def _set_nested(cfg: dict, dotted: str, value) -> None:
@@ -145,7 +150,7 @@ def _spec_from(cfg: dict) -> EnsembleSpec:
         law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
         return EnsembleSpec(n=int(cfg["n"]), N=int(cfg["N"]), k=int(cfg["k"]),
                             law=law, master_seed=int(cfg["seed"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -166,7 +171,7 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
             t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
             thresholds=thresholds,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -291,10 +296,10 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     config = _experiment_config(cfg, spec)
     try:
         h = float(cfg.get("h", 0.1))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"hermitize: {exc}")
-    if not h > 0:
-        raise ConfigError(f"hermitize: grid spacing h must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"hermitize: grid spacing h must be positive and finite, got {h}")
     report = experiments.hermitization_pipeline(config, h=h)
     experiments.write_report_json(
         manifest.register(os.path.join(manifest.out_dir, "hermitization_report.json")),
@@ -320,7 +325,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
             trials = int(cfg.get("trials", 1))
             if trials < 1:
                 raise ValueError("trials must be >= 1")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"fixed-point: {exc}")
     solutions = [solve_s(params) for params in points]
     means = [None] * len(points)
@@ -346,6 +351,15 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     if spec.k < spec.n / 2:
         raise ConfigError(f"large-k: requires k >= n/2, got k={spec.k}, n={spec.n}")
     config = _experiment_config(cfg, spec)
+    if not config.z_list or not config.t_list:
+        # The resolvent check would average no errors and report NaN.
+        raise ConfigError("large-k: z_list and t_list must be nonempty")
+    try:
+        for z in config.z_list:
+            for t in config.t_list:
+                ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=1.0 - spec.gamma1)
+    except ValueError as exc:
+        raise ConfigError(f"large-k: {exc}")
     report = experiments.large_k_experiment(config)
     experiments.write_report_json(
         manifest.register(os.path.join(manifest.out_dir, "large_k_report.json")), report)
@@ -362,10 +376,13 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
     try:
         law = Gamma0Law(float(cfg["gamma0"]))
         start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"limit-law-table: {exc}")
     if not step > 0:
         raise ConfigError(f"limit-law-table: grid step must be positive, got {step}")
+    if not 0 <= start <= stop < math.inf:
+        raise ConfigError(
+            f"limit-law-table: grid needs finite 0 <= start <= stop, got {start}, {stop}")
     r_grid = np.arange(start, stop, step)
     # Snap the final point to the exact stop value so the table closes at the
     # CDF endpoint.
@@ -386,7 +403,7 @@ def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
         report = moment_diagnostics(law, n=int(cfg["n"]),
                                     sample_count=int(cfg.get("sample_count", 100_000)),
                                     seed=int(cfg["seed"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"law-diagnostics: {exc}")
     experiments.write_report_json(
         manifest.register(os.path.join(manifest.out_dir, "law_diagnostics.json")), report)

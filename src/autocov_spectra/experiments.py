@@ -71,12 +71,15 @@ class ExperimentConfig:
 
 
 def ks_statistic(sample, cdf) -> float:
-    """One-sample KS: sup |F_hat - F| with right-continuous empirical CDF."""
+    """One-sample KS: sup |F_hat - F| with right-continuous empirical CDF.
+
+    cdf is called once, on the sorted sample as an array.
+    """
     x = np.sort(np.asarray(sample, dtype=float))
     m = x.size
     if m == 0:
         raise ValueError("empty sample")
-    F = np.asarray([cdf(v) for v in x], dtype=float)
+    F = np.asarray(cdf(x), dtype=float)
     upper = np.arange(1, m + 1) / m - F
     lower = F - np.arange(0, m) / m
     return float(max(upper.max(), lower.max()))

@@ -38,10 +38,10 @@ class ResolventParams:
     def __post_init__(self):
         if self.z == 0:
             raise ValueError("z = 0 is excluded")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not 0 < self.t < np.inf:
+            raise ValueError("t must be positive and finite")
+        if not 0 < self.gamma0 < np.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.a <= 0.5:
             raise ValueError("a must lie in (0, 1/2] (the large-lag regime)")
 

@@ -13,9 +13,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-INVERSION_TOL = 1e-12
+# Halvings of g's domain in g_inverse. The domain is at most 1 wide, so 64
+# halvings shrink the bracket to 2^-64 < 6e-20, below float64 resolution.
+BISECTION_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -49,43 +50,54 @@ class Gamma0Law:
             return 0.0
         return float((self.gamma0 - 1.0) ** 1.5 / np.sqrt(self.gamma0))
 
+    def _g(self, x):
+        return x * (1.0 - self.gamma0 + 2.0 * x) ** 2 / (1.0 + x)
+
     def g(self, x) -> np.ndarray | float:
         """Evaluate g on its domain."""
         lo, hi = self.domain
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < lo - 1e-12) or np.any(x_arr > hi + 1e-12):
             raise ValueError(f"x outside [{lo}, {hi}]")
-        x_arr = np.clip(x_arr, lo, hi)
-        val = x_arr * (1.0 - self.gamma0 + 2.0 * x_arr) ** 2 / (1.0 + x_arr)
+        val = self._g(np.clip(x_arr, lo, hi))
         return float(val) if np.isscalar(x) else val
 
-    def g_inverse(self, y: float) -> float:
-        """Invert g by monotone bracketing bisection."""
+    def g_inverse(self, y) -> np.ndarray | float:
+        """Invert g elementwise by bisection on arrays.
+
+        g increases on its domain, so each of BISECTION_STEPS halvings keeps
+        the half of every bracket that contains g^-1(y). y at the ends of g's
+        range maps to the ends of the domain exactly.
+        """
         lo, hi = self.domain
         y_lo, y_hi = self.g(lo), self.g(hi)
-        if y < y_lo - 1e-12 * max(1.0, abs(y_lo)) or y > y_hi + 1e-12 * max(1.0, y_hi):
-            raise ValueError(f"y={y} outside range [{y_lo}, {y_hi}]")
-        y = min(max(y, y_lo), y_hi)
-        if y == y_lo:
-            return lo
-        if y == y_hi:
-            return hi
-        return float(brentq(lambda x: self.g(x) - y, lo, hi, xtol=INVERSION_TOL,
-                            rtol=8.881784197001252e-16))
+        y_arr = np.asarray(y, dtype=float)
+        if not np.all((y_arr >= y_lo - 1e-12 * max(1.0, abs(y_lo)))
+                      & (y_arr <= y_hi + 1e-12 * max(1.0, y_hi))):
+            raise ValueError(f"y outside range [{y_lo}, {y_hi}]")
+        y_arr = np.clip(y_arr, y_lo, y_hi)
+        a = np.full(y_arr.shape, lo)
+        b = np.full(y_arr.shape, hi)
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            below = self._g(mid) < y_arr
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+        x = np.where(y_arr == y_lo, lo, np.where(y_arr == y_hi, hi, 0.5 * (a + b)))
+        return float(x) if np.isscalar(y) else x
 
     def radial_cdf(self, r) -> np.ndarray | float:
         """Probability of the closed ball of radius r about the origin."""
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr < 0):
             raise ValueError("radius must be nonnegative")
-        out = np.empty_like(r_arr)
-        for i, ri in enumerate(r_arr):
-            if ri >= self.support_radius:
-                out[i] = 1.0
-            elif ri <= self.inner_radius:
-                out[i] = self.atom_mass
-            else:
-                out[i] = self.g_inverse(ri * ri) / self.gamma0
+        # g's range is [inner_radius^2, support_radius^2]; clipping into it
+        # lets the radii of the two flat branches pass through g_inverse.
+        lo, hi = self.domain
+        y = np.clip(r_arr * r_arr, self.g(lo), self.g(hi))
+        out = np.where(r_arr >= self.support_radius, 1.0,
+                       np.where(r_arr <= self.inner_radius, self.atom_mass,
+                                self.g_inverse(y) / self.gamma0))
         return float(out[0]) if np.isscalar(r) else out
 
     def radial_quantile(self, p) -> np.ndarray | float:
@@ -97,13 +109,9 @@ class Gamma0Law:
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         if np.any(p_arr < 0) or np.any(p_arr > 1):
             raise ValueError("p must lie in [0, 1]")
-        out = np.empty_like(p_arr)
-        atom = self.atom_mass
-        for i, pi in enumerate(p_arr):
-            if pi <= atom:
-                out[i] = 0.0
-            else:
-                out[i] = np.sqrt(self.g(self.gamma0 * pi))
+        lo, hi = self.domain
+        x = np.clip(self.gamma0 * p_arr, lo, hi)
+        out = np.where(p_arr <= self.atom_mass, 0.0, np.sqrt(self._g(x)))
         return float(out[0]) if np.isscalar(p) else out
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
@@ -116,7 +124,8 @@ class Gamma0Law:
         return radii * np.exp(1j * angles)
 
     def cdf_table(self, r_grid) -> list[tuple[float, float]]:
-        return [(float(r), float(self.radial_cdf(r))) for r in r_grid]
+        r = np.asarray(r_grid, dtype=float)
+        return list(zip(r.tolist(), self.radial_cdf(r).tolist()))
 
 
 def write_cdf_csv(path, law: Gamma0Law, r_grid) -> None:

@@ -26,10 +26,6 @@ RANK_TOL = 1e-8
 # N <= 128 two steps already bound s_min within a factor of about 2.
 INVERSE_ITERATION_STEPS = 2
 
-# Least singular value of D / Schur complement must exceed this times the
-# operator norm for block_inverse to proceed.
-BLOCK_INV_TOL = 1e-10
-
 
 class NumericBackendError(RuntimeError):
     """Raised when an eigen/SVD/Schur routine fails to converge, or when the
@@ -183,69 +179,12 @@ def operator_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def hs_norm(M) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(_as_matrix(M)))
-
-
 def numeric_rank(M, tol: float = RANK_TOL) -> int:
     """Number of singular values above tol * s_1."""
     s = singular_values(M)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def block_inverse(A, B, C, D) -> np.ndarray:
-    """Inverse of the 2x2 block matrix [[A, B], [C, D]].
-
-    Uses the Schur-complement factorization: the top-left block of the
-    inverse is (A - B D^-1 C)^-1. Requires D and the Schur complement to be
-    safely invertible.
-    """
-    A, B, C, D = (_as_matrix(Z) for Z in (A, B, C, D))
-    p, q = A.shape[0], D.shape[0]
-    if A.shape != (p, p) or D.shape != (q, q) or B.shape != (p, q) or C.shape != (q, p):
-        raise ValueError("inconsistent block shapes")
-    full = np.block([[A, B], [C, D]])
-    if least_singular_value(D) <= BLOCK_INV_TOL * operator_norm(full):
-        raise np.linalg.LinAlgError("block D is numerically singular")
-    D_inv = np.linalg.inv(D)
-    schur = A - B @ D_inv @ C
-    if least_singular_value(schur) <= BLOCK_INV_TOL * operator_norm(full):
-        raise np.linalg.LinAlgError("Schur complement A - B D^-1 C is numerically singular")
-    S_inv = np.linalg.inv(schur)
-    top_left = S_inv
-    top_right = -S_inv @ B @ D_inv
-    bottom_left = -D_inv @ C @ S_inv
-    bottom_right = D_inv + D_inv @ C @ S_inv @ B @ D_inv
-    return np.block([[top_left, top_right], [bottom_left, bottom_right]])
-
-
-def column_distance(M, l: int) -> float:
-    """Euclidean distance from column l to the span of the other columns.
-
-    Evaluated through the Schur-complement quotient
-    |M_ll - M_{l,~l} (M_{~l,~l})^-1 M_{~l,l}| / sqrt(1 + ||M_{l,~l} (M_{~l,~l})^-1||^2),
-    which avoids forming a projector. The minor with row and column l removed
-    must be invertible. Index l is 0-based.
-    """
-    M = _as_matrix(M)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("column_distance requires a square matrix")
-    if not 0 <= l < n:
-        raise ValueError(f"column index {l} out of range for size {n}")
-    rest = [i for i in range(n) if i != l]
-    minor = M[np.ix_(rest, rest)]
-    if least_singular_value(minor) <= RANK_TOL * max(operator_norm(M), 1.0):
-        raise np.linalg.LinAlgError(f"minor with row/column {l} removed is singular")
-    row = M[l, rest]
-    col = M[rest, l]
-    row_times_inv = np.linalg.solve(minor.T, row).T  # row @ minor^-1
-    num = abs(M[l, l] - row_times_inv @ col)
-    den = np.sqrt(1.0 + np.linalg.norm(row_times_inv) ** 2)
-    return float(num / den)
 
 
 @dataclass
@@ -280,22 +219,4 @@ def perturbation_interlacing_check(M1, M2, r: int, tol: float = 1e-10) -> Interl
         margins.append(s2[i] - s1[i + r])
     margins = np.array(margins) if margins else np.zeros(0)
     worst = float(margins.min()) if margins.size else 0.0
-    return InterlacingReport(passed=bool(worst >= -tol * scale), margins=margins, worst_margin=worst)
-
-
-def submatrix_interlacing_check(M, rows, cols, tol: float = 1e-10) -> InterlacingReport:
-    """Check s_i(submatrix) <= s_i(M) for the minor M[rows, cols]."""
-    M = _as_matrix(M)
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    if rows.size == 0 or cols.size == 0:
-        raise ValueError("index sets must be nonempty")
-    if rows.min() < 0 or rows.max() >= M.shape[0] or cols.min() < 0 or cols.max() >= M.shape[1]:
-        raise ValueError("index set out of range")
-    sub = M[np.ix_(rows, cols)]
-    s_full = singular_values(M)
-    s_sub = singular_values(sub)
-    margins = s_full[: s_sub.size] - s_sub
-    worst = float(margins.min()) if margins.size else 0.0
-    scale = max(float(s_full[0]) if s_full.size else 0.0, 1.0)
     return InterlacingReport(passed=bool(worst >= -tol * scale), margins=margins, worst_margin=worst)

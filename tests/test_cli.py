@@ -1,10 +1,15 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import autocov_spectra
 from autocov_spectra import cli, fixed_point, linalg
@@ -29,6 +34,37 @@ def run_cli(subcommand, cfg, out_dir, **env_vars):
         [sys.executable, "-m", "autocov_spectra.cli", subcommand, cfg,
          "--output-dir", str(out_dir)],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+# One small valid config per subcommand (n <= 8, 2 trials, 10^4 law samples).
+# The fuzz test below replaces one key or list entry of one of them per example.
+TINY_CONFIGS = {
+    "esd": {"n": 8, "N": 8, "k": 1, "seed": 1, "trials": 2, "law": "complex-gaussian",
+            "thresholds": {"radial_ks": 0.5}},
+    "lsv-tail": {"n": 8, "N": 8, "k": 1, "seed": 1, "trials": 2, "z": [1.0, 0.5]},
+    "linearize-check": {"n": 8, "N": 8, "k": 1, "seed": 1, "trials": 2, "z": 1.0},
+    "hermitize": {"n": 8, "N": 8, "k": 1, "seed": 1, "h": 0.5},
+    "fixed-point": {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
+                    "n": 8, "seed": 1, "trials": 2},
+    "large-k": {"n": 8, "N": 8, "k": 4, "seed": 1, "trials": 2, "z_list": [1.0],
+                "t_list": [0.5]},
+    "limit-law-table": {"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}},
+    "law-diagnostics": {"law": "complex-gaussian", "n": 8, "seed": 1, "sample_count": 10_000},
+}
+
+
+def _key_paths(node, prefix=()):
+    """Paths to every value in a config, nested mappings and lists included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_KEYS = [(sub, path) for sub, cfg in TINY_CONFIGS.items() for path in _key_paths(cfg)]
+# Large and tiny positive numbers are left out: they would request huge arrays.
+FUZZ_VALUES = [None, "x", [], {}, True, -1, 0, math.nan, math.inf, -math.inf]
 
 
 class TestConfigLoading:
@@ -209,16 +245,54 @@ class TestExitCodes:
                              "sample_count": 5}),
         ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 2, "z": 1.0,
                       "thresholds": {"lsv_tail_freq": "x"}}),
+        ("esd", {"n": math.inf, "N": 16, "k": 1, "seed": 1, "trials": 1}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": math.inf}),
+        ("law-diagnostics", {"law": "complex-gaussian", "n": math.inf, "seed": 1}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
+                         "n": math.inf, "seed": 1}),
+        ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "z": math.nan}),
+        ("linearize-check", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                             "z": [1, math.nan]}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                     "z_list": [math.nan], "t_list": [0.5]}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                     "z_list": [], "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [math.nan], "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [math.nan]}),
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": math.inf}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": -1, "stop": 1, "step": 0.1}}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0, "stop": -1, "step": 0.1}}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": math.nan, "stop": 1,
+                                                     "step": 0.1}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
-            "small-sample-count", "non-numeric-threshold"])
+            "small-sample-count", "non-numeric-threshold", "infinite-n", "infinite-trials",
+            "infinite-diagnostics-n", "infinite-simulation-n", "nan-z", "nan-z-pair",
+            "nan-large-k-z", "empty-large-k-z", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
+            "negative-stop", "nan-start"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, subcommand, payload):
         cfg = write_config(tmp_path, payload)
         proc = run_cli(subcommand, cfg, tmp_path / "out")
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "config error" in proc.stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
+    def test_fuzzed_configs_exit_with_a_documented_code(self, case, value):
+        subcommand, path = case
+        cfg = copy.deepcopy(TINY_CONFIGS[subcommand])
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config_file = os.path.join(tmp, "config.json")
+            with open(config_file, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            status = cli.run(subcommand, config_file, output_dir=os.path.join(tmp, "out"))
+        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
 
     def test_threshold_checked_before_the_experiment(self, tmp_path, monkeypatch, capsys):
         def experiment(*args):

@@ -39,7 +39,19 @@ class TestKsHelpers:
         assert ks_statistic(sample, lambda x: x) == pytest.approx(1.0 / m)
 
     def test_one_sample_point_mass(self):
-        assert ks_statistic([0.5], lambda x: float(x >= 1.0)) == pytest.approx(1.0)
+        assert ks_statistic([0.5], lambda x: (x >= 1.0).astype(float)) == pytest.approx(1.0)
+
+    def test_cdf_called_once_on_the_sorted_sample(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(x.copy())
+            return x
+
+        # Against U(0,1) the largest gap is 1 - 0.7 at the last jump.
+        assert ks_statistic([0.7, 0.1, 0.4], cdf) == pytest.approx(0.3)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [0.1, 0.4, 0.7]
 
     def test_two_sample_identical(self):
         a = np.array([0.1, 0.4, 0.9])

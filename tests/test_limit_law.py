@@ -2,9 +2,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from autocov_spectra.experiments import ks_statistic
 from autocov_spectra.limit_law import Gamma0Law, write_cdf_csv
+
+
+GAMMA0S = (0.1, 0.5, 1.0, 1.7, 2.0, 4.0)
+
+
+def brentq_g_inverse(law, y):
+    """Reference inverse of g: one brentq root-find per value."""
+    lo, hi = law.domain
+    y = min(max(y, law.g(lo)), law.g(hi))
+    if y == law.g(lo):
+        return lo
+    if y == law.g(hi):
+        return hi
+    return brentq(lambda x: law.g(x) - y, lo, hi, xtol=1e-12, rtol=8.881784197001252e-16)
+
+
+def brentq_radial_cdf(law, r):
+    """Reference radial CDF: a loop over radii with brentq_g_inverse."""
+    out = []
+    for ri in r:
+        if ri >= law.support_radius:
+            out.append(1.0)
+        elif ri <= law.inner_radius:
+            out.append(law.atom_mass)
+        else:
+            out.append(brentq_g_inverse(law, ri * ri) / law.gamma0)
+    return np.array(out)
 
 
 class TestG:
@@ -65,6 +93,25 @@ class TestGInverse:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Gamma0Law(1.0).g_inverse(3.0)
+        with pytest.raises(ValueError):
+            Gamma0Law(1.0).g_inverse(np.array([1.0, 3.0]))
+
+    @pytest.mark.parametrize("g0", GAMMA0S)
+    def test_brentq_oracle(self, g0):
+        law = Gamma0Law(g0)
+        lo, hi = law.domain
+        y = np.linspace(law.g(lo), law.g(hi), 101)
+        expected = [brentq_g_inverse(law, v) for v in y]
+        assert np.abs(law.g_inverse(y) - expected).max() <= 1e-11
+        assert law.g_inverse(y[0]) == lo and law.g_inverse(y[-1]) == hi
+
+    def test_scalar_and_array_inputs(self):
+        law = Gamma0Law(1.7)
+        y = np.linspace(law.g(law.domain[0]), law.g(law.domain[1]), 12).reshape(3, 4)
+        x = law.g_inverse(y)
+        assert x.shape == (3, 4)
+        assert type(law.g_inverse(float(y[1, 2]))) is float
+        assert law.g_inverse(float(y[1, 2])) == x[1, 2]
 
 
 class TestRadialCdf:
@@ -82,6 +129,29 @@ class TestRadialCdf:
         above = law.radial_cdf(r_star + 1e-12)
         assert abs(above - below) <= 1e-10
         assert below == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("g0", GAMMA0S)
+    def test_brentq_oracle(self, g0):
+        law = Gamma0Law(g0)
+        edges = [0.0, law.inner_radius, law.support_radius]
+        near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf) if e > 0]
+        beyond = [law.support_radius * 1.1, law.support_radius + 1.0]
+        r = np.concatenate([np.linspace(0.0, law.support_radius * 1.2, 400),
+                            edges, near, beyond])
+        assert np.abs(law.radial_cdf(r) - brentq_radial_cdf(law, r)).max() <= 1e-11
+
+    def test_scalar_and_array_inputs(self):
+        law = Gamma0Law(2.0)
+        r = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        vals = law.radial_cdf(r)
+        assert vals.shape == r.shape
+        for ri, v in zip(r, vals):
+            assert type(law.radial_cdf(float(ri))) is float
+            assert law.radial_cdf(float(ri)) == v
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            Gamma0Law(1.0).radial_cdf(np.array([0.5, -0.1]))
 
     def test_nondecreasing(self):
         for g0 in (0.5, 1.0, 1.7, 2.5):
@@ -109,6 +179,16 @@ class TestQuantile:
                 assert c >= p - 1e-9
                 if r > law.inner_radius:
                     assert c == pytest.approx(p, abs=1e-9)
+
+    def test_scalar_and_array_inputs(self):
+        law = Gamma0Law(2.0)
+        p = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        radii = law.radial_quantile(p)
+        assert radii.shape == p.shape
+        assert radii[0] == radii[1] == 0.0
+        for pi, r in zip(p, radii):
+            assert type(law.radial_quantile(float(pi))) is float
+            assert law.radial_quantile(float(pi)) == r
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
@@ -148,3 +228,11 @@ def test_cdf_csv_export(tmp_path):
     assert lines[0] == "r,cdf"
     assert len(lines) == 11
     assert float(lines[-1].split(",")[1]) == pytest.approx(1.0)
+
+
+def test_cdf_table_matches_radial_cdf():
+    law = Gamma0Law(1.7)
+    grid = np.linspace(0.0, law.support_radius * 1.1, 9)
+    table = law.cdf_table(grid)
+    assert [r for r, _ in table] == grid.tolist()
+    assert [c for _, c in table] == [law.radial_cdf(float(r)) for r in grid]

@@ -163,62 +163,6 @@ class TestOneBlasThread:
         assert real_counts() == two_threads
 
 
-class TestBlockInverse:
-    def test_identity_blocks(self):
-        out = linalg.block_inverse(np.eye(2), np.zeros((2, 3)), np.zeros((3, 2)), np.eye(3))
-        assert np.allclose(out, np.eye(5))
-
-    def test_diagonal_blocks(self):
-        out = linalg.block_inverse(2 * np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)),
-                                   4 * np.eye(1))
-        assert np.allclose(out, np.diag([0.5, 0.25]))
-
-    def test_random_vs_direct_inverse(self):
-        rng = np.random.default_rng(4)
-        M = random_complex(rng, (4, 4)) + 4 * np.eye(4)
-        out = linalg.block_inverse(M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:])
-        assert np.max(np.abs(out - np.linalg.inv(M))) <= 1e-10
-
-    def test_product_is_identity(self):
-        rng = np.random.default_rng(5)
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            M = random_complex(rng, (6, 6)) + 5 * np.eye(6)
-            out = linalg.block_inverse(M[:3, :3], M[:3, 3:], M[3:, :3], M[3:, 3:])
-            assert np.max(np.abs(out @ M - np.eye(6))) <= 1e-9
-
-    def test_singular_d_reported(self):
-        with pytest.raises(np.linalg.LinAlgError, match="block D"):
-            linalg.block_inverse(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                                 np.zeros((2, 2)))
-
-    def test_singular_schur_reported(self):
-        with pytest.raises(np.linalg.LinAlgError, match="Schur"):
-            linalg.block_inverse(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-                                 np.eye(2))
-
-
-class TestColumnDistance:
-    def test_identity(self):
-        assert linalg.column_distance(np.eye(2), 0) == pytest.approx(1.0)
-
-    def test_duplicated_column(self):
-        M = np.array([[1.0, 1.0, 0], [2.0, 2.0, 1.0], [0.0, 0.0, 3.0]])
-        assert linalg.column_distance(M, 0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_qr_projection_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            M = random_complex(rng, (5, 5))
-            l = int(rng.integers(0, 5))
-            others = np.delete(M, l, axis=1)
-            Q, _ = np.linalg.qr(others)
-            col = M[:, l]
-            residual = col - Q @ (Q.conj().T @ col)
-            assert linalg.column_distance(M, l) == pytest.approx(
-                np.linalg.norm(residual), abs=1e-9)
-
-
 class TestInterlacing:
     def test_identical_matrices(self):
         M = np.diag([3.0, 2.0, 1.0])
@@ -256,33 +200,11 @@ class TestInterlacing:
             assert s1[i] >= s2[i + 1] - 1e-10 * scale
             assert s2[i] >= s1[i + 1] - 1e-10 * scale
 
-    def test_submatrix_full_sets(self):
-        M = np.diag([3.0, 1.0])
-        rep = linalg.submatrix_interlacing_check(M, [0, 1], [0, 1])
-        assert rep.passed and rep.worst_margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_submatrix_single_entry(self):
-        M = np.diag([3.0, 1.0])
-        for i in range(2):
-            assert linalg.submatrix_interlacing_check(M, [i], [i]).passed
-
-    def test_submatrix_random_minor(self):
-        rng = np.random.default_rng(9)
-        M = random_complex(rng, (6, 6))
-        rows = rng.choice(6, 3, replace=False)
-        cols = rng.choice(6, 4, replace=False)
-        assert linalg.submatrix_interlacing_check(M, rows, cols).passed
-
-    def test_submatrix_invalid_indices(self):
-        with pytest.raises(ValueError):
-            linalg.submatrix_interlacing_check(np.eye(3), [0, 5], [0])
-
 
 class TestNorms:
     def test_identity(self):
         n = 7
         assert linalg.operator_norm(np.eye(n)) == pytest.approx(1.0)
-        assert linalg.hs_norm(np.eye(n)) == pytest.approx(np.sqrt(n))
 
     def test_rank_one(self):
         rng = np.random.default_rng(10)
@@ -290,10 +212,9 @@ class TestNorms:
         M = np.outer(u, v.conj())
         expected = np.linalg.norm(u) * np.linalg.norm(v)
         assert linalg.operator_norm(M) == pytest.approx(expected)
-        assert linalg.hs_norm(M) == pytest.approx(expected)
 
     def test_norm_inequality_chain(self):
         rng = np.random.default_rng(11)
         M = random_complex(rng, (5, 5))
-        op, hs = linalg.operator_norm(M), linalg.hs_norm(M)
+        op, hs = linalg.operator_norm(M), np.linalg.norm(M)
         assert op <= hs <= np.sqrt(5) * op + 1e-12
