@@ -3,7 +3,7 @@
 Builds the N x N ensembles Y = X A X* (A the k-step shift) and their
 circular variant, evaluates the closed-form limiting radial law, solves the
 large-lag resolvent fixed point, and runs seeded Monte Carlo experiments
-checking interlacing, linearization and least-singular-value behaviour.
+checking linearization and least-singular-value behaviour.
 """
 
 from autocov_spectra.ensembles import (

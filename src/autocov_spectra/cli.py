@@ -3,7 +3,9 @@
 Runs one subcommand per invocation against a JSON config file, writes CSV and
 JSON outputs plus a manifest sufficient to reproduce the run, and reports
 through the exit status: 0 success, 2 scientific-assertion failure, 3
-configuration error, 4 numeric backend failure.
+configuration error, 4 numeric backend failure. This is the only module that
+writes files: every output goes through _write_output, which replaces the
+target atomically.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values) and by environment variables ``AUTOCOV_<KEY>`` with ``__`` as the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import datetime
 import json
 import math
@@ -35,16 +38,13 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
     build_autocov,
+    mix_seed,
     moment_diagnostics,
     sample_entry_matrix,
 )
 from autocov_spectra.experiments import ExperimentConfig
-from autocov_spectra.fixed_point import (
-    ResolventParams,
-    solve_s,
-    write_comparison_csv,
-)
-from autocov_spectra.limit_law import Gamma0Law, write_cdf_csv
+from autocov_spectra.fixed_point import ResolventParams, solve_s
+from autocov_spectra.limit_law import Gamma0Law
 
 ENV_PREFIX = "AUTOCOV_"
 
@@ -175,18 +175,70 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
         raise ConfigError(str(exc))
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
+def _resolvent_grid(subcommand: str, cfg: dict, gamma0: float, gamma1: float
+                    ) -> tuple[list[complex], list[float], list[ResolventParams]]:
+    """cfg's z_list and t_list, and the ResolventParams of every (z, t),
+    z-major. An empty list is an error: the resolvent check would average
+    nothing."""
+    try:
+        z_list = [_parse_complex(z) for z in cfg["z_list"]]
+        t_list = [float(t) for t in cfg["t_list"]]
+        if not z_list or not t_list:
+            raise ValueError("z_list and t_list must be nonempty")
+        points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
+                  for z in z_list for t in t_list]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{subcommand}: {exc}")
+    return z_list, t_list, points
+
+
+def _trial_seeds(spec: EnsembleSpec, trials: int) -> list[int]:
+    """The derived seeds sample_entry_matrix uses for trials 0 .. trials-1."""
+    return [mix_seed(spec.master_seed, i) for i in range(trials)]
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    path holds either its old content or all of text."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _plain(value):
+    """value with dataclasses, numpy arrays and scalars turned into Python
+    values and complex numbers into {"re", "im"}, walking dicts and lists."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _write_json(path: str, payload) -> None:
+    """A report dataclass or a dict as sorted, indented JSON."""
+    _write_output(path, json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One line per row, fields as repr() and CRLF line ends, as csv.writer
+    writes them. Fields must be Python numbers: numpy 2 reprs a numpy
+    scalar as np.float64(...)."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    _write_output(path, "\r\n".join(lines) + "\r\n")
 
 
 def _blas_build(module) -> dict:
@@ -219,9 +271,10 @@ class RunManifest:
         self.seeds: list[int] = []
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def register(self, path: str) -> str:
-        self.outputs.append(os.path.basename(path))
-        return path
+    def path(self, name: str) -> str:
+        """Register the output file name and return its path."""
+        self.outputs.append(name)
+        return os.path.join(self.out_dir, name)
 
     def write(self) -> None:
         payload = {
@@ -234,7 +287,7 @@ class RunManifest:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "environment": _environment(),
         }
-        _atomic_write_json(os.path.join(self.out_dir, "manifest.json"), payload)
+        _write_json(os.path.join(self.out_dir, "manifest.json"), payload)
 
 
 def _run_esd(cfg: dict, manifest: RunManifest) -> int:
@@ -242,16 +295,14 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     config = _experiment_config(cfg, spec)
     report = experiments.esd_experiment(config)
     manifest.seeds = report.seeds
-    experiments.write_report_json(
-        manifest.register(os.path.join(manifest.out_dir, "esd_report.json")), report)
+    _write_json(manifest.path("esd_report.json"), report)
     X = sample_entry_matrix(spec, 0)
     eigs = linalg.eigenvalues(build_autocov(X, spec.k))
-    experiments.write_eigenvalue_csv(
-        manifest.register(os.path.join(manifest.out_dir, "eigenvalues.csv")), eigs)
-    radii = np.sort(np.abs(eigs))
-    cdf = np.arange(1, radii.size + 1) / radii.size
-    experiments.write_radial_cdf_csv(
-        manifest.register(os.path.join(manifest.out_dir, "radial_cdf.csv")), radii, cdf)
+    _write_csv(manifest.path("eigenvalues.csv"), ["re_lambda", "im_lambda"],
+               [(lam.real, lam.imag) for lam in eigs.tolist()])
+    radii = np.sort(np.abs(eigs)).tolist()
+    _write_csv(manifest.path("radial_cdf.csv"), ["r", "empirical_cdf"],
+               [(r, (i + 1) / len(radii)) for i, r in enumerate(radii)])
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
@@ -262,13 +313,10 @@ def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     if z == 0:
         raise ConfigError("lsv-tail: z = 0 is excluded")
     report = experiments.lsv_tail_experiment(config, z)
-    experiments.write_report_json(
-        manifest.register(os.path.join(manifest.out_dir, "lsv_tail_report.json")), report)
-    path = manifest.register(os.path.join(manifest.out_dir, "lsv_values.csv"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial,least_singular_value\n")
-        for i, v in enumerate(report.lsv_values):
-            fh.write(f"{i},{v!r}\n")
+    manifest.seeds = _trial_seeds(spec, config.trials)
+    _write_json(manifest.path("lsv_tail_report.json"), report)
+    _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
+               enumerate(report.lsv_values))
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
@@ -278,16 +326,12 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     if z == 0:
         raise ConfigError("linearize-check: z = 0 is excluded")
     trials = _experiment_config(cfg, spec).trials
-    all_ok = True
-    reports = []
-    for trial_index in range(trials):
-        X = sample_entry_matrix(spec, trial_index)
-        rep = experiments.linearization_check(X, z, spec.k)
-        reports.append(experiments._report_dict(rep))
-        all_ok = all_ok and rep.passed
-    _atomic_write_json(
-        manifest.register(os.path.join(manifest.out_dir, "linearization_report.json")),
-        {"trials": reports, "passed": all_ok})
+    reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
+               for i in range(trials)]
+    all_ok = all(rep.passed for rep in reports)
+    manifest.seeds = _trial_seeds(spec, trials)
+    _write_json(manifest.path("linearization_report.json"),
+                {"trials": reports, "passed": all_ok})
     return EXIT_OK if all_ok else EXIT_ASSERTION
 
 
@@ -301,9 +345,8 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     if not 0 < h < math.inf:
         raise ConfigError(f"hermitize: grid spacing h must be positive and finite, got {h}")
     report = experiments.hermitization_pipeline(config, h=h)
-    experiments.write_report_json(
-        manifest.register(os.path.join(manifest.out_dir, "hermitization_report.json")),
-        report)
+    manifest.seeds = _trial_seeds(spec, 1)
+    _write_json(manifest.path("hermitization_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
@@ -311,10 +354,6 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     try:
         gamma0 = float(cfg["gamma0"])
         gamma1 = float(cfg["gamma1"])
-        z_list = [_parse_complex(z) for z in cfg["z_list"]]
-        t_list = [float(t) for t in cfg["t_list"]]
-        points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
-                  for z in z_list for t in t_list]
         spec = None
         if "n" in cfg and "seed" in cfg:
             spec = EnsembleSpec(
@@ -327,12 +366,14 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
                 raise ValueError("trials must be >= 1")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"fixed-point: {exc}")
+    z_list, t_list, points = _resolvent_grid("fixed-point", cfg, gamma0, gamma1)
     solutions = [solve_s(params) for params in points]
     means = [None] * len(points)
     if spec is not None:
         means = experiments.resolvent_trace_means(
             (build_autocov(sample_entry_matrix(spec, i), spec.k) for i in range(trials)),
             z_list, t_list)
+        manifest.seeds = _trial_seeds(spec, trials)
     rows = []
     for params, sol, mean in zip(points, solutions, means):
         emp = 0j
@@ -340,9 +381,11 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
         if mean is not None:
             emp = complex(mean)
             err = abs(emp - 1j * sol.s / gamma0)
-        rows.append((params.z, params.t, sol.s, sol.g12, emp, err))
-    write_comparison_csv(
-        manifest.register(os.path.join(manifest.out_dir, "fixed_point.csv")), rows)
+        rows.append((params.z.real, params.z.imag, params.t, sol.s,
+                     sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
+    _write_csv(manifest.path("fixed_point.csv"),
+               ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
+                "empirical_re", "empirical_im", "abs_error"], rows)
     return EXIT_OK
 
 
@@ -351,18 +394,12 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     if spec.k < spec.n / 2:
         raise ConfigError(f"large-k: requires k >= n/2, got k={spec.k}, n={spec.n}")
     config = _experiment_config(cfg, spec)
-    if not config.z_list or not config.t_list:
-        # The resolvent check would average no errors and report NaN.
-        raise ConfigError("large-k: z_list and t_list must be nonempty")
-    try:
-        for z in config.z_list:
-            for t in config.t_list:
-                ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=1.0 - spec.gamma1)
-    except ValueError as exc:
-        raise ConfigError(f"large-k: {exc}")
+    _resolvent_grid("large-k", cfg, spec.gamma0, spec.gamma1)
     report = experiments.large_k_experiment(config)
-    experiments.write_report_json(
-        manifest.register(os.path.join(manifest.out_dir, "large_k_report.json")), report)
+    # The 2n stability sample is trial 0 of master seed + 1.
+    manifest.seeds = (_trial_seeds(spec, config.trials)
+                      + [mix_seed(spec.master_seed + 1, 0)])
+    _write_json(manifest.path("large_k_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
@@ -389,9 +426,7 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
     if r_grid.size and stop - r_grid[-1] < step / 2:
         r_grid = r_grid[:-1]
     r_grid = np.append(r_grid, stop)
-    write_cdf_csv(
-        manifest.register(os.path.join(manifest.out_dir, "limit_law_cdf.csv")),
-        law, r_grid)
+    _write_csv(manifest.path("limit_law_cdf.csv"), ["r", "cdf"], law.cdf_table(r_grid))
     return EXIT_OK
 
 
@@ -405,8 +440,7 @@ def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
                                     seed=int(cfg["seed"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"law-diagnostics: {exc}")
-    experiments.write_report_json(
-        manifest.register(os.path.join(manifest.out_dir, "law_diagnostics.json")), report)
+    _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
 
 

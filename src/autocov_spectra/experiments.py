@@ -1,18 +1,14 @@
 """Seeded Monte Carlo drivers turning finite-n matrix inequalities and
 convergence statements into reproducible pass/fail reports.
 
-Finite-n inequality checks (linearization, interlacing, norm bound, atom at
-zero) must hold on every trial. Convergence checks use calibrated KS
-thresholds, since the underlying statements are asymptotic with no finite-n
-rates.
+Finite-n inequality checks (linearization, norm bound, atom at zero) must
+hold on every trial. Convergence checks use calibrated KS thresholds, since
+the underlying statements are asymptotic with no finite-n rates.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +19,6 @@ from autocov_spectra.ensembles import (
     SeededTrial,
     autocov_eigenvalues,
     build_autocov,
-    build_circular,
     build_linearization,
     default_c0_bound,
     sample_entry_matrix,
@@ -62,7 +57,6 @@ class ExperimentConfig:
     z_list: list[complex] = field(default_factory=lambda: [1.0 + 0j])
     t_list: list[float] = field(default_factory=lambda: [0.3, 0.5, 1.0])
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -93,25 +87,6 @@ def ks_two_sample(a, b) -> float:
     Fa = np.searchsorted(a, grid, side="right") / a.size
     Fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(Fa - Fb)))
-
-
-def _report_dict(obj) -> dict:
-    out = dataclasses.asdict(obj)
-
-    def clean(v):
-        if isinstance(v, complex):
-            return {"re": v.real, "im": v.imag}
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [clean(x) for x in v]
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        return v
-
-    return {k: clean(v) for k, v in out.items()}
 
 
 @dataclass
@@ -186,15 +161,13 @@ class TailReport:
     passed: bool
 
 
-def lsv_tail_experiment(config: ExperimentConfig, z: complex | None = None) -> TailReport:
+def lsv_tail_experiment(config: ExperimentConfig, z: complex) -> TailReport:
     """Frequency of {s_N(Y - zI) <= n^(-37/22), ||X|| <= C0} over trials.
 
     The bound's leading constant is unspecified, so the check is one-sided
     smallness against the configured frequency threshold.
     """
     spec = config.spec
-    if z is None:
-        z = config.z_list[0]
     if z == 0:
         raise ValueError("z = 0 is excluded")
     threshold = spec.n ** (-37.0 / 22.0)
@@ -263,58 +236,6 @@ def linearization_check(X, z: complex, k: int, tol: float = 1e-10) -> Linearizat
         norm_budget=float(budget),
         norm_ok=bool(norm_ok),
         passed=bool(lower_ok and multiset_ok and norm_ok),
-    )
-
-
-@dataclass
-class RankPerturbationReport:
-    interlacing_ok: bool
-    worst_margin: float
-    diff_rank_one: bool
-    log_mass_Y: float
-    log_mass_Z: float
-    log_mass_bound: float
-    log_mass_ok: bool
-    passed: bool
-
-
-def _small_log_mass(s: np.ndarray, delta: float) -> float:
-    """|integral_0^delta ln(lambda) d nu| = (1/N) sum_{s_i < delta} |ln s_i|."""
-    small = s[s < delta]
-    if small.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(np.log(small))) / s.size)
-
-
-def rank_perturbation_experiment(X, z: complex, delta: float = 0.1) -> RankPerturbationReport:
-    """Compare Y and its circular variant Z built from the same X (k = 1):
-    the shifted singular values interlace across the rank-one difference, and
-    the small-singular-value log mass of Y - zI is dominated by its least
-    term plus the Z log mass."""
-    X = np.asarray(X, dtype=complex)
-    N = X.shape[0]
-    Y = build_autocov(X, 1)
-    Z = build_circular(X)
-    I = np.eye(N)
-    report = linalg.perturbation_interlacing_check(Y - z * I, Z - z * I, r=1)
-    diff_s = linalg.singular_values(Z - Y)
-    scale = max(float(diff_s[0]), 1.0)
-    rank_one = bool(diff_s.size < 2 or diff_s[1] <= linalg.RANK_TOL * scale)
-    s_Y = linalg.singular_values(Y - z * I)
-    s_Z = linalg.singular_values(Z - z * I)
-    mass_Y = _small_log_mass(s_Y, delta)
-    mass_Z = _small_log_mass(s_Z, delta)
-    bound = float(np.abs(np.log(s_Y[-1])) / N + mass_Z)
-    mass_ok = mass_Y <= bound + 1e-12
-    return RankPerturbationReport(
-        interlacing_ok=report.passed,
-        worst_margin=report.worst_margin,
-        diff_rank_one=rank_one,
-        log_mass_Y=mass_Y,
-        log_mass_Z=mass_Z,
-        log_mass_bound=bound,
-        log_mass_ok=bool(mass_ok),
-        passed=bool(report.passed and rank_one and mass_ok),
     )
 
 
@@ -494,25 +415,3 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
         atom_ok=bool(atom_ok),
         passed=bool(stability_ok and resolvent_ok and atom_ok),
     )
-
-
-def write_eigenvalue_csv(path, eigs) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_lambda", "im_lambda"])
-        for lam in np.asarray(eigs, dtype=complex).ravel():
-            writer.writerow([repr(float(lam.real)), repr(float(lam.imag))])
-
-
-def write_radial_cdf_csv(path, radii, cdf_values) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "empirical_cdf"])
-        for r, c in zip(radii, cdf_values):
-            writer.writerow([repr(float(r)), repr(float(c))])
-
-
-def write_report_json(path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_report_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -14,7 +14,6 @@ than one positive root exists.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,33 +160,6 @@ def predicted_stieltjes(params: ResolventParams,
     return 1j * solution.s / params.gamma0
 
 
-def resolvent_blocks(M, z: complex, eta: complex):
-    """Blocks of ((dilation of M - zI) - eta I)^(-1) for Im eta > 0.
-
-    G11 = eta (B B* - eta^2 I)^-1, G12 = (B B* - eta^2 I)^-1 B,
-    G21 = B* (B B* - eta^2 I)^-1, G22 = eta (B* B - eta^2 I)^-1,
-    with B = M - zI.
-    """
-    M = _as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("resolvent_blocks requires a square matrix")
-    if eta.imag <= 0:
-        raise ValueError("eta must have positive imaginary part")
-    N = M.shape[0]
-    B = M - z * np.eye(N)
-    core = np.linalg.inv(B @ B.conj().T - eta**2 * np.eye(N))
-    core2 = np.linalg.inv(B.conj().T @ B - eta**2 * np.eye(N))
-    G11 = eta * core
-    G12 = core @ B
-    G21 = B.conj().T @ core
-    G22 = eta * core2
-    return G11, G12, G21, G22
-
-
-def assemble_resolvent(G11, G12, G21, G22) -> np.ndarray:
-    return np.block([[G11, G12], [G21, G22]])
-
-
 def empirical_resolvent_trace(M, z: complex, t: float) -> complex:
     """(1/2N) Tr of the dilation resolvent at i t, from singular values:
     (i t / N) sum_i 1 / (s_i(M - zI)^2 + t^2)."""
@@ -203,15 +175,3 @@ def resolvent_trace(s, t: float) -> complex:
     """(i t / N) sum_i 1 / (s_i^2 + t^2) for the N singular values s of
     M - zI: the dilation resolvent trace at i t. One SVD serves every t."""
     return 1j * t / s.size * float(np.sum(1.0 / (s**2 + t * t)))
-
-
-def write_comparison_csv(path, rows) -> None:
-    """Emit solver-vs-simulation rows: (z, t, s, g12, empirical, abs error)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "t", "s", "re_g12", "im_g12",
-                         "empirical_re", "empirical_im", "abs_error"])
-        for z, t, s, g12, emp, err in rows:
-            writer.writerow([repr(z.real), repr(z.imag), repr(t), repr(s),
-                             repr(g12.real), repr(g12.imag),
-                             repr(emp.real), repr(emp.imag), repr(err)])

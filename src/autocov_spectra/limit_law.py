@@ -9,7 +9,6 @@ deficient, so the deficiency concentrates at the origin).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +125,3 @@ class Gamma0Law:
     def cdf_table(self, r_grid) -> list[tuple[float, float]]:
         r = np.asarray(r_grid, dtype=float)
         return list(zip(r.tolist(), self.radial_cdf(r).tolist()))
-
-
-def write_cdf_csv(path, law: Gamma0Law, r_grid) -> None:
-    """Emit (r, cdf) rows for a radius grid."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "cdf"])
-        for r, c in law.cdf_table(r_grid):
-            writer.writerow([repr(r), repr(c)])

@@ -1,9 +1,8 @@
-"""Dense complex-matrix primitives and interlacing checks.
+"""Dense complex-matrix primitives.
 
 All functions are pure and operate on 2-d numpy arrays. Singular values are
-returned in descending order; eigenvalues as an unordered array. Checks
-return small report objects rather than raising, so Monte Carlo drivers can
-aggregate margins. one_blas_thread pins the BLAS thread count for a block.
+returned in descending order; eigenvalues as an unordered array.
+one_blas_thread pins the BLAS thread count for a block.
 """
 
 from __future__ import annotations
@@ -11,16 +10,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-
-# Residual tolerance for the eigen/SVD backend at desk scale (dim <= 2048).
-TOL_EIG = 1e-9
-
-# Singular values below RANK_TOL * s_1 count as zero.
-RANK_TOL = 1e-8
 
 # Inverse-iteration steps in triangular_lsv_bound. On Y - zI grids at
 # N <= 128 two steps already bound s_min within a factor of about 2.
@@ -177,46 +169,3 @@ def operator_norm(M) -> float:
     """Largest singular value."""
     s = singular_values(M)
     return float(s[0]) if s.size else 0.0
-
-
-def numeric_rank(M, tol: float = RANK_TOL) -> int:
-    """Number of singular values above tol * s_1."""
-    s = singular_values(M)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
-@dataclass
-class InterlacingReport:
-    """Outcome of an interlacing check with per-index slack."""
-
-    passed: bool
-    margins: np.ndarray = field(repr=False)
-    worst_margin: float = 0.0
-
-
-def perturbation_interlacing_check(M1, M2, r: int, tol: float = 1e-10) -> InterlacingReport:
-    """Check the rank-r perturbation interlacing s_i(M1) >= s_{i+r}(M2).
-
-    The inequality (and its swap) follows from s_{i+j-1}(A+B) <= s_i(A) + s_j(B)
-    when rank(M1 - M2) <= r; that rank precondition is verified numerically
-    before asserting.
-    """
-    M1, M2 = _as_matrix(M1), _as_matrix(M2)
-    if M1.shape != M2.shape:
-        raise ValueError(f"shape mismatch: {M1.shape} vs {M2.shape}")
-    diff_s = singular_values(M1 - M2)
-    scale = max(operator_norm(M1), operator_norm(M2), 1.0)
-    if diff_s.size > r and diff_s[r] > RANK_TOL * scale:
-        raise ValueError(f"rank(M1 - M2) exceeds {r} (s_{r + 1} = {diff_s[r]:.3e})")
-    s1 = singular_values(M1)
-    s2 = singular_values(M2)
-    m = s1.size
-    margins = []
-    for i in range(m - r):
-        margins.append(s1[i] - s2[i + r])
-        margins.append(s2[i] - s1[i + r])
-    margins = np.array(margins) if margins else np.zeros(0)
-    worst = float(margins.min()) if margins.size else 0.0
-    return InterlacingReport(passed=bool(worst >= -tol * scale), margins=margins, worst_margin=worst)

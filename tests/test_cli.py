@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import autocov_spectra
 from autocov_spectra import cli, fixed_point, linalg
-from autocov_spectra.ensembles import EnsembleSpec, build_autocov, sample_entry_matrix
+from autocov_spectra.ensembles import (
+    EnsembleSpec,
+    build_autocov,
+    mix_seed,
+    sample_entry_matrix,
+)
 from autocov_spectra.fixed_point import ResolventParams
 
 
@@ -193,9 +198,67 @@ class TestFixedPointRun:
                     emp = complex(np.mean([fixed_point.empirical_resolvent_trace(
                         build_autocov(sample_entry_matrix(spec, i), 12), z, t)
                         for i in range(3)]))
-                    rows.append((z, t, sol.s, sol.g12, emp, abs(emp - 1j * sol.s / 1.5)))
-        fixed_point.write_comparison_csv(tmp_path / "reference.csv", rows)
+                    rows.append((z.real, z.imag, t, sol.s, sol.g12.real, sol.g12.imag,
+                                 emp.real, emp.imag, abs(emp - 1j * sol.s / 1.5)))
+        cli._write_csv(tmp_path / "reference.csv",
+                       ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
+                        "empirical_re", "empirical_im", "abs_error"], rows)
         assert (out / "fixed_point.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _seeds(seed, trials):
+    return [mix_seed(seed, i) for i in range(trials)]
+
+
+class TestManifestSeeds:
+    @pytest.mark.parametrize("subcommand,expected", [
+        ("esd", _seeds(1, 2)),
+        ("lsv-tail", _seeds(1, 2)),
+        ("linearize-check", _seeds(1, 2)),
+        ("hermitize", _seeds(1, 1)),
+        ("fixed-point", _seeds(1, 2)),
+        # Trials 0 and 1, then the 2n stability sample: trial 0 of seed + 1.
+        ("large-k", _seeds(1, 2) + _seeds(2, 1)),
+        ("limit-law-table", []),
+    ])
+    def test_resolved_seeds(self, tmp_path, subcommand, expected):
+        cfg = write_config(tmp_path, TINY_CONFIGS[subcommand])
+        out = tmp_path / "out"
+        assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        assert json.loads((out / "manifest.json").read_text())["resolved_seeds"] == expected
+
+
+class TestWriters:
+    def test_json_cleans_complex_and_numpy_values(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"z": 1 - 2j, "a": np.array([1.5, 2.5]),
+                               "nested": [{"x": np.float64(0.25), "k": np.int64(3)}]})
+        assert json.loads(path.read_text()) == {
+            "z": {"re": 1.0, "im": -2.0}, "a": [1.5, 2.5],
+            "nested": [{"x": 0.25, "k": 3}]}
+        assert path.read_text().endswith("}\n")
+
+    def test_csv_fields_are_reprs_with_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["i", "x"], [(0, 0.1), (1, -2.5e-300)])
+        assert path.read_bytes() == b"i,x\r\n0,0.1\r\n1,-2.5e-300\r\n"
+
+    def test_failing_row_leaves_no_file(self, tmp_path):
+        def rows():
+            yield (0, 1.0)
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            cli._write_csv(tmp_path / "rows.csv", ["i", "x"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file_and_removes_the_temporary(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            cli._write_output(path, b"not text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert path.read_text() == "old"
 
 
 class TestLawDiagnostics:
@@ -257,6 +320,8 @@ class TestExitCodes:
                      "z_list": [math.nan], "t_list": [0.5]}),
         ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
                      "z_list": [], "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [], "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": []}),
         ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [math.nan], "t_list": [0.5]}),
         ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [math.nan]}),
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": math.inf}),
@@ -269,11 +334,25 @@ class TestExitCodes:
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
             "small-sample-count", "non-numeric-threshold", "infinite-n", "infinite-trials",
             "infinite-diagnostics-n", "infinite-simulation-n", "nan-z", "nan-z-pair",
-            "nan-large-k-z", "empty-large-k-z", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
+            "nan-large-k-z", "empty-large-k-z", "empty-fixed-point-z",
+            "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
             "negative-stop", "nan-start"])
-    def test_config_errors_exit_three_without_traceback(self, tmp_path, subcommand, payload):
+    def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
+                                                        subcommand, payload):
+        # In-process: an exception escaping cli.main fails the test.
         cfg = write_config(tmp_path, payload)
-        proc = run_cli(subcommand, cfg, tmp_path / "out")
+        status = cli.main([subcommand, cfg, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert status == cli.EXIT_CONFIG, err
+        assert "config error" in err
+
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": "bogus"}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [math.nan], "t_list": [0.5]}),
+    ], ids=["unknown-law", "nan-fixed-point-z"])
+    def test_config_error_reaches_a_real_process_without_traceback(self, tmp_path, subcommand,
+                                                                   payload):
+        proc = run_cli(subcommand, write_config(tmp_path, payload), tmp_path / "out")
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "config error" in proc.stderr

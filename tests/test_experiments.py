@@ -1,11 +1,18 @@
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from test_linalg import RANK_TOL, perturbation_interlacing_check
 
-from autocov_spectra import linalg
-from autocov_spectra.ensembles import EnsembleSpec, build_autocov, sample_entry_matrix
+from autocov_spectra import cli, linalg
+from autocov_spectra.ensembles import (
+    EnsembleSpec,
+    build_autocov,
+    build_circular,
+    sample_entry_matrix,
+)
 from autocov_spectra.experiments import (
     DEFAULT_THRESHOLDS,
     ExperimentConfig,
@@ -17,11 +24,7 @@ from autocov_spectra.experiments import (
     large_k_experiment,
     linearization_check,
     lsv_tail_experiment,
-    rank_perturbation_experiment,
     rotation_invariance_test,
-    write_eigenvalue_csv,
-    write_radial_cdf_csv,
-    write_report_json,
 )
 from autocov_spectra.fixed_point import (
     ResolventParams,
@@ -29,6 +32,58 @@ from autocov_spectra.fixed_point import (
     predicted_stieltjes,
 )
 from autocov_spectra.limit_law import Gamma0Law
+
+
+@dataclass
+class RankPerturbationReport:
+    interlacing_ok: bool
+    worst_margin: float
+    diff_rank_one: bool
+    log_mass_Y: float
+    log_mass_Z: float
+    log_mass_bound: float
+    log_mass_ok: bool
+    passed: bool
+
+
+def _small_log_mass(s: np.ndarray, delta: float) -> float:
+    """|integral_0^delta ln(lambda) d nu| = (1/N) sum_{s_i < delta} |ln s_i|."""
+    small = s[s < delta]
+    if small.size == 0:
+        return 0.0
+    return float(np.sum(np.abs(np.log(small))) / s.size)
+
+
+def rank_perturbation_experiment(X, z: complex, delta: float = 0.1) -> RankPerturbationReport:
+    """Compare Y and its circular variant Z built from the same X (k = 1):
+    the shifted singular values interlace across the rank-one difference, and
+    the small-singular-value log mass of Y - zI is dominated by its least
+    term plus the Z log mass."""
+    X = np.asarray(X, dtype=complex)
+    N = X.shape[0]
+    Y = build_autocov(X, 1)
+    Z = build_circular(X)
+    I = np.eye(N)
+    report = perturbation_interlacing_check(Y - z * I, Z - z * I, r=1)
+    diff_s = linalg.singular_values(Z - Y)
+    scale = max(float(diff_s[0]), 1.0)
+    rank_one = bool(diff_s.size < 2 or diff_s[1] <= RANK_TOL * scale)
+    s_Y = linalg.singular_values(Y - z * I)
+    s_Z = linalg.singular_values(Z - z * I)
+    mass_Y = _small_log_mass(s_Y, delta)
+    mass_Z = _small_log_mass(s_Z, delta)
+    bound = float(np.abs(np.log(s_Y[-1])) / N + mass_Z)
+    mass_ok = mass_Y <= bound + 1e-12
+    return RankPerturbationReport(
+        interlacing_ok=report.passed,
+        worst_margin=report.worst_margin,
+        diff_rank_one=rank_one,
+        log_mass_Y=mass_Y,
+        log_mass_Z=mass_Z,
+        log_mass_bound=bound,
+        log_mass_ok=bool(mass_ok),
+        passed=bool(report.passed and rank_one and mass_ok),
+    )
 
 
 class TestKsHelpers:
@@ -297,24 +352,27 @@ class TestConfig:
 class TestOutputs:
     def test_eigenvalue_csv(self, tmp_path):
         path = tmp_path / "eigs.csv"
-        write_eigenvalue_csv(path, [1 + 2j, -0.5 + 0j])
+        cli._write_csv(path, ["re_lambda", "im_lambda"], [(1.0, 2.0), (-0.5, 0.0)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "re_lambda,im_lambda"
         assert len(lines) == 3
 
     def test_eigenvalue_csv_fields_are_exact_floats(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n": 16, "N": 16, "k": 1, "seed": 12, "trials": 1}))
+        assert cli.run("esd", str(cfg), output_dir=str(tmp_path)) in (
+            cli.EXIT_OK, cli.EXIT_ASSERTION)
         spec = EnsembleSpec(n=16, N=16, k=1, master_seed=12)
-        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, 0), 1))
-        path = tmp_path / "eigs.csv"
-        write_eigenvalue_csv(path, eigs)
-        with open(path, newline="", encoding="utf-8") as fh:
+        with linalg.one_blas_thread():
+            eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, 0), 1))
+        with open(tmp_path / "eigenvalues.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         parsed = np.array([complex(float(re), float(im)) for re, im in rows])
         assert np.array_equal(parsed, eigs)
 
     def test_radial_cdf_csv(self, tmp_path):
         path = tmp_path / "cdf.csv"
-        write_radial_cdf_csv(path, [0.0, 1.0], [0.0, 1.0])
+        cli._write_csv(path, ["r", "empirical_cdf"], [(0.0, 0.0), (1.0, 1.0)])
         assert path.read_text().splitlines()[0] == "r,empirical_cdf"
 
     def test_report_json_roundtrip(self, tmp_path):
@@ -322,7 +380,7 @@ class TestOutputs:
         X = sample_entry_matrix(spec, 0)
         rep = linearization_check(X, 1.0 + 0j, 1)
         path = tmp_path / "report.json"
-        write_report_json(path, rep)
+        cli._write_json(path, rep)
         data = json.loads(path.read_text())
         assert data["passed"] is True
         assert set(data) == set(rep.__dataclass_fields__)

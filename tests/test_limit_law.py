@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from autocov_spectra import cli
 from autocov_spectra.experiments import ks_statistic
-from autocov_spectra.limit_law import Gamma0Law, write_cdf_csv
+from autocov_spectra.limit_law import Gamma0Law
 
 
 GAMMA0S = (0.1, 0.5, 1.0, 1.7, 2.0, 4.0)
@@ -223,7 +224,7 @@ class TestSampler:
 def test_cdf_csv_export(tmp_path):
     law = Gamma0Law(1.0)
     path = tmp_path / "cdf.csv"
-    write_cdf_csv(path, law, np.linspace(0, law.support_radius, 10))
+    cli._write_csv(path, ["r", "cdf"], law.cdf_table(np.linspace(0, law.support_radius, 10)))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,cdf"
     assert len(lines) == 11
