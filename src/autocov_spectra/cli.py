@@ -154,7 +154,10 @@ def _spec_from(cfg: dict) -> EnsembleSpec:
         raise ConfigError(str(exc))
 
 
-def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
+def _experiment_config(cfg: dict, spec: EnsembleSpec,
+                       manifest: RunManifest) -> ExperimentConfig:
+    """The run's ExperimentConfig; the manifest records its thresholds, the
+    defaults merged with cfg's overrides."""
     # Checked before the run: a non-numeric threshold would otherwise fail
     # only at its comparison, after the whole experiment has run.
     thresholds = cfg.get("thresholds", {})
@@ -164,7 +167,7 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"threshold {key!r} must be a number, got {value!r}")
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             spec=spec,
             trials=int(cfg.get("trials", 1)),
             z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
@@ -173,6 +176,8 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec) -> ExperimentConfig:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
+    manifest.thresholds = config.thresholds
+    return config
 
 
 def _resolvent_grid(subcommand: str, cfg: dict, gamma0: float, gamma1: float
@@ -269,6 +274,7 @@ class RunManifest:
         self.out_dir = out_dir
         self.outputs: list[str] = []
         self.seeds: list[int] = []
+        self.thresholds: dict = {}
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def path(self, name: str) -> str:
@@ -282,6 +288,7 @@ class RunManifest:
             "subcommand": self.subcommand,
             "config": self.cfg,
             "resolved_seeds": self.seeds,
+            "thresholds": self.thresholds,
             "outputs": sorted(self.outputs),
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -292,7 +299,7 @@ class RunManifest:
 
 def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec)
+    config = _experiment_config(cfg, spec, manifest)
     report = experiments.esd_experiment(config)
     manifest.seeds = report.seeds
     _write_json(manifest.path("esd_report.json"), report)
@@ -308,7 +315,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec)
+    config = _experiment_config(cfg, spec, manifest)
     z = _parse_complex(cfg["z"])
     if z == 0:
         raise ConfigError("lsv-tail: z = 0 is excluded")
@@ -325,7 +332,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     z = _parse_complex(cfg["z"])
     if z == 0:
         raise ConfigError("linearize-check: z = 0 is excluded")
-    trials = _experiment_config(cfg, spec).trials
+    trials = _experiment_config(cfg, spec, manifest).trials
     reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
                for i in range(trials)]
     all_ok = all(rep.passed for rep in reports)
@@ -337,7 +344,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec)
+    config = _experiment_config(cfg, spec, manifest)
     try:
         h = float(cfg.get("h", 0.1))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -393,7 +400,7 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     if spec.k < spec.n / 2:
         raise ConfigError(f"large-k: requires k >= n/2, got k={spec.k}, n={spec.n}")
-    config = _experiment_config(cfg, spec)
+    config = _experiment_config(cfg, spec, manifest)
     _resolvent_grid("large-k", cfg, spec.gamma0, spec.gamma1)
     report = experiments.large_k_experiment(config)
     # The 2n stability sample is trial 0 of master seed + 1.
@@ -440,6 +447,7 @@ def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
                                     seed=int(cfg["seed"]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"law-diagnostics: {exc}")
+    manifest.seeds = [mix_seed(int(cfg["seed"]), 0)]
     _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import brentq
 
 from autocov_spectra.linalg import NumericBackendError, _as_matrix, singular_values
 
 SOLVER_TOL = 1e-12
+# Halvings of the 2e-6 relative bracket in _refine; 64 reach float64
+# resolution long before the count runs out.
+BISECTION_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,17 @@ def _refine(s: float, params: ResolventParams) -> float:
     lo, hi = s * (1.0 - 1e-6), s * (1.0 + 1e-6)
     f_lo, f_hi = master_relation(lo, params), master_relation(hi, params)
     if f_lo * f_hi < 0:
-        return float(brentq(master_relation, lo, hi, args=(params,),
-                            xtol=1e-15, rtol=8.881784197001252e-16))
+        # Bisection keeps the end whose sign matches f_lo and stops once the
+        # midpoint rounds to an end.
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if (master_relation(mid, params) < 0) == (f_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
     # Newton fallback with a numeric derivative.
     for _ in range(50):
         f = master_relation(s, params)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autocov_spectra
-from autocov_spectra import cli, fixed_point, linalg
+from autocov_spectra import cli, experiments, fixed_point, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     build_autocov,
@@ -220,12 +220,29 @@ class TestManifestSeeds:
         # Trials 0 and 1, then the 2n stability sample: trial 0 of seed + 1.
         ("large-k", _seeds(1, 2) + _seeds(2, 1)),
         ("limit-law-table", []),
+        # The moment sample is drawn from mix_seed(seed, 0).
+        ("law-diagnostics", _seeds(1, 1)),
     ])
     def test_resolved_seeds(self, tmp_path, subcommand, expected):
         cfg = write_config(tmp_path, TINY_CONFIGS[subcommand])
         out = tmp_path / "out"
         assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK, cli.EXIT_ASSERTION)
         assert json.loads((out / "manifest.json").read_text())["resolved_seeds"] == expected
+
+
+class TestManifestThresholds:
+    def test_overrides_merged_with_defaults(self, tmp_path):
+        payload = dict(TINY_CONFIGS["lsv-tail"], thresholds={"lsv_tail_freq": 0.2})
+        out = tmp_path / "out"
+        cli.run("lsv-tail", write_config(tmp_path, payload), output_dir=str(out))
+        recorded = json.loads((out / "manifest.json").read_text())["thresholds"]
+        assert recorded == {**experiments.DEFAULT_THRESHOLDS, "lsv_tail_freq": 0.2}
+
+    def test_empty_without_experiment_config(self, tmp_path):
+        out = tmp_path / "out"
+        cli.run("limit-law-table", write_config(tmp_path, TINY_CONFIGS["limit-law-table"]),
+                output_dir=str(out))
+        assert json.loads((out / "manifest.json").read_text())["thresholds"] == {}
 
 
 class TestWriters:
@@ -422,3 +439,19 @@ class TestBlasThreads:
         assert set(env) == {"python", "numpy", "scipy", "numpy_blas", "scipy_blas",
                             "blas_threads", "cpu_count"}
         assert set(env["numpy_blas"]) == set(env["scipy_blas"]) == {"name", "version"}
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_unused_scipy_subpackages(self):
+        # Every CLI run is a fresh interpreter; scipy.optimize (which also
+        # loads scipy.spatial) costs about 0.35 s and 21 MB of it.
+        src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, autocov_spectra.cli; "
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from autocov_spectra import fixed_point
 from autocov_spectra.ensembles import EnsembleSpec, build_autocov, hermitize, sample_entry_matrix
 from autocov_spectra.fixed_point import (
+    SOLVER_TOL,
     FixedPointSolution,
     ResolventParams,
     empirical_resolvent_trace,
@@ -113,6 +118,50 @@ class TestSolveS:
         empirical_s = (np.trace(G11) / 400).imag
         sol = solve_s(ResolventParams(z=1.0 + 0j, t=0.5, gamma0=1.0, a=0.5))
         assert abs(empirical_s - sol.s) <= 0.05
+
+
+# 7 z x 7 t x 3 gamma0 x 3 a = 441 points, t from well below to well above |z|.
+REFINE_GRID = list(itertools.product(
+    (0.3, 0.7 + 0.2j, 1.0, 1.0 + 1.0j, 1.5j, 2.0 - 0.5j, 3.0),
+    (0.05, 0.1, 0.3, 0.5, 1.0, 3.0, 10.0),
+    (0.5, 1.0, 2.0),
+    (0.1, 0.3, 0.5)))
+
+
+def _bracket(s):
+    return s * (1.0 - 1e-6), s * (1.0 + 1e-6)
+
+
+class TestRefine:
+    def test_bisection_matches_brentq_on_the_same_bracket(self, monkeypatch):
+        # brentq is the oracle: on the bracket _refine receives from the
+        # continuation, both must find the same root to float64 resolution.
+        starts = []
+        refine = fixed_point._refine
+
+        def spy(s, params):
+            starts.append(s)
+            return refine(s, params)
+
+        monkeypatch.setattr(fixed_point, "_refine", spy)
+        for z, t, gamma0, a in REFINE_GRID:
+            params = ResolventParams(z=z, t=t, gamma0=gamma0, a=a)
+            sol = solve_s(params)
+            oracle = brentq(master_relation, *_bracket(starts[-1]), args=(params,),
+                            xtol=1e-15, rtol=8.881784197001252e-16)
+            assert abs(sol.s - oracle) <= 1e-14 * oracle
+            assert sol.residual <= SOLVER_TOL
+
+    def test_newton_fallback_without_sign_change(self):
+        # A start 1e-3 off the root puts the root outside the 2e-6 bracket.
+        params = ResolventParams(z=1.0 + 0j, t=0.5, gamma0=1.0, a=0.5)
+        root = solve_s(params).s
+        start = root * (1.0 + 1e-3)
+        lo, hi = _bracket(start)
+        assert master_relation(lo, params) * master_relation(hi, params) > 0
+        s = fixed_point._refine(start, params)
+        assert abs(master_relation(s, params)) <= SOLVER_TOL
+        assert s == pytest.approx(root, rel=1e-10)
 
 
 class TestG12:
