@@ -378,8 +378,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     means = [None] * len(points)
     if spec is not None:
         means = experiments.resolvent_trace_means(
-            (build_autocov(sample_entry_matrix(spec, i), spec.k) for i in range(trials)),
-            z_list, t_list)
+            (sample_entry_matrix(spec, i) for i in range(trials)), spec.k, z_list, t_list)
         manifest.seeds = _trial_seeds(spec, trials)
     rows = []
     for params, sol, mean in zip(points, solutions, means):

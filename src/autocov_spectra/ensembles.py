@@ -1,4 +1,6 @@
-"""Entry laws, seeded sampling of X, and the ensemble matrices A, Y, Z, H, H'.
+"""Entry laws, seeded sampling of X, the ensemble matrices A, Y, Z, H, H',
+and the reductions that take the eigenvalues of Y and the singular values
+of Y - zI from smaller matrices, since Y has rank at most n - k.
 
 The entry laws all have mean 0 and variance 1/n. The default complex
 Gaussian has independent real and imaginary parts of variance 1/(2n), so
@@ -12,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from autocov_spectra.linalg import _as_matrix, eigenvalues
+from autocov_spectra.linalg import (
+    _as_matrix,
+    eigenvalues,
+    qr_triangular_factor,
+    singular_values,
+)
 
 ENTRY_LAW_KINDS = (
     "complex-gaussian",
@@ -159,6 +166,44 @@ def autocov_eigenvalues(X, k: int) -> np.ndarray:
         return eigenvalues(build_autocov(X, k))
     nonzero = eigenvalues(X[:, :m].conj().T @ X[:, k:])
     return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
+
+
+def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
+    """Singular values of Y - zI, Y = build_autocov(X, k), for each z in
+    z_list: row i of the len(z_list) x N result holds those of z_list[i],
+    descending.
+
+    With m = n - k, Y = X_k X_0* uses only the columns C of X that
+    X_0 = X[:, :m] and X_k = X[:, k:] take: all of X when k <= m, otherwise
+    X_0 followed by X_k. Let d = C.shape[1]. When d < N, C = QR with Q an
+    N x d matrix of orthonormal columns, so Y = Q M Q* with the d x d
+    M = R[:, -m:] R[:, :m]*, while Y - zI is -zI on the complement of
+    range(Q). Hence s(Y - zI) is s(M - zI_d) together with |z| repeated
+    N - d times: one QR per X and one d x d SVD per z. When d >= N, Y - zI
+    itself is decomposed.
+    """
+    X = _as_matrix(X)
+    N, n = X.shape
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    m = n - k
+    d = n if k <= m else 2 * m
+    out = np.empty((len(z_list), N))
+    if d >= N:
+        Y = build_autocov(X, k)
+        I = np.eye(N)
+        for row, z in zip(out, z_list):
+            row[:] = singular_values(Y - z * I)
+        return out
+    C = X if k <= m else np.concatenate([X[:, :m], X[:, k:]], axis=1)
+    R = qr_triangular_factor(C)
+    M = R[:, -m:] @ R[:, :m].conj().T
+    I = np.eye(d)
+    for row, z in zip(out, z_list):
+        row[:d] = singular_values(M - z * I)
+        row[d:] = abs(z)
+        row[::-1].sort()  # ascending in reverse: row descends
+    return out
 
 
 def build_circular(X) -> np.ndarray:

@@ -21,6 +21,7 @@ from autocov_spectra.ensembles import (
     build_autocov,
     build_linearization,
     default_c0_bound,
+    resolvent_singular_values,
     sample_entry_matrix,
 )
 from autocov_spectra.fixed_point import (
@@ -175,9 +176,8 @@ def lsv_tail_experiment(config: ExperimentConfig, z: complex) -> TailReport:
     lsv_values, norm_ok, events = [], 0, 0
     for trial_index in range(config.trials):
         X = sample_entry_matrix(spec, trial_index)
-        Y = build_autocov(X, spec.k)
-        s_min = linalg.least_singular_value(Y - z * np.eye(spec.N))
-        lsv_values.append(float(s_min))
+        s_min = float(resolvent_singular_values(X, spec.k, [z]).min())
+        lsv_values.append(s_min)
         if linalg.operator_norm(X) <= c0:
             norm_ok += 1
             if s_min <= threshold:
@@ -212,13 +212,11 @@ def linearization_check(X, z: complex, k: int, tol: float = 1e-10) -> Linearizat
     s_min(H') <= s_min(Y - zI), identical singular multisets of H and H',
     and ||H|| <= |z| + 1 + ||X||."""
     X = np.asarray(X, dtype=complex)
-    N, n = X.shape
     H_prime, H = build_linearization(X, z, k)
-    Y = build_autocov(X, k)
     s_Hp = linalg.singular_values(H_prime)
     s_H = linalg.singular_values(H)
     lsv_Hp = float(s_Hp[-1])
-    lsv_res = linalg.least_singular_value(Y - z * np.eye(N))
+    lsv_res = float(resolvent_singular_values(X, k, [z]).min())
     scale = max(float(s_Hp[0]), 1.0)
     lower_ok = lsv_Hp <= lsv_res + tol * scale
     gap = float(np.max(np.abs(s_H - s_Hp)))
@@ -347,15 +345,14 @@ class LargeKReport:
     passed: bool
 
 
-def resolvent_trace_means(Ys, z_list, t_list) -> list:
-    """Mean over the matrices Ys of empirical_resolvent_trace(Y, z, t) at
-    every (z, t), z-major. One SVD of Y - zI per (Y, z) serves every t; Ys
-    may be a generator, so only one Y need be held at a time."""
+def resolvent_trace_means(Xs, k: int, z_list, t_list) -> list:
+    """Mean over the entry matrices Xs of empirical_resolvent_trace(Y, z, t),
+    Y = build_autocov(X, k), at every (z, t), z-major. The singular values of
+    Y - zI for each (X, z) come from resolvent_singular_values and serve
+    every t; Xs may be a generator, so only one X need be held at a time."""
     per_point = [[] for _ in range(len(z_list) * len(t_list))]
-    for Y in Ys:
-        I = np.eye(Y.shape[0])
-        for i, z in enumerate(z_list):
-            s = linalg.singular_values(Y - z * I)
+    for X in Xs:
+        for i, s in enumerate(resolvent_singular_values(X, k, z_list)):
             for j, t in enumerate(t_list):
                 per_point[i * len(t_list) + j].append(resolvent_trace(s, t))
     return [np.mean(values) for values in per_point]
@@ -386,17 +383,16 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
         r = np.abs(eigs)
         return np.where(r <= ZERO_EIGENVALUE_TOL, 0.0, r)
 
-    Y0 = build_autocov(sample_entry_matrix(spec, 0), spec.k)
-    eigs = linalg.eigenvalues(Y0)
+    X0 = sample_entry_matrix(spec, 0)
+    eigs = linalg.eigenvalues(build_autocov(X0, spec.k))
     big = EnsembleSpec(n=2 * spec.n, N=2 * spec.N, k=2 * spec.k, law=spec.law,
                        master_seed=spec.master_seed + 1)
     big_eigs = autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
     stability = ks_two_sample(atom_radii(eigs), atom_radii(big_eigs))
     stability_ok = stability <= config.thresholds["stability_ks"]
 
-    later = (build_autocov(sample_entry_matrix(spec, i), spec.k)
-             for i in range(1, config.trials))
-    means = resolvent_trace_means(itertools.chain([Y0], later), z_list, t_list)
+    later = (sample_entry_matrix(spec, i) for i in range(1, config.trials))
+    means = resolvent_trace_means(itertools.chain([X0], later), spec.k, z_list, t_list)
     errors = [float(abs(emp - pred)) for emp, pred in zip(means, predictions)]
     mean_error = float(np.mean(errors))
     resolvent_ok = mean_error <= config.thresholds["resolvent_abs_error"]

@@ -113,6 +113,20 @@ def singular_values(M) -> np.ndarray:
         raise NumericBackendError(f"SVD failed: {exc}") from exc
 
 
+def qr_triangular_factor(M) -> np.ndarray:
+    """Upper-triangular factor R of the economic QR factorization M = QR.
+
+    R is min(rows, cols) x cols; Q, which has orthonormal columns, is never
+    formed. Since Q* Q = I, products of M's columns, M[:, a]* M[:, b], equal
+    those of R's.
+    """
+    M = _as_matrix(M)
+    try:
+        return np.linalg.qr(M, mode="r")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        raise NumericBackendError(f"QR factorization failed: {exc}") from exc
+
+
 def schur_form(M) -> np.ndarray:
     """Upper-triangular factor T of the complex Schur form M = Q T Q*.
 

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -180,30 +182,46 @@ class TestFixedPointRun:
         lines = (out / "fixed_point.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 2 z * 2 t
 
-    def test_simulation_matches_per_point_loop(self, tmp_path):
-        payload = {"gamma0": 1.5, "gamma1": 0.5, "n": 24, "seed": 8, "trials": 3,
+    @pytest.mark.parametrize("N", [36, 24], ids=["compressed", "square"])
+    def test_simulation_matches_per_point_loop(self, tmp_path, N):
+        gamma0 = N / 24
+        payload = {"gamma0": gamma0, "gamma1": 0.5, "n": 24, "seed": 8, "trials": 3,
                    "z_list": [0.5, [1.0, 1.0]], "t_list": [0.3, 1.0]}
         out = tmp_path / "out"
         assert cli.run("fixed-point", write_config(tmp_path, payload),
                        output_dir=str(out)) == cli.EXIT_OK
         # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial),
         # on one BLAS thread as the CLI runs.
-        spec = EnsembleSpec(n=24, N=36, k=12, master_seed=8)
+        spec = EnsembleSpec(n=24, N=N, k=12, master_seed=8)
         rows = []
         with linalg.one_blas_thread():
             for z in (0.5 + 0j, 1.0 + 1.0j):
                 for t in (0.3, 1.0):
-                    params = ResolventParams(z=z, t=t, gamma0=1.5, a=0.5)
+                    params = ResolventParams(z=z, t=t, gamma0=gamma0, a=0.5)
                     sol = fixed_point.solve_s(params)
                     emp = complex(np.mean([fixed_point.empirical_resolvent_trace(
                         build_autocov(sample_entry_matrix(spec, i), 12), z, t)
                         for i in range(3)]))
                     rows.append((z.real, z.imag, t, sol.s, sol.g12.real, sol.g12.imag,
-                                 emp.real, emp.imag, abs(emp - 1j * sol.s / 1.5)))
+                                 emp.real, emp.imag, abs(emp - 1j * sol.s / gamma0)))
         cli._write_csv(tmp_path / "reference.csv",
                        ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
                         "empirical_re", "empirical_im", "abs_error"], rows)
-        assert (out / "fixed_point.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        got = (out / "fixed_point.csv").read_bytes()
+        expected = (tmp_path / "reference.csv").read_bytes()
+        if N == 24:
+            # d = n = N: Y - zI itself is decomposed, as in the reference.
+            assert got == expected
+            return
+        # d = n < N: the SVD is of the d x d core, which moves the last bit
+        # of the empirical columns only.
+        got_rows = list(csv.reader(io.StringIO(got.decode())))
+        expected_rows = list(csv.reader(io.StringIO(expected.decode())))
+        assert got_rows[0] == expected_rows[0] and len(got_rows) == len(expected_rows)
+        for got_row, expected_row in zip(got_rows[1:], expected_rows[1:]):
+            assert got_row[:6] == expected_row[:6]
+            for a, b in zip(got_row[6:], expected_row[6:]):
+                assert abs(float(a) - float(b)) <= 1e-14
 
 
 def _seeds(seed, trials):
@@ -414,7 +432,10 @@ class TestBlasThreads:
         ("esd", {"n": 256, "N": 256, "k": 1, "seed": 1, "trials": 2}),
         ("large-k", {"n": 120, "N": 180, "k": 60, "seed": 1, "trials": 3,
                      "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
-    ], ids=["lsv-tail", "esd", "large-k"])
+        # N = 180 > d = n = 120: the resolvent SVDs take the QR-compressed core.
+        ("fixed-point", {"gamma0": 1.5, "gamma1": 0.5, "n": 120, "seed": 1, "trials": 3,
+                         "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
+    ], ids=["lsv-tail", "esd", "large-k", "fixed-point"])
     def test_outputs_independent_of_openblas_threads(self, tmp_path, subcommand, payload):
         cfg = write_config(tmp_path, payload)
         outputs = {}

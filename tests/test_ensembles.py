@@ -13,6 +13,7 @@ from autocov_spectra.ensembles import (
     hermitize,
     mix_seed,
     moment_diagnostics,
+    resolvent_singular_values,
     sample_entry_matrix,
     shift_matrix,
 )
@@ -155,6 +156,38 @@ class TestAutocovEigenvalues:
     def test_lag_out_of_range(self, k):
         with pytest.raises(ValueError):
             autocov_eigenvalues(np.ones((4, 8), dtype=complex), k)
+
+
+class TestResolventSingularValues:
+    Z_LIST = [0.5, 1 + 1j, -0.3j]
+
+    @pytest.mark.parametrize("n,N,k", [
+        (32, 48, 16),   # k = n - k: C = X, d = n
+        (32, 48, 8),    # k < n - k
+        (32, 48, 24),   # k > n - k: the middle columns drop out, d = 16
+        (64, 64, 40),   # square, yet d = 48 < N
+        (40, 200, 30),  # very wide, d = 20
+        (64, 16, 32),   # d = 64 >= N: Y - zI itself is decomposed
+        (24, 24, 1),    # d = n = N, as in lsv-tail: decomposed as well
+    ])
+    def test_matches_svd_of_full_resolvent(self, n, N, k):
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=n + N + k), 0)
+        Y = build_autocov(X, k)
+        d = min(n if 2 * k <= n else 2 * (n - k), N)
+        got = resolvent_singular_values(X, k, self.Z_LIST)
+        assert got.shape == (len(self.Z_LIST), N)
+        for s, z in zip(got, self.Z_LIST):
+            full = linalg.singular_values(Y - z * np.eye(N))
+            assert np.all(np.diff(s) <= 0)
+            if d == N:
+                assert np.array_equal(s, full)
+            else:
+                scale = linalg.operator_norm(Y) + abs(z)
+                assert np.max(np.abs(s - full)) <= 1e-13 * scale
+
+    def test_lag_out_of_range(self):
+        with pytest.raises(ValueError):
+            resolvent_singular_values(np.ones((4, 8), dtype=complex), 8, [1.0])
 
 
 class TestLinearization:

@@ -178,6 +178,19 @@ class TestLsvTail:
         with pytest.raises(ValueError):
             lsv_tail_experiment(config, z=0.0)
 
+    def test_wide_minimum_matches_full_svd(self):
+        # N = 48 > d = 16: the SVD is of a 16 x 16 core, and |z| fills the
+        # other 32 singular values. Y is singular, so s_min(Y - zI) <= |z|;
+        # here it is strictly smaller, so the fill is not the minimum.
+        spec = EnsembleSpec(n=16, N=48, k=1, master_seed=15)
+        z = 0.8 + 0.2j
+        rep = lsv_tail_experiment(ExperimentConfig(spec=spec, trials=4), z)
+        for i, got in enumerate(rep.lsv_values):
+            Y = build_autocov(sample_entry_matrix(spec, i), spec.k)
+            full = linalg.singular_values(Y - z * np.eye(spec.N))
+            assert abs(got - full[-1]) <= 1e-13 * (full[0] + abs(z))
+            assert got < abs(z) - 1e-6
+
 
 class TestLinearizationCheck:
     @pytest.mark.parametrize("k,z", [(1, 1 + 0j), (5, 1j), (40, -0.5 + 0j)])
@@ -306,8 +319,9 @@ class TestLargeK:
         with pytest.raises(ValueError):
             large_k_experiment(config)
 
-    def test_resolvent_errors_match_per_point_loop(self):
-        spec = EnsembleSpec(n=32, N=48, k=16, master_seed=12)
+    @pytest.mark.parametrize("N", [48, 32], ids=["compressed", "square"])
+    def test_resolvent_errors_match_per_point_loop(self, N):
+        spec = EnsembleSpec(n=32, N=N, k=16, master_seed=12)
         config = ExperimentConfig(spec=spec, trials=3, z_list=[0.5 + 0j, 1.0 + 1j],
                                   t_list=[0.3, 1.0])
         # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial).
@@ -320,7 +334,13 @@ class TestLargeK:
                     build_autocov(sample_entry_matrix(spec, i), spec.k), z, t)
                     for i in range(config.trials)]
                 errors.append(float(abs(np.mean(per_trial) - pred)))
-        assert large_k_experiment(config).resolvent_errors == errors
+        got = large_k_experiment(config).resolvent_errors
+        if N > spec.n:
+            # d = n < N: the SVD is of the d x d core, which moves the last bit.
+            assert len(got) == len(errors)
+            assert np.max(np.abs(np.subtract(got, errors))) <= 1e-14
+        else:
+            assert got == errors
 
     @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (32, 32, 16), (64, 16, 32)])
     def test_stability_ks_is_ks_of_snapped_full_eigensolves(self, n, N, k):

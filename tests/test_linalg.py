@@ -144,6 +144,18 @@ class TestSchurForm:
             linalg.schur_form(np.zeros((2, 3)))
 
 
+class TestQrTriangularFactor:
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 12), (8, 20)])
+    def test_economic_factor_keeps_column_products(self, shape):
+        rng = np.random.default_rng(5)
+        M = random_complex(rng, shape)
+        R = linalg.qr_triangular_factor(M)
+        assert R.shape == (min(shape), shape[1])
+        assert np.array_equal(R, np.triu(R))
+        # M = QR with Q* Q = I, so M* M = R* R.
+        assert np.max(np.abs(R.conj().T @ R - M.conj().T @ M)) <= 1e-12
+
+
 class TestTriangularLsvBound:
     @pytest.mark.parametrize("seed", range(5))
     def test_bounds_svd_from_above(self, seed):
