@@ -3,16 +3,23 @@
 All functions are pure and operate on 2-d numpy arrays. Singular values are
 returned in descending order; eigenvalues as an unordered array.
 one_blas_thread pins the BLAS thread count for a block.
+
+Backends: eigenvalues (np.linalg.eigvals), singular_values
+(np.linalg.svd without vectors) and qr_triangular_factor (np.linalg.qr)
+run on numpy.linalg. schur_form (scipy.linalg.schur) and
+triangular_lsv_bound (scipy.linalg.solve_triangular) need scipy.linalg,
+since numpy has no Schur form or triangular solve; it is imported on their
+first call, so only hermitize loads it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 
 import numpy as np
-import scipy.linalg
 
 # Inverse-iteration steps in triangular_lsv_bound. On Y - zI grids at
 # N <= 128 two steps already bound s_min within a factor of about 2.
@@ -62,26 +69,59 @@ def blas_thread_counts() -> dict:
     return {name: get() for name, (get, _) in _openblas_thread_controls().items()}
 
 
+# One {library file name: (previous count, set)} per open one_blas_thread,
+# outermost first.
+_active_pins: list[dict] = []
+
+
+def _pin_to_one_thread(pin: dict, controls: dict) -> None:
+    """Record in pin the count of every library in controls that pin does not
+    hold yet, and put that library on one thread."""
+    for name, (get, set_threads) in controls.items():
+        if name not in pin:
+            pin[name] = (get(), set_threads)
+            set_threads(1)
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with every loaded OpenBLAS on one thread.
 
     Each library's previous count is restored on exit, exceptions included.
-    The Monte Carlo drivers decompose many small matrices, where OpenBLAS's
-    worker threads cost more than they save, and a threaded BLAS may sum in
-    a different order, so one thread also makes results independent of the
-    caller's thread setting. Does nothing when no OpenBLAS is loaded. The
-    count is process-wide: other threads calling BLAS meanwhile see it too.
+    A library that _scipy_linalg maps during the body is put on one thread
+    when it loads and gets its count at load back on exit. The Monte Carlo
+    drivers decompose many small matrices, where OpenBLAS's worker threads
+    cost more than they save, and a threaded BLAS may sum in a different
+    order, so one thread also makes results independent of the caller's
+    thread setting. Does nothing when no OpenBLAS is loaded. The count is
+    process-wide: other threads calling BLAS meanwhile see it too.
     """
-    controls = _openblas_thread_controls()
-    previous = {name: get() for name, (get, _) in controls.items()}
+    pin: dict = {}
+    _active_pins.append(pin)
     try:
-        for _, set_threads in controls.values():
-            set_threads(1)
+        _pin_to_one_thread(pin, _openblas_thread_controls())
         yield
     finally:
-        for name, (_, set_threads) in controls.items():
-            set_threads(previous[name])
+        _active_pins.remove(pin)
+        for previous, set_threads in pin.values():
+            set_threads(previous)
+
+
+@functools.cache
+def _scipy_linalg():
+    """scipy.linalg, imported on the first call.
+
+    The import maps scipy's own OpenBLAS. Every open one_blas_thread then
+    pins it too, so a run's BLAS stays on one thread whichever subcommand
+    loads scipy.
+    """
+    import scipy.linalg
+
+    if _active_pins:
+        controls = _openblas_thread_controls()
+        for pin in _active_pins:
+            _pin_to_one_thread(pin, controls)
+    return scipy.linalg
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -99,8 +139,8 @@ def eigenvalues(M) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"eigenvalues requires a square matrix, got {M.shape}")
     try:
-        return scipy.linalg.eigvals(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NumericBackendError(f"eigensolver failed: {exc}") from exc
 
 
@@ -108,8 +148,8 @@ def singular_values(M) -> np.ndarray:
     """Singular values of M, descending."""
     M = _as_matrix(M)
     try:
-        return scipy.linalg.svdvals(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        return np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NumericBackendError(f"SVD failed: {exc}") from exc
 
 
@@ -137,8 +177,8 @@ def schur_form(M) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"schur_form requires a square matrix, got {M.shape}")
     try:
-        T, _ = scipy.linalg.schur(M, output="complex", check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        T, _ = _scipy_linalg().schur(M, output="complex", check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NumericBackendError(f"Schur factorization failed: {exc}") from exc
     return T
 
@@ -166,11 +206,12 @@ def triangular_lsv_bound(T) -> float:
         raise ValueError("triangular_lsv_bound requires a square matrix")
     if np.any(np.diag(T) == 0):
         return 0.0
+    solve_triangular = _scipy_linalg().solve_triangular
     x = np.full(T.shape[0], 1.0 / np.sqrt(T.shape[0]), dtype=complex)
     bound = np.inf
     for _ in range(INVERSE_ITERATION_STEPS):
-        y = scipy.linalg.solve_triangular(T, x, trans="C", check_finite=False)
-        w = scipy.linalg.solve_triangular(T, y, check_finite=False)
+        y = solve_triangular(T, x, trans="C", check_finite=False)
+        w = solve_triangular(T, y, check_finite=False)
         w_norm = np.linalg.norm(w)
         if not np.isfinite(w_norm):
             return 0.0

@@ -1,7 +1,12 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +116,29 @@ class TestSingularValues:
             linalg.singular_values(M.conj().T), abs=1e-10)
 
 
+class TestBackendOracle:
+    """numpy.linalg runs the eigensolves and SVDs; scipy.linalg, which calls
+    the same LAPACK drivers (zgeev, zgesdd), is the oracle."""
+
+    @staticmethod
+    def tolerance(M):
+        return 1e-13 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("n", [1, 7, 48, 128])
+    def test_eigenvalues_match_scipy(self, n):
+        M = random_complex(np.random.default_rng(n), (n, n))
+        ours = np.sort_complex(linalg.eigenvalues(M))
+        oracle = np.sort_complex(scipy.linalg.eigvals(M))
+        assert np.max(np.abs(ours - oracle)) <= self.tolerance(M)
+
+    @pytest.mark.parametrize("shape", [(48, 48), (20, 48), (48, 20), (128, 128)])
+    def test_singular_values_match_scipy(self, shape):
+        M = random_complex(np.random.default_rng(shape[0] + shape[1]), shape)
+        ours = linalg.singular_values(M)
+        assert ours.shape == (min(shape),)
+        assert np.max(np.abs(ours - scipy.linalg.svdvals(M))) <= self.tolerance(M)
+
+
 class TestLeastSingularValue:
     def test_diagonal(self):
         assert linalg.least_singular_value(np.diag([3.0, 0.5])) == pytest.approx(0.5)
@@ -204,6 +232,45 @@ class TestOneBlasThread:
             with linalg.one_blas_thread():
                 raise KeyError("boom")
         assert linalg.blas_thread_counts() == two_threads
+
+    def test_library_first_mapped_inside_the_pin(self):
+        # A fresh interpreter, so that schur_form maps scipy's OpenBLAS
+        # inside the pin.
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import json, numpy as np; from autocov_spectra import linalg; "
+                "before = linalg.blas_thread_counts()\n"
+                "with linalg.one_blas_thread():\n"
+                "    linalg.schur_form(np.eye(2)); inside = linalg.blas_thread_counts()\n"
+                "print(json.dumps([before, inside, linalg.blas_thread_counts()]))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, inside, after = json.loads(proc.stdout)
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        assert set(inside) > set(before)
+        assert inside == {name: 1 for name in inside}
+        assert after == {name: 2 for name in inside}
+
+    def test_nested_pins_hand_a_late_library_back_in_order(self, monkeypatch):
+        threads = {"early": 3, "late": 4}
+
+        def control(name):
+            return (lambda: threads[name],
+                    lambda count: threads.__setitem__(name, count))
+
+        mapped = {"early": control("early")}
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: dict(mapped))
+        linalg._scipy_linalg.cache_clear()
+        with linalg.one_blas_thread():
+            with linalg.one_blas_thread():
+                mapped["late"] = control("late")
+                linalg._scipy_linalg()
+                assert threads == {"early": 1, "late": 1}
+            assert threads == {"early": 1, "late": 1}
+        assert threads == {"early": 3, "late": 4}
 
     def test_no_op_when_discovery_finds_nothing(self, two_threads, monkeypatch):
         discover = linalg._openblas_thread_controls
