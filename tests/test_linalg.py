@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,23 +151,6 @@ class TestLeastSingularValue:
         assert lsv * inv_norm == pytest.approx(1.0, rel=1e-8)
 
 
-class TestSchurForm:
-    def test_triangular_with_the_spectrum_and_singular_values(self):
-        rng = np.random.default_rng(4)
-        M = random_complex(rng, (10, 10))
-        T = linalg.schur_form(M)
-        assert np.array_equal(T, np.triu(T))
-        assert np.sort_complex(np.diag(T)) == pytest.approx(
-            np.sort_complex(np.linalg.eigvals(M)), abs=1e-10)
-        z = 0.3 - 0.7j
-        assert linalg.singular_values(T - z * np.eye(10)) == pytest.approx(
-            linalg.singular_values(M - z * np.eye(10)), abs=1e-10)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            linalg.schur_form(np.zeros((2, 3)))
-
-
 class TestQrTriangularFactor:
     @pytest.mark.parametrize("shape", [(30, 12), (12, 12), (8, 20)])
     def test_economic_factor_keeps_column_products(self, shape):
@@ -182,29 +161,6 @@ class TestQrTriangularFactor:
         assert np.array_equal(R, np.triu(R))
         # M = QR with Q* Q = I, so M* M = R* R.
         assert np.max(np.abs(R.conj().T @ R - M.conj().T @ M)) <= 1e-12
-
-
-class TestTriangularLsvBound:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bounds_svd_from_above(self, seed):
-        rng = np.random.default_rng(seed)
-        T = np.triu(random_complex(rng, (40, 40)))
-        s_min = linalg.least_singular_value(T)
-        bound = linalg.triangular_lsv_bound(T)
-        # The SVD oracle itself is accurate to about eps ||T||.
-        assert s_min - 1e-13 * linalg.operator_norm(T) <= bound <= 10 * s_min
-
-    def test_near_singular_is_small(self):
-        T = np.triu(random_complex(np.random.default_rng(5), (20, 20)))
-        T[7, 7] = 1e-15
-        assert linalg.triangular_lsv_bound(T) <= 1e-13
-
-    def test_zero_diagonal_is_zero(self):
-        assert linalg.triangular_lsv_bound(np.array([[1.0, 2.0], [0.0, 0.0]])) == 0.0
-
-    def test_repeatable(self):
-        T = np.triu(random_complex(np.random.default_rng(6), (16, 16)))
-        assert linalg.triangular_lsv_bound(T) == linalg.triangular_lsv_bound(T.copy())
 
 
 class TestOneBlasThread:
@@ -232,45 +188,6 @@ class TestOneBlasThread:
             with linalg.one_blas_thread():
                 raise KeyError("boom")
         assert linalg.blas_thread_counts() == two_threads
-
-    def test_library_first_mapped_inside_the_pin(self):
-        # A fresh interpreter, so that schur_form maps scipy's OpenBLAS
-        # inside the pin.
-        src = os.path.dirname(os.path.dirname(linalg.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import json, numpy as np; from autocov_spectra import linalg; "
-                "before = linalg.blas_thread_counts()\n"
-                "with linalg.one_blas_thread():\n"
-                "    linalg.schur_form(np.eye(2)); inside = linalg.blas_thread_counts()\n"
-                "print(json.dumps([before, inside, linalg.blas_thread_counts()]))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        before, inside, after = json.loads(proc.stdout)
-        if not before:
-            pytest.skip("no OpenBLAS loaded")
-        assert set(inside) > set(before)
-        assert inside == {name: 1 for name in inside}
-        assert after == {name: 2 for name in inside}
-
-    def test_nested_pins_hand_a_late_library_back_in_order(self, monkeypatch):
-        threads = {"early": 3, "late": 4}
-
-        def control(name):
-            return (lambda: threads[name],
-                    lambda count: threads.__setitem__(name, count))
-
-        mapped = {"early": control("early")}
-        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: dict(mapped))
-        linalg._scipy_linalg.cache_clear()
-        with linalg.one_blas_thread():
-            with linalg.one_blas_thread():
-                mapped["late"] = control("late")
-                linalg._scipy_linalg()
-                assert threads == {"early": 1, "late": 1}
-            assert threads == {"early": 1, "late": 1}
-        assert threads == {"early": 3, "late": 4}
 
     def test_no_op_when_discovery_finds_nothing(self, two_threads, monkeypatch):
         discover = linalg._openblas_thread_controls
