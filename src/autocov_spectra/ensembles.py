@@ -69,8 +69,15 @@ class EntryLaw:
     def sample(self, rng: np.random.Generator, size, n: int) -> np.ndarray:
         """Draw entries with variance 1/n from this law."""
         if self.kind == "complex-gaussian":
+            # All real parts are drawn first, then all imaginary parts: that
+            # order is what makes X a fixed function of the seed.
             scale = 1.0 / np.sqrt(2.0 * n)
-            return rng.standard_normal(size) * scale + 1j * rng.standard_normal(size) * scale
+            out = np.empty(size, dtype=complex)
+            out.real = rng.standard_normal(size)
+            out.real *= scale
+            out.imag = rng.standard_normal(size)
+            out.imag *= scale
+            return out
         if self.kind == "uniform-phase-modulus":
             phase = rng.uniform(0.0, 2.0 * np.pi, size)
             return np.exp(1j * phase) / np.sqrt(n)

@@ -63,22 +63,37 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        unknown = sorted(set(self.thresholds) - set(DEFAULT_THRESHOLDS))
+        if unknown:
+            raise ValueError(f"unknown thresholds {unknown}; "
+                             f"known: {sorted(DEFAULT_THRESHOLDS)}")
         self.thresholds = {**DEFAULT_THRESHOLDS, **self.thresholds}
 
 
-def ks_statistic(sample, cdf) -> float:
+def ks_statistic(sample, cdf, cdf_left=None) -> float:
     """One-sample KS: sup |F_hat - F| with right-continuous empirical CDF.
 
-    cdf is called once, on the sorted sample as an array.
+    cdf is called once, on the sorted sample x as an array. Below x_i,
+    F_hat is i/m and F rises to its left limit F(x_i-), so the lower
+    deviation is F(x_i-) - i/m. cdf_left(x, F) gives those left limits from
+    F = cdf(x); None means F has no jumps, so F(x_i-) = F(x_i).
     """
     x = np.sort(np.asarray(sample, dtype=float))
     m = x.size
     if m == 0:
         raise ValueError("empty sample")
     F = np.asarray(cdf(x), dtype=float)
+    F_left = F if cdf_left is None else np.asarray(cdf_left(x, F), dtype=float)
     upper = np.arange(1, m + 1) / m - F
-    lower = F - np.arange(0, m) / m
+    lower = F_left - np.arange(0, m) / m
     return float(max(upper.max(), lower.max()))
+
+
+def atom_radii(eigs) -> np.ndarray:
+    """|eigs|, with radii inside the zero atom (<= ZERO_EIGENVALUE_TOL) set
+    to 0, so rounding noise inside the atom does not enter a statistic."""
+    r = np.abs(eigs)
+    return np.where(r <= ZERO_EIGENVALUE_TOL, 0.0, r)
 
 
 def ks_two_sample(a, b) -> float:
@@ -125,7 +140,12 @@ class ConvergenceReport:
 
 def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
     """Sample Y, compare the empirical radial CDF of its eigenvalues to the
-    small-lag limit law, and test angular uniformity."""
+    small-lag limit law, and test angular uniformity.
+
+    The radial KS scores atom_radii(eigs) with the law's left limit
+    (Gamma0Law.radial_cdf_left), so when gamma0 > 1 the structural zeros of
+    Y (rank <= n - k) fall in the law's atom at 0 instead of each scoring
+    the atom's whole mass as a deviation."""
     spec = config.spec
     law = Gamma0Law(spec.gamma0)
     radial_ks, angular_ks, seeds = [], [], []
@@ -135,7 +155,8 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
         X = sample_entry_matrix(spec, trial)
         Y = build_autocov(X, spec.k)
         eigs = linalg.eigenvalues(Y)
-        radial_ks.append(ks_statistic(np.abs(eigs), law.radial_cdf))
+        radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
+                                      law.radial_cdf_left))
         rot = rotation_invariance_test(eigs)
         angular_ks.append(rot.ks if rot.conclusive else float("nan"))
     mean_radial = float(np.mean(radial_ks))
@@ -358,12 +379,11 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     match against the fixed-point prediction, and the zero atom: the count of
     |lambda| <= ZERO_EIGENVALUE_TOL, of which N > n requires at least N - n.
 
-    Trial 0 of the resolvent average is also the stability check's n-sample,
-    and the zero atom is counted on its full eigendecomposition. The 2n-sample
-    takes its eigenvalues through the (n-k) x (n-k) reduction of
-    autocov_eigenvalues. The stability KS compares radii with the atom
-    (|lambda| <= ZERO_EIGENVALUE_TOL) set to 0 in both samples, so rounding
-    noise inside the atom does not enter the statistic.
+    Trial 0 of the resolvent average is also the stability check's n-sample
+    and the sample whose zero atom is counted. Both it and the 2n-sample take
+    their eigenvalues from autocov_eigenvalues: an (n-k) x (n-k) eigensolve
+    plus N - (n-k) exact zeros when n - k < N. The stability KS compares
+    the atom_radii of both samples.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -374,12 +394,8 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
                    for z in z_list for t in t_list]
 
-    def atom_radii(eigs):
-        r = np.abs(eigs)
-        return np.where(r <= ZERO_EIGENVALUE_TOL, 0.0, r)
-
     X0 = sample_entry_matrix(spec, 0)
-    eigs = linalg.eigenvalues(build_autocov(X0, spec.k))
+    eigs = autocov_eigenvalues(X0, spec.k)
     big = EnsembleSpec(n=2 * spec.n, N=2 * spec.N, k=2 * spec.k, law=spec.law,
                        master_seed=spec.master_seed + 1)
     big_eigs = autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)

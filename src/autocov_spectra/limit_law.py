@@ -99,6 +99,13 @@ class Gamma0Law:
                                 self.g_inverse(y) / self.gamma0))
         return float(out[0]) if np.isscalar(r) else out
 
+    def radial_cdf_left(self, r, cdf) -> np.ndarray:
+        """Probability of the open ball of radius r: the left limit of
+        radial_cdf at r, given cdf = radial_cdf(r). The law's only jump is
+        its atom at radius 0, so the two differ only at r = 0, where the
+        open ball is empty."""
+        return np.where(np.asarray(r) > 0, cdf, 0.0)
+
     def radial_quantile(self, p) -> np.ndarray | float:
         """Smallest r with radial_cdf(r) >= p.
 

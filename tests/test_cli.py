@@ -170,6 +170,13 @@ class TestEsdRun:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert len(manifest["resolved_seeds"]) == 1
 
+    @pytest.mark.parametrize("N", [192, 256], ids=["gamma0-1.5", "gamma0-2"])
+    def test_wide_runs_pass(self, tmp_path, N):
+        cfg = write_config(tmp_path, {"n": 128, "N": N, "k": 1, "seed": 22, "trials": 2})
+        assert cli.run("esd", cfg, output_dir=str(tmp_path / "out")) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "esd_report.json").read_text())
+        assert report["mean_radial_ks"] <= experiments.DEFAULT_THRESHOLDS["radial_ks"]
+
 
 class TestFixedPointRun:
     def test_prediction_only(self, tmp_path):
@@ -364,6 +371,8 @@ class TestExitCodes:
         ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0, "stop": -1, "step": 0.1}}),
         ("limit-law-table", {"gamma0": 1.0, "grid": {"start": math.nan, "stop": 1,
                                                      "step": 0.1}}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                 "thresholds": {"radial_kss": 0.0001}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -371,7 +380,7 @@ class TestExitCodes:
             "infinite-diagnostics-n", "infinite-simulation-n", "nan-z", "nan-z-pair",
             "nan-large-k-z", "empty-large-k-z", "empty-fixed-point-z",
             "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
-            "negative-stop", "nan-start"])
+            "negative-stop", "nan-start", "unknown-threshold"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.

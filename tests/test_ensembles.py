@@ -48,6 +48,19 @@ class TestSampling:
         X = sample_entry_matrix(spec, 0)
         assert 1.8 <= linalg.operator_norm(X) <= 2.2
 
+    @pytest.mark.parametrize("size,n", [((100, 100), 100), ((1200, 800), 800),
+                                        ((7, 3), 3), (10_000, 64)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    def test_complex_gaussian_matches_the_two_draw_expression(self, size, n, seed):
+        def reference(rng):
+            scale = 1.0 / np.sqrt(2.0 * n)
+            return rng.standard_normal(size) * scale + 1j * rng.standard_normal(size) * scale
+
+        want = reference(np.random.Generator(np.random.PCG64(seed)))
+        got = EntryLaw().sample(np.random.Generator(np.random.PCG64(seed)), size, n)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_invalid_lag_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n=8, N=8, k=8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_linalg import RANK_TOL, perturbation_interlacing_check
 
-from autocov_spectra import cli, linalg
+from autocov_spectra import cli, ensembles, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     build_autocov,
@@ -108,6 +108,19 @@ class TestKsHelpers:
         assert len(calls) == 1
         assert calls[0].tolist() == [0.1, 0.4, 0.7]
 
+    def test_one_sample_left_limit_at_an_atom(self):
+        # F = 0.5 at 0, then U(0,1) mass 0.5 above: F(x-) = 0 at x = 0 only.
+        def cdf(x):
+            return np.where(x >= 0, 0.5 + 0.5 * x, 0.0)
+
+        def cdf_left(x, F):
+            return np.where(x > 0, F, 0.0)
+
+        sample = np.concatenate([np.zeros(5), (np.arange(1, 6) - 0.5) / 5])
+        # Continuous-F formula: F(0) - 0/m = 0.5 at the first point.
+        assert ks_statistic(sample, cdf) == pytest.approx(0.5)
+        assert ks_statistic(sample, cdf, cdf_left) == pytest.approx(0.05)
+
     def test_two_sample_identical(self):
         a = np.array([0.1, 0.4, 0.9])
         assert ks_two_sample(a, a) == 0.0
@@ -162,6 +175,23 @@ class TestEsdExperiment:
         rep = esd_experiment(config)
         assert rep.passed
         assert rep.mean_radial_ks <= DEFAULT_THRESHOLDS["radial_ks"]
+
+    def test_structural_zeros_score_exactly_their_mass(self):
+        # gamma0 = 1 has no atom, so Y's k structural zeros, snapped to 0,
+        # put the sup at their upper edge: exactly k/N, free of the
+        # eigensolver's rounding noise inside the atom.
+        config = ExperimentConfig(
+            spec=EnsembleSpec(n=64, N=64, k=20, master_seed=1), trials=2)
+        assert esd_experiment(config).radial_ks_per_trial == [20 / 64, 20 / 64]
+
+    @pytest.mark.parametrize("N", [192, 256])
+    def test_wide_sample_passes_with_its_zero_atom(self, N):
+        # gamma0 > 1: N - n of Y's eigenvalues sit in the law's atom at 0.
+        config = ExperimentConfig(
+            spec=EnsembleSpec(n=128, N=N, k=1, master_seed=4), trials=2)
+        rep = esd_experiment(config)
+        assert rep.passed
+        assert max(rep.radial_ks_per_trial) <= DEFAULT_THRESHOLDS["radial_ks"]
 
 
 class TestLsvTail:
@@ -349,8 +379,11 @@ class TestLargeK:
         else:
             assert got == errors
 
-    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (32, 32, 16), (64, 16, 32)])
+    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (32, 32, 16), (64, 16, 32),
+                                       (64, 64, 32), (48, 96, 40)])
     def test_stability_ks_is_ks_of_snapped_full_eigensolves(self, n, N, k):
+        # Oracle: the full N x N eigensolves of Y for both samples, and the
+        # zero atom counted on trial 0's.
         spec = EnsembleSpec(n=n, N=N, k=k, master_seed=13)
         config = ExperimentConfig(spec=spec, trials=1, z_list=[1.0 + 0j], t_list=[0.5])
 
@@ -359,9 +392,30 @@ class TestLargeK:
             r = np.abs(linalg.eigenvalues(build_autocov(X, k)))
             return np.where(r <= 1e-8, 0.0, r)
 
-        expected = ks_two_sample(snapped_radii(n, N, k, 13),
-                                 snapped_radii(2 * n, 2 * N, 2 * k, 14))
-        assert large_k_experiment(config).stability_ks == expected
+        radii = snapped_radii(n, N, k, 13)
+        expected = ks_two_sample(radii, snapped_radii(2 * n, 2 * N, 2 * k, 14))
+        rep = large_k_experiment(config)
+        assert rep.stability_ks == expected
+        assert rep.zero_eigs == np.count_nonzero(radii == 0.0)
+        assert rep.zero_eigs >= N - (n - k)
+
+    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 64, 32), (48, 96, 40),
+                                       (64, 16, 32)])
+    def test_eigensolves_take_the_smallest_exact_size(self, n, N, k, monkeypatch):
+        shapes, original = [], linalg.eigenvalues
+
+        def recording(M):
+            shapes.append(np.shape(M))
+            return original(M)
+
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        monkeypatch.setattr(linalg, "eigenvalues", recording)
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=15),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        large_k_experiment(config)
+        # Trial 0, then the 2n-sample, each at min(n - k, N).
+        m = min(n - k, N)
+        assert shapes == [(m, m), (2 * m, 2 * m)]
 
 
 class TestConfig:
@@ -370,6 +424,11 @@ class TestConfig:
             spec=EnsembleSpec(n=8, N=8, k=1), thresholds={"radial_ks": 0.5})
         assert config.thresholds["radial_ks"] == 0.5
         assert config.thresholds["lsv_tail_freq"] == DEFAULT_THRESHOLDS["lsv_tail_freq"]
+
+    def test_unknown_threshold_rejected(self):
+        with pytest.raises(ValueError, match="radial_kss"):
+            ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=1),
+                             thresholds={"radial_kss": 0.5})
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,19 @@ class TestSampler:
         pts = law.sample(100_000, seed=6)
         assert ks_statistic(np.abs(pts), law.radial_cdf) <= 0.01
 
+    def test_radial_ks_with_atom(self):
+        law = Gamma0Law(2.0)
+        r = np.abs(law.sample(100_000, seed=6))
+        assert ks_statistic(r, law.radial_cdf, law.radial_cdf_left) <= 0.01
+        # Scored as if F were continuous, the atom alone costs its mass.
+        assert ks_statistic(r, law.radial_cdf) >= law.atom_mass
+
+    @pytest.mark.parametrize("wrong", [1.5, 2.5])
+    def test_radial_ks_with_atom_rejects_the_wrong_gamma0(self, wrong):
+        r = np.abs(Gamma0Law(2.0).sample(100_000, seed=6))
+        law = Gamma0Law(wrong)
+        assert ks_statistic(r, law.radial_cdf, law.radial_cdf_left) >= 0.1
+
     def test_angle_uniformity_chi_square(self):
         from scipy.stats import chisquare
 
@@ -219,6 +232,16 @@ class TestSampler:
         pts = Gamma0Law(2.0).sample(100_000, seed=8)
         frac = np.mean(np.abs(pts) == 0.0)
         assert frac == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("gamma0", [0.5, 1.0, 2.0])
+def test_radial_cdf_left_differs_only_at_zero(gamma0):
+    law = Gamma0Law(gamma0)
+    r = np.array([0.0, 1e-12, 0.5 * law.inner_radius, 0.5, law.support_radius, 9.0])
+    F = law.radial_cdf(r)
+    left = law.radial_cdf_left(r, F)
+    assert left[0] == 0.0
+    assert left[1:].tolist() == F[1:].tolist()
 
 
 def test_cdf_csv_export(tmp_path):
