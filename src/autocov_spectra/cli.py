@@ -303,8 +303,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     report = experiments.esd_experiment(config)
     manifest.seeds = report.seeds
     _write_json(manifest.path("esd_report.json"), report)
-    X = sample_entry_matrix(spec, 0)
-    eigs = linalg.eigenvalues(build_autocov(X, spec.k))
+    eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, 0), spec.k))
     _write_csv(manifest.path("eigenvalues.csv"), ["re_lambda", "im_lambda"],
                [(lam.real, lam.imag) for lam in eigs.tolist()])
     radii = np.sort(np.abs(eigs)).tolist()

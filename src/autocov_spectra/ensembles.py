@@ -2,6 +2,9 @@
 and the reductions that take the eigenvalues of Y and the singular values
 of Y - zI from smaller matrices, since Y has rank at most n - k.
 
+X is sampled, and Y = X_k X_0* and X_0* X_k are built, BLOCK rows or columns
+at a time (block_bounds), so a trial holds X and Y plus one block of each.
+
 The entry laws all have mean 0 and variance 1/n. The default complex
 Gaussian has independent real and imaginary parts of variance 1/(2n), so
 n E[X^2] = 0 and the non-degeneracy margin c0 is 1. A real Gaussian law is
@@ -10,6 +13,7 @@ included only to exercise the degenerate (line-supported) diagnostic path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +21,7 @@ import numpy as np
 from autocov_spectra.linalg import (
     _as_matrix,
     eigenvalues,
+    minus_identity,
     qr_triangular_factor,
     singular_values,
 )
@@ -27,6 +32,26 @@ ENTRY_LAW_KINDS = (
     "two-point-complex",
     "real-gaussian",
 )
+
+# Width of the row and column blocks in which X is sampled and Y built.
+BLOCK = 64
+
+
+def block_bounds(count: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks covering range(count): starts at multiples
+    of BLOCK, and a one-wide tail joins the block before it.
+
+    At one BLAS thread a product's entries then come out bit for bit as in
+    one product over the whole range; a one-wide block would take numpy's
+    matrix-vector path, which rounds differently. With more threads, a block
+    small enough for OpenBLAS to run on one thread rounds like the
+    one-thread product.
+    """
+    starts = list(range(0, count, BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
+
 
 # Norm-conditioning constant: ||X|| -> 1 + sqrt(gamma0), plus slack for
 # finite-n fluctuation.
@@ -39,7 +64,9 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
 
     splitmix64 finalizer applied to master_seed + golden-ratio increments;
     a fixed integer hash so trials shard reproducibly without coordination.
+    Both arguments are taken as Python ints, so numpy integers hash alike.
     """
+    master_seed, trial_index = operator.index(master_seed), operator.index(trial_index)
     mask = (1 << 64) - 1
     z = (master_seed + (trial_index + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -70,13 +97,15 @@ class EntryLaw:
         """Draw entries with variance 1/n from this law."""
         if self.kind == "complex-gaussian":
             # All real parts are drawn first, then all imaginary parts: that
-            # order is what makes X a fixed function of the seed.
+            # order is what makes X a fixed function of the seed. Each is
+            # drawn BLOCK rows at a time straight into out.
             scale = 1.0 / np.sqrt(2.0 * n)
             out = np.empty(size, dtype=complex)
-            out.real = rng.standard_normal(size)
-            out.real *= scale
-            out.imag = rng.standard_normal(size)
-            out.imag *= scale
+            rows = np.atleast_2d(out)
+            for part in (rows.real, rows.imag):
+                for a, b in block_bounds(len(rows)):
+                    part[a:b] = rng.standard_normal(part[a:b].shape)
+                    part[a:b] *= scale
             return out
         if self.kind == "uniform-phase-modulus":
             phase = rng.uniform(0.0, 2.0 * np.pi, size)
@@ -130,7 +159,7 @@ class SeededTrial:
 
 def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
     """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
-    if isinstance(trial, int):
+    if not isinstance(trial, SeededTrial):
         trial = SeededTrial.from_master(spec.master_seed, trial)
     rng = np.random.Generator(np.random.PCG64(trial.derived_seed))
     return spec.law.sample(rng, (spec.N, spec.n), spec.n)
@@ -147,13 +176,21 @@ def shift_matrix(n: int, k: int) -> np.ndarray:
 
 
 def build_autocov(X, k: int) -> np.ndarray:
-    """Lag-k auto-covariance matrix Y = X A X* = sum_j x_{j+k} x_j*."""
+    """Lag-k auto-covariance matrix Y = X A X* = sum_j x_{j+k} x_j*.
+
+    Y is X[:, k:] @ X[:, :n-k].conj().T, which is X A X* without forming A,
+    filled BLOCK columns at a time, so besides X and Y only a block of X's
+    conjugate and one of Y are held. At one BLAS thread the entries equal
+    those of the one-shot product bit for bit (block_bounds).
+    """
     X = _as_matrix(X)
-    n = X.shape[1]
+    N, n = X.shape
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    # Equals X @ shift_matrix(n, k) @ X.conj().T without forming A.
-    return X[:, k:] @ X[:, : n - k].conj().T
+    Y = np.empty((N, N), dtype=complex)
+    for a, b in block_bounds(N):
+        Y[:, a:b] = X[:, k:] @ X[a:b, : n - k].conj().T
+    return Y
 
 
 def autocov_eigenvalues(X, k: int) -> np.ndarray:
@@ -162,7 +199,8 @@ def autocov_eigenvalues(X, k: int) -> np.ndarray:
     Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :n-k], both N x (n-k).
     AB and BA share their nonzero spectra, so when n - k < N the eigenvalues
     are those of the (n-k) x (n-k) matrix X_0* X_k followed by N - (n-k)
-    exact zeros, Y's structural atom. Otherwise Y itself is decomposed.
+    exact zeros, Y's structural atom; X_0* X_k is filled BLOCK rows at a
+    time. Otherwise Y itself is decomposed.
     """
     X = _as_matrix(X)
     N, n = X.shape
@@ -171,8 +209,10 @@ def autocov_eigenvalues(X, k: int) -> np.ndarray:
     m = n - k
     if m >= N:
         return eigenvalues(build_autocov(X, k))
-    nonzero = eigenvalues(X[:, :m].conj().T @ X[:, k:])
-    return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
+    P = np.empty((m, m), dtype=complex)
+    for a, b in block_bounds(m):
+        P[a:b] = X[:, a:b].conj().T @ X[:, k:]
+    return np.concatenate([eigenvalues(P), np.zeros(N - m, dtype=complex)])
 
 
 def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
@@ -198,16 +238,14 @@ def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
     out = np.empty((len(z_list), N))
     if d >= N:
         Y = build_autocov(X, k)
-        I = np.eye(N)
         for row, z in zip(out, z_list):
-            row[:] = singular_values(Y - z * I)
+            row[:] = singular_values(minus_identity(Y, z))
         return out
     C = X if k <= m else np.concatenate([X[:, :m], X[:, k:]], axis=1)
     R = qr_triangular_factor(C)
     M = R[:, -m:] @ R[:, :m].conj().T
-    I = np.eye(d)
     for row, z in zip(out, z_list):
-        row[:d] = singular_values(M - z * I)
+        row[:d] = singular_values(minus_identity(M, z))
         row[d:] = abs(z)
         row[::-1].sort()  # ascending in reverse: row descends
     return out
@@ -260,7 +298,7 @@ def hermitize(M, z: complex) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError("hermitize requires a square matrix")
     N = M.shape[0]
-    B = M - z * np.eye(N)
+    B = minus_identity(M, z)
     out = np.zeros((2 * N, 2 * N), dtype=complex)
     out[:N, N:] = B
     out[N:, :N] = B.conj().T

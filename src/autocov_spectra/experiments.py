@@ -44,7 +44,6 @@ SVD_FALLBACK_FACTOR = 1e6
 DEFAULT_THRESHOLDS = {
     "radial_ks": 0.08,
     "angular_ks": 0.1,
-    "lag_ks_gap": 0.05,
     "lsv_tail_freq": 0.05,
     "resolvent_abs_error": 0.05,
     "stability_ks": 0.08,
@@ -152,9 +151,8 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
     for trial_index in range(config.trials):
         trial = SeededTrial.from_master(spec.master_seed, trial_index)
         seeds.append(trial.derived_seed)
-        X = sample_entry_matrix(spec, trial)
-        Y = build_autocov(X, spec.k)
-        eigs = linalg.eigenvalues(Y)
+        # X and Y are temporaries, so neither outlives its use.
+        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, trial), spec.k))
         radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
                                       law.radial_cdf_left))
         rot = rotation_invariance_test(eigs)
@@ -282,7 +280,6 @@ def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
     has such a cell when a node sits on its structural zero eigenvalue
     (rank <= n - k).
     """
-    I = np.eye(lam.size)
     guard = SVD_FALLBACK_FACTOR * s_floor
     L = np.empty((xs.size, xs.size))
     flagged = 0
@@ -292,7 +289,7 @@ def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
         with np.errstate(divide="ignore"):
             L[i] = -np.mean(np.log(dist), axis=1)
         for j in np.flatnonzero(dist.min(axis=1) < guard):
-            s = linalg.singular_values(Y - row[j] * I)
+            s = linalg.singular_values(linalg.minus_identity(Y, row[j]))
             if s[-1] < s_floor:
                 flagged += 1
             L[i, j] = -float(np.mean(np.log(np.maximum(s, s_floor))))
@@ -314,8 +311,7 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     recovery error.
     """
     spec = config.spec
-    X = sample_entry_matrix(spec, 0)
-    Y = build_autocov(X, spec.k)
+    Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
     eigs = linalg.eigenvalues(Y)
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h

@@ -92,6 +92,17 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
+def minus_identity(M, z: complex) -> np.ndarray:
+    """M - zI for a square M, as a copy of M with z taken off its diagonal,
+    so no identity matrix is formed."""
+    M = _as_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"minus_identity requires a square matrix, got {M.shape}")
+    B = M.copy()
+    B.ravel()[:: B.shape[0] + 1] -= z
+    return B
+
+
 def eigenvalues(M) -> np.ndarray:
     """Eigenvalues of a square matrix, as an unordered complex array."""
     M = _as_matrix(M)

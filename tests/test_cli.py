@@ -373,6 +373,8 @@ class TestExitCodes:
                                                      "step": 0.1}}),
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
                  "thresholds": {"radial_kss": 0.0001}}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                 "thresholds": {"lag_ks_gap": 0.05}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -380,7 +382,7 @@ class TestExitCodes:
             "infinite-diagnostics-n", "infinite-simulation-n", "nan-z", "nan-z-pair",
             "nan-large-k-z", "empty-large-k-z", "empty-fixed-point-z",
             "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
-            "negative-stop", "nan-start", "unknown-threshold"])
+            "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.

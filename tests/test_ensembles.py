@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from autocov_spectra import linalg
+from autocov_spectra import ensembles, linalg
 from autocov_spectra.ensembles import (
+    BLOCK,
     EnsembleSpec,
     EntryLaw,
     SeededTrial,
     autocov_eigenvalues,
+    block_bounds,
     build_autocov,
     build_circular,
     build_linearization,
@@ -23,6 +27,141 @@ def test_seed_mixing_is_pure_and_spread():
     assert mix_seed(1, 0) == mix_seed(1, 0)
     assert mix_seed(1, 0) != mix_seed(1, 1)
     assert mix_seed(1, 0) != mix_seed(2, 0)
+
+
+def test_seed_mixing_takes_numpy_integers():
+    # Python-int seeds hash as before; numpy integers hash like them instead
+    # of overflowing in numpy arithmetic.
+    assert mix_seed(5, 0) == 7134611160154358618
+    assert mix_seed(2**63 + 5, 7) == 17032139662024934364
+    assert mix_seed(np.int64(5), 0) == mix_seed(5, 0)
+    assert mix_seed(np.uint64(2**63 + 5), np.int32(7)) == mix_seed(2**63 + 5, 7)
+    want = sample_entry_matrix(EnsembleSpec(n=8, N=6, k=1, master_seed=5), 2)
+    got = sample_entry_matrix(EnsembleSpec(n=8, N=6, k=1, master_seed=np.int64(5)),
+                              np.int64(2))
+    assert np.array_equal(got, want)
+    with pytest.raises(TypeError):
+        mix_seed(1.5, 0)
+
+
+# The one-shot formulas the blocked sampler and products replaced, kept as
+# oracles: the blocked results must equal them bit for bit.
+def one_shot_sample(spec, trial_index):
+    rng = np.random.Generator(np.random.PCG64(mix_seed(spec.master_seed, trial_index)))
+    size, scale = (spec.N, spec.n), 1.0 / np.sqrt(2.0 * spec.n)
+    out = np.empty(size, dtype=complex)
+    out.real = rng.standard_normal(size)
+    out.real *= scale
+    out.imag = rng.standard_normal(size)
+    out.imag *= scale
+    return out
+
+
+def one_shot_autocov(X, k):
+    return X[:, k:] @ X[:, : X.shape[1] - k].conj().T
+
+
+def one_shot_autocov_eigenvalues(X, k):
+    N, n = X.shape
+    m = n - k
+    if m >= N:
+        return linalg.eigenvalues(one_shot_autocov(X, k))
+    nonzero = linalg.eigenvalues(X[:, :m].conj().T @ X[:, k:])
+    return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
+
+
+# (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, shapes below 64, k > n/2,
+# and m both below and above N.
+BLOCKED_SHAPES = [
+    (40, 30, 3),     # below 64, m > N
+    (50, 60, 30),    # below 64, k > n/2, m < N
+    (129, 128, 1),   # N, m = 0 mod 64, m = N
+    (130, 129, 1),   # N, m = 1 mod 64: one-wide tails
+    (192, 191, 1),   # N, m = 63 mod 64
+    (257, 320, 1),   # N, m = 0 mod 64, m < N
+    (200, 193, 8),   # N = 1, m = 0 mod 64, m < N
+    (300, 257, 171),  # k > n/2, N, m = 1 mod 64, m < N
+    (200, 127, 137),  # k > n/2, N, m = 63 mod 64, m < N
+    (66, 191, 1),    # m = 1 mod 64 far below N = 63 mod 64
+    (400, 65, 1),    # N = 1 mod 64, m far above N
+    (100, 64, 99),   # m = 1: a 1 x 1 X_0* X_k
+]
+
+
+@pytest.mark.parametrize("count,bounds", [
+    (0, []), (1, [(0, 1)]), (63, [(0, 63)]), (64, [(0, 64)]), (65, [(0, 65)]),
+    (66, [(0, 64), (64, 66)]), (129, [(0, 64), (64, 129)]),
+    (191, [(0, 64), (64, 128), (128, 191)]),
+])
+def test_block_bounds(count, bounds):
+    assert block_bounds(count) == bounds
+
+
+class TestBlockedBitIdentity:
+    """The blocked sampler and products against the one-shot oracles, at one
+    BLAS thread (as the CLI runs) and at the default thread count."""
+
+    @pytest.fixture(params=["one-thread", "default-threads"])
+    def blas(self, request):
+        if request.param == "one-thread":
+            with linalg.one_blas_thread():
+                yield
+        else:
+            yield
+
+    @pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
+    def test_matches_one_shot(self, blas, n, N, k):
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=n * 1000 + N)
+        X = sample_entry_matrix(spec, 1)
+        assert np.array_equal(X.view(np.uint64), one_shot_sample(spec, 1).view(np.uint64))
+        assert np.array_equal(build_autocov(X, k), one_shot_autocov(X, k))
+        assert np.array_equal(autocov_eigenvalues(X, k), one_shot_autocov_eigenvalues(X, k))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw above the start of the
+    call; numpy reports its array buffers to tracemalloc."""
+    fn(*args)  # warm up: first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# Room for the Python objects and ufunc buffers around the arrays.
+PEAK_SLACK = 64 * 1024
+
+
+class TestPeakMemory:
+    """One trial holds its output plus at most two blocks. The one-shot
+    sampler held a float copy of all of X (1.5 X) and the one-shot products a
+    conjugated copy of X_0 (2 Y at n - k = N)."""
+
+    def test_sampler(self):
+        spec = EnsembleSpec(n=128, N=512, k=1, master_seed=4)
+        X, peak = traced_peak(sample_entry_matrix, spec, 0)
+        assert peak <= X.nbytes + 2 * BLOCK * spec.n * 16 + PEAK_SLACK
+
+    def test_build_autocov(self):
+        X = sample_entry_matrix(EnsembleSpec(n=321, N=320, k=1, master_seed=5), 0)
+        N, m = 320, 320
+        Y, peak = traced_peak(build_autocov, X, 1)
+        # A block of X_0's conjugate (BLOCK x m) and one of Y (N x BLOCK).
+        assert peak <= Y.nbytes + (BLOCK * m + N * BLOCK) * 16 + PEAK_SLACK
+
+    def test_autocov_eigenvalues_product(self, monkeypatch):
+        X = sample_entry_matrix(EnsembleSpec(n=257, N=512, k=1, master_seed=6), 0)
+        N, m = 512, 256
+        products = []
+        monkeypatch.setattr(ensembles, "eigenvalues",
+                            lambda P: products.append(P) or np.zeros(len(P), complex))
+        _, peak = traced_peak(autocov_eigenvalues, X, 1)
+        # X_0* X_k (m x m), a block of X_0's conjugate (N x BLOCK) and one of
+        # the product (BLOCK x m); the returned N eigenvalues are smaller.
+        assert peak <= products[-1].nbytes + (N * BLOCK + BLOCK * m) * 16 + PEAK_SLACK
 
 
 class TestSampling:

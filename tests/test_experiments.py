@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,42 @@ class TestEsdExperiment:
         rep = esd_experiment(config)
         assert rep.passed
         assert max(rep.radial_ks_per_trial) <= DEFAULT_THRESHOLDS["radial_ks"]
+
+
+class TestTrialMemory:
+    """X is dropped once Y is built: at each eigensolve of Y, tracemalloc
+    (which sees numpy's buffers) finds Y held but not X, as large as Y here."""
+
+    N = 256
+
+    def run_esd_cli(self, tmp_path):
+        cfg = tmp_path / "esd.json"
+        cfg.write_text(json.dumps({"n": self.N, "N": self.N, "k": 1, "seed": 3,
+                                   "trials": 2}))
+        cli.main(["esd", str(cfg), "--output-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("caller", ["esd_experiment", "hermitization_pipeline", "cli-esd"])
+    def test_eigensolve_holds_y_without_x(self, caller, monkeypatch, tmp_path):
+        config = ExperimentConfig(spec=EnsembleSpec(n=self.N, N=self.N, k=1, master_seed=3),
+                                  trials=2)
+        run = {"esd_experiment": lambda: esd_experiment(config),
+               "hermitization_pipeline": lambda: hermitization_pipeline(config, h=0.2),
+               "cli-esd": lambda: self.run_esd_cli(tmp_path)}[caller]
+        held, original = [], linalg.eigenvalues
+
+        def recording(M):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return original(M)
+
+        monkeypatch.setattr(linalg, "eigenvalues", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+        finally:
+            tracemalloc.stop()
+        y_bytes = self.N * self.N * 16
+        assert held and max(held) <= y_bytes * 5 // 4
 
 
 class TestLsvTail:

@@ -163,6 +163,20 @@ class TestQrTriangularFactor:
         assert np.max(np.abs(R.conj().T @ R - M.conj().T @ M)) <= 1e-12
 
 
+class TestMinusIdentity:
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    @pytest.mark.parametrize("z", [0.5, 1 + 1j, -0.3j, -2.0, 0j])
+    def test_equals_subtracting_z_times_the_identity(self, N, z):
+        M = random_complex(np.random.default_rng(N), (N, N))
+        before = M.copy()
+        assert np.array_equal(linalg.minus_identity(M, z), M - z * np.eye(N))
+        assert np.array_equal(M, before)
+
+    def test_requires_a_square_matrix(self):
+        with pytest.raises(ValueError):
+            linalg.minus_identity(np.ones((2, 3), dtype=complex), 1.0)
+
+
 class TestOneBlasThread:
     @pytest.fixture
     def two_threads(self):
