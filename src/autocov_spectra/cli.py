@@ -13,7 +13,7 @@ nesting separator; explicit --set wins over the environment.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
-count together with the library versions.
+count together with the numpy version and its BLAS build.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 import autocov_spectra
 from autocov_spectra import experiments, linalg
@@ -246,20 +245,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     _write_output(path, "\r\n".join(lines) + "\r\n")
 
 
-def _blas_build(module) -> dict:
-    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": blas.get("name"), "version": blas.get("version")}
-
-
 def _environment() -> dict:
-    """Library versions, BLAS builds, CPU count and the BLAS thread count in
-    force where this is called."""
+    """Python and numpy versions, numpy's BLAS build, CPU count and the BLAS
+    thread count in force where this is called."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "numpy_blas": _blas_build(np),
-        "scipy_blas": _blas_build(scipy),
+        "numpy_blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": linalg.blas_thread_counts(),
         "cpu_count": os.cpu_count(),
     }

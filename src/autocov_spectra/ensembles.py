@@ -276,16 +276,18 @@ def build_linearization(X, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m = n - k
     H_prime = np.zeros((N + m, N + m), dtype=complex)
-    H_prime[:N, :N] = z * np.eye(N)
+    np.fill_diagonal(H_prime[:N, :N], z)
     H_prime[:N, N:] = X[:, k:]
     H_prime[N:, :N] = X[:, :m].conj().T
-    H_prime[N:, N:] = np.eye(m)
+    np.fill_diagonal(H_prime[N:, N:], 1.0)
     if 2 * k + 1 > n:
         return H_prime, H_prime.copy()
-    # Block-column permutation: indices m-k..m-1 first, then 0..m-k-1.
-    perm = np.concatenate([np.arange(m - k, m), np.arange(m - k)])
-    H = H_prime.copy()
-    H[:, N:] = H_prime[:, N:][:, perm]
+    # Block-column permutation: columns m-k..m-1 of the block first, then
+    # 0..m-k-1.
+    H = np.empty_like(H_prime)
+    H[:, :N] = H_prime[:, :N]
+    H[:, N:N + k] = H_prime[:, N + m - k:]
+    H[:, N + k:] = H_prime[:, N:N + m - k]
     return H_prime, H
 
 

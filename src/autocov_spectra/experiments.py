@@ -41,9 +41,14 @@ ZERO_EIGENVALUE_TOL = 1e-8
 # log-potential identity is accurate.
 SVD_FALLBACK_FACTOR = 1e6
 
+# hermitization_pipeline clamps singular values of Y - zI at S_FLOOR, and
+# compares the recovered density with the eigenvalue histogram over
+# TV_BLOCK x TV_BLOCK blocks of grid cells.
+S_FLOOR = 1e-12
+TV_BLOCK = 2
+
 DEFAULT_THRESHOLDS = {
     "radial_ks": 0.08,
-    "angular_ks": 0.1,
     "lsv_tail_freq": 0.05,
     "resolvent_abs_error": 0.05,
     "stability_ks": 0.08,
@@ -297,15 +302,14 @@ def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
 
 
 def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = None,
-                           h: float = 0.1, s_floor: float = 1e-12,
-                           tv_block: int = 2) -> HermitizationReport:
+                           h: float = 0.1) -> HermitizationReport:
     """Recover the eigenvalue density from log potentials on a z-grid.
 
     Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from one eigensolve of Y
     (log_potential_grid), applies the 5-point discrete Laplacian scaled by
     -1/(2 pi), clips negatives, normalizes, and compares with the histogram
     of those eigenvalues by total variation. The comparison aggregates
-    tv_block x tv_block cells first: the Laplacian spreads each unit charge
+    TV_BLOCK x TV_BLOCK cells first: the Laplacian spreads each unit charge
     over the nodes adjacent to it while the histogram assigns it to one cell,
     so single-cell TV measures that sub-cell smearing rather than the
     recovery error.
@@ -316,7 +320,7 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
-    L, flagged = log_potential_grid(Y, eigs, xs, s_floor)
+    L, flagged = log_potential_grid(Y, eigs, xs, S_FLOOR)
     lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
     density = np.clip(-lap / (2.0 * np.pi), 0.0, None)
@@ -330,7 +334,7 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     edges = np.concatenate([interior - h / 2, [interior[-1] + h / 2]])
     hist, _, _ = np.histogram2d(eigs.real, eigs.imag, bins=[edges, edges])
     hist = hist / eigs.size
-    b = max(1, int(tv_block))
+    b = TV_BLOCK
     m = (density_norm.shape[0] // b) * b
     coarse_dens = density_norm[:m, :m].reshape(m // b, b, m // b, b).sum(axis=(1, 3))
     coarse_hist = hist[:m, :m].reshape(m // b, b, m // b, b).sum(axis=(1, 3))
@@ -379,7 +383,9 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     and the sample whose zero atom is counted. Both it and the 2n-sample take
     their eigenvalues from autocov_eigenvalues: an (n-k) x (n-k) eigensolve
     plus N - (n-k) exact zeros when n - k < N. The stability KS compares
-    the atom_radii of both samples.
+    the atom_radii of both samples. The 2n-sample, whose X is the run's
+    largest array, is sampled and decomposed first, so trial 0's X is not
+    held alongside it.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -390,11 +396,11 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
                    for z in z_list for t in t_list]
 
-    X0 = sample_entry_matrix(spec, 0)
-    eigs = autocov_eigenvalues(X0, spec.k)
     big = EnsembleSpec(n=2 * spec.n, N=2 * spec.N, k=2 * spec.k, law=spec.law,
                        master_seed=spec.master_seed + 1)
     big_eigs = autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
+    X0 = sample_entry_matrix(spec, 0)
+    eigs = autocov_eigenvalues(X0, spec.k)
     stability = ks_two_sample(atom_radii(eigs), atom_radii(big_eigs))
     stability_ok = stability <= config.thresholds["stability_ks"]
 

@@ -3,10 +3,10 @@ logarithmic potentials."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,28 @@ def small_ball_estimate(samples, r: float, pitch_factor: float = 0.25) -> SmallB
     hi = np.quantile(pts, 0.995, axis=0) + r
     xs = np.arange(lo[0], hi[0] + pitch, pitch)
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
-    centers = np.array([[x, y] for x in xs for y in ys])
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(centers, r, return_length=True)
-    i = int(np.argmax(counts))
-    best = centers[i]
+    # Every centre within r of a sample lies within ceil(r / pitch) grid
+    # steps, along each axis, of the sample's nearest centre; K adds one step
+    # for rounding in xs, ys and the division. So each (sample, centre) pair
+    # with d^2 <= r^2 is counted once over the (2K+1)^2 offsets.
+    K = int(np.ceil(r / pitch)) + 1
+    nearest = np.rint((pts - (xs[0], ys[0])) / pitch).astype(np.intp)
+    counts = np.zeros((xs.size, ys.size), dtype=np.intp)
+    for di, dj in itertools.product(range(-K, K + 1), repeat=2):
+        i, j = nearest[:, 0] + di, nearest[:, 1] + dj
+        on_grid = (i >= 0) & (i < xs.size) & (j >= 0) & (j < ys.size)
+        i, j = i[on_grid], j[on_grid]
+        dx, dy = pts[on_grid, 0] - xs[i], pts[on_grid, 1] - ys[j]
+        within = dx * dx + dy * dy <= r * r
+        np.add.at(counts, (i[within], j[within]), 1)
+    # x-major order with ties to the first index, as a list of centres
+    # (x, y) for x in xs for y in ys would give.
+    i, j = np.unravel_index(int(np.argmax(counts)), counts.shape)
     return SmallBallEstimate(
-        probability=float(counts[i] / samples.size),
-        center=complex(best[0], best[1]),
+        probability=float(counts[i, j] / samples.size),
+        center=complex(xs[i], ys[j]),
         grid_pitch=float(pitch),
-        grid_size=len(centers),
+        grid_size=counts.size,
     )
 
 

@@ -6,7 +6,8 @@ one_blas_thread pins the BLAS thread count for a block.
 
 Backends: eigenvalues (np.linalg.eigvals), singular_values
 (np.linalg.svd without vectors) and qr_triangular_factor (np.linalg.qr)
-all run on numpy.linalg; scipy's LAPACK wrappers and OpenBLAS stay unloaded.
+all run on numpy.linalg. numpy is the package's only runtime dependency;
+scipy's LAPACK wrappers serve the tests alone, as oracles.
 """
 
 from __future__ import annotations

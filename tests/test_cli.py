@@ -375,6 +375,8 @@ class TestExitCodes:
                  "thresholds": {"radial_kss": 0.0001}}),
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
                  "thresholds": {"lag_ks_gap": 0.05}}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                 "thresholds": {"angular_ks": 0.1}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -382,7 +384,8 @@ class TestExitCodes:
             "infinite-diagnostics-n", "infinite-simulation-n", "nan-z", "nan-z-pair",
             "nan-large-k-z", "empty-large-k-z", "empty-fixed-point-z",
             "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
-            "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap"])
+            "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap",
+            "removed-angular-ks"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -469,9 +472,8 @@ class TestBlasThreads:
         assert env["blas_threads"] == {name: 1 for name in before}
         assert env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
-        assert set(env) == {"python", "numpy", "scipy", "numpy_blas", "scipy_blas",
-                            "blas_threads", "cpu_count"}
-        assert set(env["numpy_blas"]) == set(env["scipy_blas"]) == {"name", "version"}
+        assert set(env) == {"python", "numpy", "numpy_blas", "blas_threads", "cpu_count"}
+        assert set(env["numpy_blas"]) == {"name", "version"}
 
 
 def _fresh_process_output(code, *args):
@@ -500,14 +502,20 @@ class TestStartup:
         assert _fresh_process_output(
             "import sys, autocov_spectra.cli; print('scipy.linalg' in sys.modules)") == "False"
 
-    def test_lsv_tail_and_large_k_runs_leave_out_scipy_linalg(self, tmp_path):
+    def test_modules_and_runs_load_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency; scipy serves the tests alone.
         lsv = write_config(tmp_path, TINY_CONFIGS["lsv-tail"], "lsv.json")
         large_k = write_config(tmp_path, TINY_CONFIGS["large-k"], "large_k.json")
         hermitize = write_config(tmp_path, TINY_CONFIGS["hermitize"], "hermitize.json")
         out = _fresh_process_output(
-            "import sys; from autocov_spectra import cli; "
+            "import importlib, pkgutil, sys, autocov_spectra; "
+            "names = [m.name for m in pkgutil.iter_modules(autocov_spectra.__path__)]; "
+            "[importlib.import_module('autocov_spectra.' + name) for name in names]; "
+            "from autocov_spectra import cli; "
             "codes = [cli.main([sub, cfg, '--output-dir', sys.argv[4]]) for sub, cfg in "
             "(('lsv-tail', sys.argv[1]), ('large-k', sys.argv[2]), ('hermitize', sys.argv[3]))]; "
-            "print(all(c in (0, 2) for c in codes), 'scipy.linalg' in sys.modules)",
+            "print(sorted(names), all(c in (0, 2) for c in codes), "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             lsv, large_k, hermitize, tmp_path / "out")
-        assert out == "True False"
+        assert out == ("['cli', 'ensembles', 'experiments', 'fixed_point', 'geometry', "
+                       "'limit_law', 'linalg'] True []")

@@ -163,6 +163,12 @@ class TestPeakMemory:
         # the product (BLOCK x m); the returned N eigenvalues are smaller.
         assert peak <= products[-1].nbytes + (N * BLOCK + BLOCK * m) * 16 + PEAK_SLACK
 
+    def test_build_linearization(self):
+        # The two outputs alone: no z I_N, I_m or permuted column block.
+        X = sample_entry_matrix(EnsembleSpec(n=256, N=256, k=1, master_seed=7), 0)
+        (H_prime, H), peak = traced_peak(build_linearization, X, 1.0, 1)
+        assert peak <= H_prime.nbytes + H.nbytes + PEAK_SLACK
+
 
 class TestSampling:
     def test_determinism(self):
@@ -342,7 +348,35 @@ class TestResolventSingularValues:
             resolvent_singular_values(np.ones((4, 8), dtype=complex), 8, [1.0])
 
 
+def one_shot_linearization(X, z, k):
+    """Reference: H' from z I_N and I_m, and H from H' by a column index."""
+    N, n = X.shape
+    m = n - k
+    H_prime = np.zeros((N + m, N + m), dtype=complex)
+    H_prime[:N, :N] = z * np.eye(N)
+    H_prime[:N, N:] = X[:, k:]
+    H_prime[N:, :N] = X[:, :m].conj().T
+    H_prime[N:, N:] = np.eye(m)
+    if 2 * k + 1 > n:
+        return H_prime, H_prime.copy()
+    perm = np.concatenate([np.arange(m - k, m), np.arange(m - k)])
+    H = H_prime.copy()
+    H[:, N:] = H_prime[:, N:][:, perm]
+    return H_prime, H
+
+
 class TestLinearization:
+    # array_equal takes -0.0 == 0.0: z * np.eye(N) writes -0.0 off the
+    # diagonal when Re z < 0, where build_linearization leaves 0.0.
+    @pytest.mark.parametrize("n,N,k", [(256, 256, 1), (64, 80, 5), (64, 48, 40),
+                                       (30, 30, 14), (30, 30, 15), (3, 2, 1)])
+    @pytest.mark.parametrize("z", [1.0, -0.5 + 0.25j, -2.0, 0.3j])
+    def test_matches_one_shot(self, n, N, k, z):
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=11), 0)
+        for got, expected in zip(build_linearization(X, z, k),
+                                 one_shot_linearization(X, z, k)):
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("k,z", [(1, 1 + 0j), (5, 1j), (20, -0.5 + 0j), (40, 1 + 0j)])
     def test_structural_relations(self, k, z):
         spec = EnsembleSpec(n=64, N=64, k=k, master_seed=9)

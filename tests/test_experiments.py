@@ -230,6 +230,32 @@ class TestTrialMemory:
         y_bytes = self.N * self.N * 16
         assert held and max(held) <= y_bytes * 5 // 4
 
+    def test_large_k_2n_eigensolve_holds_no_trial_0_x(self, monkeypatch):
+        # At the 2n-sample's eigensolve only its X and its 2m x 2m product
+        # X_0* X_k are held, not trial 0's X (a quarter of the 2n X).
+        n, N, k = 128, 192, 64
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        held, original = {}, linalg.eigenvalues
+
+        def recording(M):
+            held[np.shape(M)] = tracemalloc.get_traced_memory()[0] - base
+            return original(M)
+
+        large_k_experiment(config)  # first-call imports and caches stay untraced
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            large_k_experiment(config)
+        finally:
+            tracemalloc.stop()
+        m = n - k
+        big_x_bytes = 2 * N * 2 * n * 16
+        big_product_bytes = 2 * m * 2 * m * 16
+        x0_bytes = N * n * 16
+        assert held[(2 * m, 2 * m)] <= big_x_bytes + big_product_bytes + x0_bytes // 4
+
 
 class TestLsvTail:
     def test_small_run(self):
@@ -450,9 +476,9 @@ class TestLargeK:
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=15),
                                   trials=2, z_list=[1.0 + 0j], t_list=[0.5])
         large_k_experiment(config)
-        # Trial 0, then the 2n-sample, each at min(n - k, N).
+        # The 2n-sample, then trial 0, each at min(n - k, N).
         m = min(n - k, N)
-        assert shapes == [(m, m), (2 * m, 2 * m)]
+        assert shapes == [(2 * m, 2 * m), (m, m)]
 
 
 class TestConfig:

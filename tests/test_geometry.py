@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from autocov_spectra import geometry
 from autocov_spectra import linalg
 from autocov_spectra.geometry import (
     CompressibilityParams,
+    SmallBallEstimate,
     berry_esseen_bound,
     compressibility_distance,
     is_compressible,
@@ -122,7 +124,69 @@ class TestSpreadSets:
             joint_spread_set(u, v, params)
 
 
+def kdtree_small_ball_estimate(samples, r, pitch_factor=0.25):
+    """Reference: the grid of small_ball_estimate as a list of centres,
+    x-major, with each ball counted by a k-d tree query."""
+    samples = np.asarray(samples, dtype=complex).ravel()
+    pts = np.column_stack([samples.real, samples.imag])
+    pitch = r * pitch_factor
+    lo = np.quantile(pts, 0.005, axis=0) - r
+    hi = np.quantile(pts, 0.995, axis=0) + r
+    xs = np.arange(lo[0], hi[0] + pitch, pitch)
+    ys = np.arange(lo[1], hi[1] + pitch, pitch)
+    centers = np.array([[x, y] for x in xs for y in ys])
+    counts = cKDTree(pts).query_ball_point(centers, r, return_length=True)
+    i = int(np.argmax(counts))
+    return SmallBallEstimate(
+        probability=float(counts[i] / samples.size),
+        center=complex(centers[i, 0], centers[i, 1]),
+        grid_pitch=float(pitch),
+        grid_size=len(centers),
+    )
+
+
+def gaussian_sums(count, n, seed):
+    """count sums of n centered complex Gaussians, each with E|Z|^2 = 1/n."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))).sum(
+        axis=1) / np.sqrt(2.0 * n)
+
+
+def half_point_mass():
+    rng = np.random.default_rng(7)
+    spread = 0.3 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+    return np.concatenate([spread, np.full(1000, 0.25 + 0.1j)])
+
+
+# Centres at pitch r/4 from a lattice of spacing 0.1 (or 0.25, each point
+# three times): many sample-centre distances equal r up to rounding, so the
+# d^2 <= r^2 test meets boundary ties.
+LATTICE = (np.arange(-10, 11)[:, None] * 0.1 + 1j * np.arange(-10, 11)[None, :] * 0.1).ravel()
+COARSE_LATTICE = np.repeat(
+    (np.arange(-4, 5)[:, None] * 0.25 + 1j * np.arange(-4, 5)[None, :] * 0.25).ravel(), 3)
+
+
 class TestSmallBall:
+    @pytest.mark.parametrize("samples,r,pitch_factor", [
+        (gaussian_sums(20000, 64, 4), 0.1, 0.25),
+        (gaussian_sums(2000, 8, 5), 0.3, 0.25),
+        (half_point_mass(), 0.1, 0.25),
+        (np.full(2000, 1.5 - 0.5j), 0.2, 0.25),
+        (LATTICE, 0.1, 0.25),
+        (LATTICE, 0.2, 0.25),
+        (LATTICE, 0.25, 0.25),
+        (COARSE_LATTICE, 0.5, 0.25),
+        (gaussian_sums(500, 8, 6), 0.1, 0.1),
+        (gaussian_sums(500, 8, 6), 0.1, 0.3),
+        (gaussian_sums(500, 8, 6), 0.1, 2.0),
+        (np.round(5 * gaussian_sums(3000, 4, 8)) / 5, 0.2, 0.25),
+    ], ids=["criterion-6", "gaussian-r0.3", "half-point-mass", "point-mass", "lattice-r0.1",
+            "lattice-r0.2", "lattice-r0.25", "coarse-lattice-r0.5", "pitch-factor-0.1",
+            "pitch-factor-0.3", "pitch-factor-2", "quantized-ties"])
+    def test_matches_kdtree_reference(self, samples, r, pitch_factor):
+        assert small_ball_estimate(samples, r, pitch_factor) == kdtree_small_ball_estimate(
+            samples, r, pitch_factor)
+
     def test_rademacher(self):
         rng = np.random.default_rng(3)
         samples = np.where(rng.uniform(size=5000) < 0.5, 1.0, -1.0).astype(complex)
