@@ -8,8 +8,10 @@ writes files: every output goes through _write_output, which replaces the
 target atomically.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
-values) and by environment variables ``AUTOCOV_<KEY>`` with ``__`` as the
-nesting separator; explicit --set wins over the environment.
+values). run is the one place a rejected config value becomes exit 3: a
+subcommand is a deterministic function of its config, so a ConfigError,
+TypeError, ValueError or OverflowError raised by the run (every one of them
+an argument check) is reported as ``config error: <subcommand>: <message>``.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
@@ -45,23 +47,10 @@ from autocov_spectra.experiments import ExperimentConfig
 from autocov_spectra.fixed_point import ResolventParams, solve_s
 from autocov_spectra.limit_law import Gamma0Law
 
-ENV_PREFIX = "AUTOCOV_"
-
 EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
-
-SUBCOMMANDS = (
-    "esd",
-    "lsv-tail",
-    "linearize-check",
-    "hermitize",
-    "fixed-point",
-    "large-k",
-    "limit-law-table",
-    "law-diagnostics",
-)
 
 REQUIRED_KEYS = {
     "esd": ["n", "N", "k", "seed", "trials"],
@@ -105,8 +94,7 @@ def _set_nested(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def load_config(path: str, overrides: list[str] | None = None,
-                env: dict | None = None) -> dict:
+def load_config(path: str, overrides: list[str] | None = None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -116,15 +104,6 @@ def load_config(path: str, overrides: list[str] | None = None,
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    env = os.environ if env is None else env
-    for name, raw in sorted(env.items()):
-        if name.startswith(ENV_PREFIX):
-            dotted = name[len(ENV_PREFIX):].lower().replace("__", ".")
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            _set_nested(cfg, dotted, value)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -140,60 +119,28 @@ def load_config(path: str, overrides: list[str] | None = None,
 def validate_keys(subcommand: str, cfg: dict) -> None:
     missing = [k for k in REQUIRED_KEYS[subcommand] if k not in cfg]
     if missing:
-        raise ConfigError(
-            f"{subcommand}: missing required config keys: {', '.join(missing)}")
+        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
 
 def _spec_from(cfg: dict) -> EnsembleSpec:
-    try:
-        law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
-        return EnsembleSpec(n=int(cfg["n"]), N=int(cfg["N"]), k=int(cfg["k"]),
-                            law=law, master_seed=int(cfg["seed"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc))
+    law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
+    return EnsembleSpec(n=int(cfg["n"]), N=int(cfg["N"]), k=int(cfg["k"]),
+                        law=law, master_seed=int(cfg["seed"]))
 
 
 def _experiment_config(cfg: dict, spec: EnsembleSpec,
                        manifest: RunManifest) -> ExperimentConfig:
     """The run's ExperimentConfig; the manifest records its thresholds, the
     defaults merged with cfg's overrides."""
-    # Checked before the run: a non-numeric threshold would otherwise fail
-    # only at its comparison, after the whole experiment has run.
-    thresholds = cfg.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError(f"thresholds must be a mapping, got {thresholds!r}")
-    for key, value in thresholds.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"threshold {key!r} must be a number, got {value!r}")
-    try:
-        config = ExperimentConfig(
-            spec=spec,
-            trials=int(cfg.get("trials", 1)),
-            z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
-            t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
-            thresholds=thresholds,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc))
+    config = ExperimentConfig(
+        spec=spec,
+        trials=int(cfg.get("trials", 1)),
+        z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
+        t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
+        thresholds=cfg.get("thresholds", {}),
+    )
     manifest.thresholds = config.thresholds
     return config
-
-
-def _resolvent_grid(subcommand: str, cfg: dict, gamma0: float, gamma1: float
-                    ) -> tuple[list[complex], list[float], list[ResolventParams]]:
-    """cfg's z_list and t_list, and the ResolventParams of every (z, t),
-    z-major. An empty list is an error: the resolvent check would average
-    nothing."""
-    try:
-        z_list = [_parse_complex(z) for z in cfg["z_list"]]
-        t_list = [float(t) for t in cfg["t_list"]]
-        if not z_list or not t_list:
-            raise ValueError("z_list and t_list must be nonempty")
-        points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
-                  for z in z_list for t in t_list]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{subcommand}: {exc}")
-    return z_list, t_list, points
 
 
 def _trial_seeds(spec: EnsembleSpec, trials: int) -> list[int]:
@@ -308,10 +255,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
 def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest)
-    z = _parse_complex(cfg["z"])
-    if z == 0:
-        raise ConfigError("lsv-tail: z = 0 is excluded")
-    report = experiments.lsv_tail_experiment(config, z)
+    report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"]))
     manifest.seeds = _trial_seeds(spec, config.trials)
     _write_json(manifest.path("lsv_tail_report.json"), report)
     _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
@@ -322,8 +266,6 @@ def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
 def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     z = _parse_complex(cfg["z"])
-    if z == 0:
-        raise ConfigError("linearize-check: z = 0 is excluded")
     trials = _experiment_config(cfg, spec, manifest).trials
     reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
                for i in range(trials)]
@@ -337,12 +279,9 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest)
-    try:
-        h = float(cfg.get("h", 0.1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"hermitize: {exc}")
+    h = float(cfg.get("h", 0.1))
     if not 0 < h < math.inf:
-        raise ConfigError(f"hermitize: grid spacing h must be positive and finite, got {h}")
+        raise ConfigError(f"grid spacing h must be positive and finite, got {h}")
     report = experiments.hermitization_pipeline(config, h=h)
     manifest.seeds = _trial_seeds(spec, 1)
     _write_json(manifest.path("hermitization_report.json"), report)
@@ -350,22 +289,25 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
 
 
 def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
-    try:
-        gamma0 = float(cfg["gamma0"])
-        gamma1 = float(cfg["gamma1"])
-        spec = None
-        if "n" in cfg and "seed" in cfg:
-            spec = EnsembleSpec(
-                n=int(cfg["n"]), N=int(round(gamma0 * int(cfg["n"]))),
-                k=int(round(gamma1 * int(cfg["n"]))),
-                law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
-                master_seed=int(cfg["seed"]))
-            trials = int(cfg.get("trials", 1))
-            if trials < 1:
-                raise ValueError("trials must be >= 1")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"fixed-point: {exc}")
-    z_list, t_list, points = _resolvent_grid("fixed-point", cfg, gamma0, gamma1)
+    gamma0 = float(cfg["gamma0"])
+    gamma1 = float(cfg["gamma1"])
+    spec = None
+    if "n" in cfg and "seed" in cfg:
+        spec = EnsembleSpec(
+            n=int(cfg["n"]), N=int(round(gamma0 * int(cfg["n"]))),
+            k=int(round(gamma1 * int(cfg["n"]))),
+            law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
+            master_seed=int(cfg["seed"]))
+        trials = int(cfg.get("trials", 1))
+        if trials < 1:
+            raise ConfigError("trials must be >= 1")
+    z_list = [_parse_complex(z) for z in cfg["z_list"]]
+    t_list = [float(t) for t in cfg["t_list"]]
+    # An empty list would leave the table with no rows.
+    if not z_list or not t_list:
+        raise ConfigError("z_list and t_list must be nonempty")
+    points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
+              for z in z_list for t in t_list]
     solutions = [solve_s(params) for params in points]
     means = [None] * len(points)
     if spec is not None:
@@ -389,14 +331,10 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    if spec.k < spec.n / 2:
-        raise ConfigError(f"large-k: requires k >= n/2, got k={spec.k}, n={spec.n}")
     config = _experiment_config(cfg, spec, manifest)
-    _resolvent_grid("large-k", cfg, spec.gamma0, spec.gamma1)
     report = experiments.large_k_experiment(config)
-    # The 2n stability sample is trial 0 of master seed + 1.
     manifest.seeds = (_trial_seeds(spec, config.trials)
-                      + [mix_seed(spec.master_seed + 1, 0)])
+                      + _trial_seeds(experiments.stability_spec(spec), 1))
     _write_json(manifest.path("large_k_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
@@ -404,20 +342,16 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
 def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
     grid = cfg["grid"]
     if not isinstance(grid, dict):
-        raise ConfigError(f"limit-law-table: grid must be a mapping, got {grid!r}")
+        raise ConfigError(f"grid must be a mapping, got {grid!r}")
     for key in ("start", "stop", "step"):
         if key not in grid:
-            raise ConfigError(f"limit-law-table: grid missing key {key!r}")
-    try:
-        law = Gamma0Law(float(cfg["gamma0"]))
-        start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"limit-law-table: {exc}")
+            raise ConfigError(f"grid missing key {key!r}")
+    law = Gamma0Law(float(cfg["gamma0"]))
+    start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
     if not step > 0:
-        raise ConfigError(f"limit-law-table: grid step must be positive, got {step}")
+        raise ConfigError(f"grid step must be positive, got {step}")
     if not 0 <= start <= stop < math.inf:
-        raise ConfigError(
-            f"limit-law-table: grid needs finite 0 <= start <= stop, got {start}, {stop}")
+        raise ConfigError(f"grid needs finite 0 <= start <= stop, got {start}, {stop}")
     r_grid = np.arange(start, stop, step)
     # Snap the final point to the exact stop value so the table closes at the
     # CDF endpoint.
@@ -429,15 +363,10 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
 
 
 def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
-    try:
-        law = EntryLaw(kind=cfg["law"])
-        # moment_diagnostics raises ValueError only for a too-small
-        # sample_count or n.
-        report = moment_diagnostics(law, n=int(cfg["n"]),
-                                    sample_count=int(cfg.get("sample_count", 100_000)),
-                                    seed=int(cfg["seed"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"law-diagnostics: {exc}")
+    law = EntryLaw(kind=cfg["law"])
+    report = moment_diagnostics(law, n=int(cfg["n"]),
+                                sample_count=int(cfg.get("sample_count", 100_000)),
+                                seed=int(cfg["seed"]))
     manifest.seeds = [mix_seed(int(cfg["seed"]), 0)]
     _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
@@ -457,10 +386,12 @@ RUNNERS = {
 
 def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         output_dir: str | None = None) -> int:
+    """Run one subcommand and return its exit status. The numeric clause comes
+    first: np.linalg.LinAlgError is a ValueError."""
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
-            raise ConfigError(f"unknown subcommand {subcommand!r}")
+            raise ConfigError("unknown subcommand")
         validate_keys(subcommand, cfg)
         out_dir = output_dir or cfg.get("output_dir", ".")
         os.makedirs(out_dir, exist_ok=True)
@@ -469,19 +400,19 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
             status = RUNNERS[subcommand](cfg, manifest)
             manifest.write()
         return status
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (linalg.NumericBackendError, np.linalg.LinAlgError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        print(f"config error: {subcommand}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="autocov-spectra",
         description="Spectral simulation of lag-k auto-covariance ensembles.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("config", help="path to JSON config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",

@@ -78,20 +78,18 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
 class EntryLaw:
     """A complex scalar entry distribution with 1/n variance scaling.
 
-    declared_m4 bounds n^2 E|X11|^4; declared_c0 = 1 - |n E[X11^2]| is the
-    margin keeping the law off a line through the origin. A declared_c0 <= 0
-    marks a law that intentionally violates that margin (real-gaussian).
+    declared_c0 is the declared margin 1 - |n E[X11^2]| keeping the law off
+    a line through the origin; moment_diagnostics flags a (C2) violation when
+    the estimated |n E[X11^2]| exceeds 1 - declared_c0. With the default 1,
+    real-gaussian (|n E[X11^2]| = 1) is flagged.
     """
 
     kind: str = "complex-gaussian"
-    declared_m4: float = 2.0
     declared_c0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ENTRY_LAW_KINDS:
             raise ValueError(f"unknown entry law kind {self.kind!r}")
-        if not np.isfinite(self.declared_m4):
-            raise ValueError("declared_m4 must be finite")
 
     def sample(self, rng: np.random.Generator, size, n: int) -> np.ndarray:
         """Draw entries with variance 1/n from this law."""

@@ -33,6 +33,14 @@ from autocov_spectra.limit_law import Gamma0Law
 
 ZERO_EIGENVALUE_TOL = 1e-8
 
+# rotation_invariance_test calls a KS statistic on fewer nonzero eigenvalue
+# angles than this inconclusive.
+ROTATION_MIN_COUNT = 100
+
+# linearization_check's slack, relative to max(||H'||, 1), on its two
+# inequalities and on the gap between the singular multisets of H and H'.
+LINEARIZATION_TOL = 1e-10
+
 # log_potential_grid takes a cell from the SVD of Y - zI when min |lambda - z|,
 # an upper bound on s_min(Y - zI), is below this times s_floor. On 84 grids at
 # N = 8 to 128 the bound overshot s_min by at most a factor of 37, so every
@@ -67,6 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # Checked here: a non-numeric threshold would otherwise fail only at
+        # its comparison, after the whole experiment has run.
+        if not isinstance(self.thresholds, dict):
+            raise TypeError(f"thresholds must be a mapping, got {self.thresholds!r}")
+        for key, value in self.thresholds.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"threshold {key!r} must be a number, got {value!r}")
         unknown = sorted(set(self.thresholds) - set(DEFAULT_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}; "
@@ -117,7 +132,7 @@ class RotationReport:
     conclusive: bool
 
 
-def rotation_invariance_test(eigs, min_count: int = 100) -> RotationReport:
+def rotation_invariance_test(eigs) -> RotationReport:
     """KS statistic of eigenvalue angles against uniform on [0, 2 pi).
 
     Eigenvalues inside the zero atom (|lambda| <= 1e-8) carry no angle and
@@ -125,7 +140,7 @@ def rotation_invariance_test(eigs, min_count: int = 100) -> RotationReport:
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
     nz = eigs[np.abs(eigs) > ZERO_EIGENVALUE_TOL]
-    if nz.size < min_count:
+    if nz.size < ROTATION_MIN_COUNT:
         return RotationReport(ks=float("nan"), count=int(nz.size), conclusive=False)
     angles = np.mod(np.angle(nz), 2.0 * np.pi)
     ks = ks_statistic(angles, lambda a: a / (2.0 * np.pi))
@@ -232,7 +247,7 @@ class LinearizationReport:
     passed: bool
 
 
-def linearization_check(X, z: complex, k: int, tol: float = 1e-10) -> LinearizationReport:
+def linearization_check(X, z: complex, k: int) -> LinearizationReport:
     """Verify the three linearization facts on one sample:
     s_min(H') <= s_min(Y - zI), identical singular multisets of H and H',
     and ||H|| <= |z| + 1 + ||X||."""
@@ -243,12 +258,12 @@ def linearization_check(X, z: complex, k: int, tol: float = 1e-10) -> Linearizat
     lsv_Hp = float(s_Hp[-1])
     lsv_res = float(resolvent_singular_values(X, k, [z]).min())
     scale = max(float(s_Hp[0]), 1.0)
-    lower_ok = lsv_Hp <= lsv_res + tol * scale
+    lower_ok = lsv_Hp <= lsv_res + LINEARIZATION_TOL * scale
     gap = float(np.max(np.abs(s_H - s_Hp)))
-    multiset_ok = gap <= 1e-10 * scale
+    multiset_ok = gap <= LINEARIZATION_TOL * scale
     norm_H = float(s_H[0])
     budget = abs(z) + 1.0 + linalg.operator_norm(X)
-    norm_ok = norm_H <= budget + tol * scale
+    norm_ok = norm_H <= budget + LINEARIZATION_TOL * scale
     return LinearizationReport(
         lsv_H_prime=lsv_Hp,
         lsv_resolvent=float(lsv_res),
@@ -374,6 +389,13 @@ def resolvent_trace_means(Xs, k: int, z_list, t_list) -> list:
     return [np.mean(values) for values in per_point]
 
 
+def stability_spec(spec: EnsembleSpec) -> EnsembleSpec:
+    """The 2n-sample of large_k_experiment's stability check: spec with n, N
+    and k doubled, drawn as trial 0 of master seed + 1."""
+    return EnsembleSpec(n=2 * spec.n, N=2 * spec.N, k=2 * spec.k, law=spec.law,
+                        master_seed=spec.master_seed + 1)
+
+
 def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     """Large-lag regime (k >= n/2): ESD stability between n and 2n, resolvent
     match against the fixed-point prediction, and the zero atom: the count of
@@ -389,15 +411,17 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     """
     spec = config.spec
     if spec.k < spec.n / 2:
-        raise ValueError("large_k_experiment requires k >= n/2")
+        raise ValueError(f"requires k >= n/2, got k={spec.k}, n={spec.n}")
+    # An empty list would leave the resolvent check averaging nothing.
+    if not config.z_list or not config.t_list:
+        raise ValueError("z_list and t_list must be nonempty")
     a = 1.0 - spec.gamma1
     z_list = [complex(z) for z in config.z_list]
     t_list = [float(t) for t in config.t_list]
     predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
                    for z in z_list for t in t_list]
 
-    big = EnsembleSpec(n=2 * spec.n, N=2 * spec.N, k=2 * spec.k, law=spec.law,
-                       master_seed=spec.master_seed + 1)
+    big = stability_spec(spec)
     big_eigs = autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
     X0 = sample_entry_matrix(spec, 0)
     eigs = autocov_eigenvalues(X0, spec.k)

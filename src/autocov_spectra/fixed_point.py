@@ -25,6 +25,8 @@ SOLVER_TOL = 1e-12
 # Halvings of the 2e-6 relative bracket in _refine; 64 reach float64
 # resolution long before the count runs out.
 BISECTION_STEPS = 64
+# Points per decade of solve_s's geometric t-continuation grid.
+STEPS_PER_DECADE = 40
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def large_t_asymptote(params: ResolventParams) -> float:
     return params.gamma0 * t / (t * t + abs(params.z) ** 2)
 
 
-def solve_s(params: ResolventParams, steps_per_decade: int = 40) -> FixedPointSolution:
+def solve_s(params: ResolventParams) -> FixedPointSolution:
     """Positive solution of the master relation, selected by t-continuation.
 
     Starts at t_start = max(10, 10 |z|) where the asymptote is accurate and
@@ -131,7 +133,7 @@ def solve_s(params: ResolventParams, steps_per_decade: int = 40) -> FixedPointSo
         path = [t_target]
     else:
         decades = np.log10(t_start / t_target)
-        count = max(2, int(np.ceil(decades * steps_per_decade)) + 1)
+        count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
         path = list(np.geomspace(t_start, t_target, count))
     s_prev = large_t_asymptote(ResolventParams(params.z, path[0], params.gamma0, params.a))
     saw_multiple = False

@@ -31,10 +31,10 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def run_cli(subcommand, cfg, out_dir, **env_vars):
-    """Run the CLI in a fresh interpreter on this source tree, with no
-    AUTOCOV_* variable and with env_vars added to the environment."""
+    """Run the CLI in a fresh interpreter on this source tree, with env_vars
+    added to the environment."""
     src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
-    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
     return subprocess.run(
@@ -101,14 +101,6 @@ class TestConfigLoading:
         assert cfg["n"] == 32
         assert cfg["grid"]["step"] == 0.5
 
-    def test_env_override_and_set_precedence(self, tmp_path):
-        path = write_config(tmp_path, {"n": 16, "grid": {"step": 0.1}})
-        cfg = cli.load_config(
-            path, overrides=["n=64"],
-            env={"AUTOCOV_N": "32", "AUTOCOV_GRID__STEP": "0.2"})
-        assert cfg["n"] == 64  # --set wins over environment
-        assert cfg["grid"]["step"] == 0.2
-
     def test_malformed_override(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.load_config(write_config(tmp_path, {}), overrides=["oops"])
@@ -153,7 +145,9 @@ class TestLimitLawTable:
     def test_grid_keys_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"gamma0": 1.0, "grid": {"start": 0.0}})
         assert cli.run("limit-law-table", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_CONFIG
-        assert "stop" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stop" in err
+        assert err.count("limit-law-table") == 1
 
 
 class TestEsdRun:
@@ -377,6 +371,16 @@ class TestExitCodes:
                  "thresholds": {"lag_ks_gap": 0.05}}),
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
                  "thresholds": {"angular_ks": 0.1}}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "thresholds": [1]}),
+        ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "z": 0}),
+        ("linearize-check", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "z": 0}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                     "z_list": [0], "t_list": [0.5]}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                     "z_list": [1.0], "t_list": [0]}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                     "z_list": [1.0], "t_list": []}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [0], "t_list": [0.5]}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -385,7 +389,8 @@ class TestExitCodes:
             "nan-large-k-z", "empty-large-k-z", "empty-fixed-point-z",
             "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
             "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap",
-            "removed-angular-ks"])
+            "removed-angular-ks", "list-thresholds", "zero-z", "zero-linearize-z",
+            "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -393,7 +398,8 @@ class TestExitCodes:
         status = cli.main([subcommand, cfg, "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert status == cli.EXIT_CONFIG, err
-        assert "config error" in err
+        assert err.startswith(f"config error: {subcommand}: ")
+        assert err.count(subcommand) == 1
 
     @pytest.mark.parametrize("subcommand,payload", [
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": "bogus"}),
@@ -438,6 +444,18 @@ class TestExitCodes:
             "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert "no positive root" in capsys.readouterr().err
+
+    def test_raw_linalg_error_exits_four(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError: run must test for it before the
+        # config-error clause.
+        def roots(params):
+            raise np.linalg.LinAlgError("roots did not converge")
+
+        monkeypatch.setattr(fixed_point, "_positive_roots", roots)
+        cfg = write_config(tmp_path, {
+            "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
+        assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        assert "numeric backend failure: roots did not converge" in capsys.readouterr().err
 
 
 class TestBlasThreads:
@@ -488,20 +506,6 @@ def _fresh_process_output(code, *args):
 
 
 class TestStartup:
-    def test_cli_import_leaves_out_unused_scipy_subpackages(self):
-        # Every CLI run is a fresh interpreter; scipy.optimize (which also
-        # loads scipy.spatial) costs about 0.35 s and 21 MB of it.
-        assert _fresh_process_output(
-            "import sys, autocov_spectra.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
-        ) == "[]"
-
-    def test_cli_import_leaves_out_scipy_linalg(self):
-        # numpy.linalg takes the eigensolves and SVDs; scipy.linalg would add
-        # about 0.4 s and 28 MB.
-        assert _fresh_process_output(
-            "import sys, autocov_spectra.cli; print('scipy.linalg' in sys.modules)") == "False"
-
     def test_modules_and_runs_load_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency; scipy serves the tests alone.
         lsv = write_config(tmp_path, TINY_CONFIGS["lsv-tail"], "lsv.json")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_linalg import RANK_TOL, perturbation_interlacing_check
 
-from autocov_spectra import cli, ensembles, linalg
+from autocov_spectra import cli, ensembles, experiments, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     build_autocov,
@@ -416,7 +416,19 @@ class TestLargeK:
 
     def test_small_lag_rejected(self):
         config = ExperimentConfig(spec=EnsembleSpec(n=64, N=64, k=1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k >= n/2"):
+            large_k_experiment(config)
+
+    @pytest.mark.parametrize("z_list,t_list", [([], [0.5]), ([1.0 + 0j], [])],
+                             ids=["empty-z", "empty-t"])
+    def test_empty_grid_rejected_before_sampling(self, z_list, t_list, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sample)
+        config = ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=4), z_list=z_list,
+                                  t_list=t_list)
+        with pytest.raises(ValueError, match="nonempty"):
             large_k_experiment(config)
 
     @pytest.mark.parametrize("N", [48, 32], ids=["compressed", "square"])
@@ -496,6 +508,13 @@ class TestConfig:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=1), trials=0)
+
+    @pytest.mark.parametrize("thresholds", [{"radial_ks": "0.1"}, {"radial_ks": True},
+                                            [0.1]],
+                             ids=["string-threshold", "bool-threshold", "list-thresholds"])
+    def test_malformed_thresholds_rejected_at_construction(self, thresholds):
+        with pytest.raises(TypeError):
+            ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=1), thresholds=thresholds)
 
 
 class TestOutputs:
