@@ -11,7 +11,9 @@ Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values). run is the one place a rejected config value becomes exit 3: a
 subcommand is a deterministic function of its config, so a ConfigError,
 TypeError, ValueError or OverflowError raised by the run (every one of them
-an argument check) is reported as ``config error: <subcommand>: <message>``.
+an argument check), or an OSError from an unreadable config or unusable
+output directory, is reported as ``config error: <subcommand>: <message>``.
+A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
@@ -44,7 +46,7 @@ from autocov_spectra.ensembles import (
     sample_entry_matrix,
 )
 from autocov_spectra.experiments import ExperimentConfig
-from autocov_spectra.fixed_point import ResolventParams, solve_s
+from autocov_spectra.fixed_point import ResolventParams, predicted_stieltjes, solve_s
 from autocov_spectra.limit_law import Gamma0Law
 
 EXIT_OK = 0
@@ -298,9 +300,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
             k=int(round(gamma1 * int(cfg["n"]))),
             law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
             master_seed=int(cfg["seed"]))
-        trials = int(cfg.get("trials", 1))
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
+        trials = ExperimentConfig(spec, int(cfg.get("trials", 1))).trials
     z_list = [_parse_complex(z) for z in cfg["z_list"]]
     t_list = [float(t) for t in cfg["t_list"]]
     # An empty list would leave the table with no rows.
@@ -320,7 +320,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
         err = float("nan")
         if mean is not None:
             emp = complex(mean)
-            err = abs(emp - 1j * sol.s / gamma0)
+            err = abs(emp - predicted_stieltjes(params, sol))
         rows.append((params.z.real, params.z.imag, params.t, sol.s,
                      sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
     _write_csv(manifest.path("fixed_point.csv"),
@@ -387,7 +387,8 @@ RUNNERS = {
 def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         output_dir: str | None = None) -> int:
     """Run one subcommand and return its exit status. The numeric clause comes
-    first: np.linalg.LinAlgError is a ValueError."""
+    first: np.linalg.LinAlgError, which the decompositions and solve_s raise,
+    is a ValueError."""
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
@@ -400,10 +401,10 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
             status = RUNNERS[subcommand](cfg, manifest)
             manifest.write()
         return status
-    except (linalg.NumericBackendError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError, OSError) as exc:
         print(f"config error: {subcommand}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -419,7 +420,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="override a config key (dotted path, JSON value)")
     parser.add_argument("--output-dir", default=None,
                         help="output directory (overrides config output_dir)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, the assertion code, on a usage error; 0 on --help.
+        return EXIT_CONFIG if exc.code else EXIT_OK
     return run(args.subcommand, args.config, args.overrides, args.output_dir)
 
 

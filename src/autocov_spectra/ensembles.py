@@ -263,8 +263,8 @@ def build_linearization(X, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     H' = [[z I_N, (X_{k+1}..X_n)], [(X_1..X_{n-k})*, I_{n-k}]]. H permutes
     the last n-k columns of H' (last k of the block moved to the front) when
-    2k+1 <= n, and equals H' otherwise. Singular multisets agree. Requires
-    z != 0.
+    2k+1 <= n, and is H' itself otherwise. Singular multisets agree.
+    Requires z != 0.
     """
     X = _as_matrix(X)
     N, n = X.shape
@@ -279,7 +279,7 @@ def build_linearization(X, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     H_prime[N:, :N] = X[:, :m].conj().T
     np.fill_diagonal(H_prime[N:, N:], 1.0)
     if 2 * k + 1 > n:
-        return H_prime, H_prime.copy()
+        return H_prime, H_prime
     # Block-column permutation: columns m-k..m-1 of the block first, then
     # 0..m-k-1.
     H = np.empty_like(H_prime)

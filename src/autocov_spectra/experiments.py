@@ -33,8 +33,8 @@ from autocov_spectra.limit_law import Gamma0Law
 
 ZERO_EIGENVALUE_TOL = 1e-8
 
-# rotation_invariance_test calls a KS statistic on fewer nonzero eigenvalue
-# angles than this inconclusive.
+# rotation_invariance_test returns nan, inconclusive, on fewer nonzero
+# eigenvalue angles than this.
 ROTATION_MIN_COUNT = 100
 
 # linearization_check's slack, relative to max(||H'||, 1), on its two
@@ -42,9 +42,9 @@ ROTATION_MIN_COUNT = 100
 LINEARIZATION_TOL = 1e-10
 
 # log_potential_grid takes a cell from the SVD of Y - zI when min |lambda - z|,
-# an upper bound on s_min(Y - zI), is below this times s_floor. On 84 grids at
+# an upper bound on s_min(Y - zI), is below this times S_FLOOR. On 84 grids at
 # N = 8 to 128 the bound overshot s_min by at most a factor of 37, so every
-# cell with s_min < s_floor falls back and is flagged; cells kept on the
+# cell with s_min < S_FLOOR falls back and is flagged; cells kept on the
 # eigenvalue path have s_min far above the eps ||Y|| rounding level, where the
 # log-potential identity is accurate.
 SVD_FALLBACK_FACTOR = 1e6
@@ -125,26 +125,18 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(Fa - Fb)))
 
 
-@dataclass
-class RotationReport:
-    ks: float
-    count: int
-    conclusive: bool
-
-
-def rotation_invariance_test(eigs) -> RotationReport:
+def rotation_invariance_test(eigs) -> float:
     """KS statistic of eigenvalue angles against uniform on [0, 2 pi).
 
     Eigenvalues inside the zero atom (|lambda| <= 1e-8) carry no angle and
-    are excluded; too few remaining angles flags the result inconclusive.
+    are excluded; fewer than ROTATION_MIN_COUNT remaining angles give nan.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
     nz = eigs[np.abs(eigs) > ZERO_EIGENVALUE_TOL]
     if nz.size < ROTATION_MIN_COUNT:
-        return RotationReport(ks=float("nan"), count=int(nz.size), conclusive=False)
+        return float("nan")
     angles = np.mod(np.angle(nz), 2.0 * np.pi)
-    ks = ks_statistic(angles, lambda a: a / (2.0 * np.pi))
-    return RotationReport(ks=ks, count=int(nz.size), conclusive=True)
+    return ks_statistic(angles, lambda a: a / (2.0 * np.pi))
 
 
 @dataclass
@@ -175,8 +167,7 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
         eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, trial), spec.k))
         radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
                                       law.radial_cdf_left))
-        rot = rotation_invariance_test(eigs)
-        angular_ks.append(rot.ks if rot.conclusive else float("nan"))
+        angular_ks.append(rotation_invariance_test(eigs))
     mean_radial = float(np.mean(radial_ks))
     finite_ang = [a for a in angular_ks if np.isfinite(a)]
     mean_angular = float(np.mean(finite_ang)) if finite_ang else float("nan")
@@ -254,7 +245,7 @@ def linearization_check(X, z: complex, k: int) -> LinearizationReport:
     X = np.asarray(X, dtype=complex)
     H_prime, H = build_linearization(X, z, k)
     s_Hp = linalg.singular_values(H_prime)
-    s_H = linalg.singular_values(H)
+    s_H = s_Hp if H is H_prime else linalg.singular_values(H)
     lsv_Hp = float(s_Hp[-1])
     lsv_res = float(resolvent_singular_values(X, k, [z]).min())
     scale = max(float(s_Hp[0]), 1.0)
@@ -286,21 +277,21 @@ class HermitizationReport:
     passed: bool
 
 
-def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
+def log_potential_grid(Y, lam, xs) -> tuple[np.ndarray, int]:
     """L(z) = -(1/N) sum ln s_i(Y - zI) at z = xs[i] + i xs[j], as L[i, j],
-    and the number of flagged cells, where s_min(Y - zI) < s_floor.
+    and the number of flagged cells, where s_min(Y - zI) < S_FLOOR.
 
     lam holds the eigenvalues of Y (linalg.eigenvalues). Since
     sum ln s_i(Y - zI) = ln|det(Y - zI)| = sum ln|lambda_i - z|, L is
     evaluated a row of cells at a time. Near an eigenvalue that identity
-    loses accuracy and the clamp at s_floor changes L. An eigenpair
+    loses accuracy and the clamp at S_FLOOR changes L. An eigenpair
     (Y - zI)v = (lambda - z)v gives s_min(Y - zI) <= |lambda - z|, so a cell
-    whose min |lambda_i - z| is below SVD_FALLBACK_FACTOR * s_floor takes L
-    from the singular values of Y - zI clamped at s_floor instead. Y always
+    whose min |lambda_i - z| is below SVD_FALLBACK_FACTOR * S_FLOOR takes L
+    from the singular values of Y - zI clamped at S_FLOOR instead. Y always
     has such a cell when a node sits on its structural zero eigenvalue
     (rank <= n - k).
     """
-    guard = SVD_FALLBACK_FACTOR * s_floor
+    guard = SVD_FALLBACK_FACTOR * S_FLOOR
     L = np.empty((xs.size, xs.size))
     flagged = 0
     for i, x in enumerate(xs):
@@ -310,9 +301,9 @@ def log_potential_grid(Y, lam, xs, s_floor: float) -> tuple[np.ndarray, int]:
             L[i] = -np.mean(np.log(dist), axis=1)
         for j in np.flatnonzero(dist.min(axis=1) < guard):
             s = linalg.singular_values(linalg.minus_identity(Y, row[j]))
-            if s[-1] < s_floor:
+            if s[-1] < S_FLOOR:
                 flagged += 1
-            L[i, j] = -float(np.mean(np.log(np.maximum(s, s_floor))))
+            L[i, j] = -float(np.mean(np.log(np.maximum(s, S_FLOOR))))
     return L, flagged
 
 
@@ -335,7 +326,7 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
-    L, flagged = log_potential_grid(Y, eigs, xs, S_FLOOR)
+    L, flagged = log_potential_grid(Y, eigs, xs)
     lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
     density = np.clip(-lap / (2.0 * np.pi), 0.0, None)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from autocov_spectra.linalg import NumericBackendError, _as_matrix, singular_values
+from autocov_spectra.linalg import _as_matrix, singular_values
 
 SOLVER_TOL = 1e-12
 # Halvings of the 2e-6 relative bracket in _refine; 64 reach float64
@@ -51,14 +51,12 @@ class ResolventParams:
 
 @dataclass
 class FixedPointSolution:
+    """g11 = i s; the off-diagonal limit g12 = -z s / (t + a s / (1 + s^2)),
+    g21 its conjugate; residual = |master_relation(s)|."""
+
     s: float
     g12: complex
     residual: float
-    multiple_roots: bool
-
-    @property
-    def g11(self) -> complex:
-        return 1j * self.s
 
 
 def master_relation(s: float, params: ResolventParams) -> float:
@@ -136,29 +134,17 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
         count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
         path = list(np.geomspace(t_start, t_target, count))
     s_prev = large_t_asymptote(ResolventParams(params.z, path[0], params.gamma0, params.a))
-    saw_multiple = False
     for t in path:
         p_t = ResolventParams(params.z, float(t), params.gamma0, params.a)
         roots = _positive_roots(p_t)
         if roots.size == 0:
-            raise NumericBackendError(
+            raise np.linalg.LinAlgError(
                 f"no positive root of the master relation at t={t} "
                 f"(previous s={s_prev}); relation at 0 is {master_relation(0.0, p_t)}")
-        if roots.size > 1:
-            saw_multiple = True
         s_prev = float(roots[np.argmin(np.abs(roots - s_prev))])
     s = _refine(s_prev, params)
-    residual = abs(master_relation(s, params))
-    sol = FixedPointSolution(s=s, g12=0j, residual=residual, multiple_roots=saw_multiple)
-    sol.g12 = g12_of(sol, params)
-    return sol
-
-
-def g12_of(solution: FixedPointSolution, params: ResolventParams) -> complex:
-    """Off-diagonal limit g12 = -z s / (t + a s / (1 + s^2)); g21 is its
-    conjugate."""
-    s = solution.s
-    return -params.z * s / (params.t + params.a * s / (1.0 + s * s))
+    g12 = -params.z * s / (params.t + params.a * s / (1.0 + s * s))
+    return FixedPointSolution(s=s, g12=g12, residual=abs(master_relation(s, params)))
 
 
 def predicted_stieltjes(params: ResolventParams,

@@ -6,8 +6,9 @@ one_blas_thread pins the BLAS thread count for a block.
 
 Backends: eigenvalues (np.linalg.eigvals), singular_values
 (np.linalg.svd without vectors) and qr_triangular_factor (np.linalg.qr)
-all run on numpy.linalg. numpy is the package's only runtime dependency;
-scipy's LAPACK wrappers serve the tests alone, as oracles.
+all run on numpy.linalg, and a backend failure reaches the caller as
+numpy's own np.linalg.LinAlgError. numpy is the package's only runtime
+dependency; scipy's LAPACK wrappers serve the tests alone, as oracles.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ import ctypes
 import os
 
 import numpy as np
-
-
-class NumericBackendError(RuntimeError):
-    """Raised when an eigen/SVD/QR routine fails to converge, or when the
-    fixed-point solver finds no positive root."""
 
 
 # (get, set) thread-count symbols, tried in this order in each loaded
@@ -109,19 +105,12 @@ def eigenvalues(M) -> np.ndarray:
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"eigenvalues requires a square matrix, got {M.shape}")
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise NumericBackendError(f"eigensolver failed: {exc}") from exc
+    return np.linalg.eigvals(M)
 
 
 def singular_values(M) -> np.ndarray:
     """Singular values of M, descending."""
-    M = _as_matrix(M)
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise NumericBackendError(f"SVD failed: {exc}") from exc
+    return np.linalg.svd(_as_matrix(M), compute_uv=False)
 
 
 def qr_triangular_factor(M) -> np.ndarray:
@@ -131,11 +120,7 @@ def qr_triangular_factor(M) -> np.ndarray:
     formed. Since Q* Q = I, products of M's columns, M[:, a]* M[:, b], equal
     those of R's.
     """
-    M = _as_matrix(M)
-    try:
-        return np.linalg.qr(M, mode="r")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise NumericBackendError(f"QR factorization failed: {exc}") from exc
+    return np.linalg.qr(_as_matrix(M), mode="r")
 
 
 def least_singular_value(M) -> float:

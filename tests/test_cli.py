@@ -457,6 +457,46 @@ class TestExitCodes:
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert "numeric backend failure: roots did not converge" in capsys.readouterr().err
 
+    def test_decomposition_failure_exits_four(self, tmp_path, monkeypatch, capsys):
+        # linalg.eigenvalues passes numpy's LinAlgError through unchanged.
+        def eigvals(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        cfg = write_config(tmp_path, {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1})
+        assert cli.main(["esd", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric backend failure: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize("config_is_dir", [False, True],
+                             ids=["output-dir-is-a-file", "config-is-a-directory"])
+    def test_unusable_paths_exit_three(self, tmp_path, capsys, config_is_dir):
+        cfg = write_config(tmp_path, {
+            "gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}})
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = ([str(tmp_path), "--output-dir", str(tmp_path / "o")] if config_is_dir
+                else [cfg, "--output-dir", str(afile)])
+        assert cli.main(["limit-law-table", *argv]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: limit-law-table: ")
+
+    @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["esd"], []],
+                             ids=["unknown-subcommand", "missing-config", "no-arguments"])
+    def test_usage_errors_exit_three(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: autocov-spectra") and "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: autocov-spectra")
+
+    def test_usage_error_reaches_a_real_process_as_three(self, tmp_path):
+        proc = run_cli("bogus", str(tmp_path / "x.json"), tmp_path / "out")
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "invalid choice: 'bogus'" in proc.stderr
+
 
 class TestBlasThreads:
     @pytest.mark.parametrize("subcommand,payload", [

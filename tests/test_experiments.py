@@ -144,19 +144,15 @@ class TestRotationInvariance:
     def test_uniform_angles_pass(self):
         rng = np.random.default_rng(0)
         eigs = np.exp(2j * np.pi * rng.uniform(size=2000))
-        rep = rotation_invariance_test(eigs)
-        assert rep.conclusive and rep.ks <= 0.05
+        assert rotation_invariance_test(eigs) <= 0.05
 
     def test_degenerate_angles_large_ks(self):
         eigs = np.full(500, 1.0 + 0j)
-        rep = rotation_invariance_test(eigs)
-        assert rep.conclusive and rep.ks > 0.9
+        assert rotation_invariance_test(eigs) > 0.9
 
     def test_zero_atom_excluded(self):
         eigs = np.zeros(500, dtype=complex)
-        rep = rotation_invariance_test(eigs)
-        assert not rep.conclusive and rep.count == 0
-        assert np.isnan(rep.ks)
+        assert np.isnan(rotation_invariance_test(eigs))
 
 
 class TestEsdExperiment:
@@ -368,7 +364,7 @@ class TestLogPotentialGrid:
         Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
         eigs = linalg.eigenvalues(Y)
         L_ref, flagged_ref, s_min = svd_log_potential_grid(Y, xs)
-        L, flagged_new = log_potential_grid(Y, eigs, xs, 1e-12)
+        L, flagged_new = log_potential_grid(Y, eigs, xs)
         assert flagged_ref == flagged_new == flagged
         assert np.max(np.abs(L - L_ref)) <= 1e-10
         # The SVD fallback guard: min |lambda - z| bounds s_min(Y - zI) from

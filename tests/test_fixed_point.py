@@ -8,10 +8,8 @@ from autocov_spectra import fixed_point
 from autocov_spectra.ensembles import EnsembleSpec, build_autocov, hermitize, sample_entry_matrix
 from autocov_spectra.fixed_point import (
     SOLVER_TOL,
-    FixedPointSolution,
     ResolventParams,
     empirical_resolvent_trace,
-    g12_of,
     large_t_asymptote,
     master_relation,
     predicted_stieltjes,
