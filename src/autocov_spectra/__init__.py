@@ -14,7 +14,6 @@ from autocov_spectra.ensembles import (
     build_linearization,
     hermitize,
     sample_entry_matrix,
-    shift_matrix,
 )
 from autocov_spectra.limit_law import Gamma0Law
 from autocov_spectra.fixed_point import ResolventParams, solve_s
@@ -31,6 +30,5 @@ __all__ = [
     "build_linearization",
     "hermitize",
     "sample_entry_matrix",
-    "shift_matrix",
     "solve_s",
 ]

@@ -17,7 +17,9 @@ A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
-count together with the numpy version and its BLAS build.
+count together with the numpy version and its BLAS build. lsv-tail and
+linearize-check spread their independent trials over the usable CPUs
+(experiments.map_trials), whose forked workers inherit that pin.
 """
 
 from __future__ import annotations
@@ -167,13 +169,16 @@ def _write_output(path: str, text: str) -> None:
 
 def _plain(value):
     """value with dataclasses, numpy arrays and scalars turned into Python
-    values and complex numbers into {"re", "im"}, walking dicts and lists."""
+    values, complex numbers into {"re", "im"} and non-finite floats into None,
+    walking dicts and lists."""
     if dataclasses.is_dataclass(value):
         value = dataclasses.asdict(value)
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": _plain(value.real), "im": _plain(value.imag)}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -182,8 +187,10 @@ def _plain(value):
 
 
 def _write_json(path: str, payload) -> None:
-    """A report dataclass or a dict as sorted, indented JSON."""
-    _write_output(path, json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+    """A report dataclass or a dict as sorted, indented, strict JSON: a
+    non-finite float is written as null, never as NaN or Infinity."""
+    _write_output(path, json.dumps(_plain(payload), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -269,8 +276,9 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     z = _parse_complex(cfg["z"])
     trials = _experiment_config(cfg, spec, manifest).trials
-    reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
-               for i in range(trials)]
+    reports = experiments.map_trials(
+        trials, lambda i: experiments.linearization_check(sample_entry_matrix(spec, i),
+                                                          z, spec.k))
     all_ok = all(rep.passed for rep in reports)
     manifest.seeds = _trial_seeds(spec, trials)
     _write_json(manifest.path("linearization_report.json"),
@@ -388,7 +396,8 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         output_dir: str | None = None) -> int:
     """Run one subcommand and return its exit status. The numeric clause comes
     first: np.linalg.LinAlgError, which the decompositions and solve_s raise,
-    is a ValueError."""
+    is a ValueError. A trial worker that ended without a result
+    (experiments.TrialWorkerError) exits 4 as well."""
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
@@ -401,7 +410,7 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
             status = RUNNERS[subcommand](cfg, manifest)
             manifest.write()
         return status
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, TypeError, ValueError, OverflowError, OSError) as exc:

@@ -163,16 +163,6 @@ def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndar
     return spec.law.sample(rng, (spec.N, spec.n), spec.n)
 
 
-def shift_matrix(n: int, k: int) -> np.ndarray:
-    """The n x n nilpotent k-step shift: entry (i, j) is 1 iff i = j + k."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    A = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - k)
-    A[idx + k, idx] = 1.0
-    return A
-
-
 def build_autocov(X, k: int) -> np.ndarray:
     """Lag-k auto-covariance matrix Y = X A X* = sum_j x_{j+k} x_j*.
 

@@ -9,6 +9,9 @@ the underlying statements are asymptotic with no finite-n rates.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +90,116 @@ class ExperimentConfig:
             raise ValueError(f"unknown thresholds {unknown}; "
                              f"known: {sorted(DEFAULT_THRESHOLDS)}")
         self.thresholds = {**DEFAULT_THRESHOLDS, **self.thresholds}
+
+
+class TrialWorkerError(RuntimeError):
+    """A map_trials worker process ended without sending back its results."""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send_chunk(per_trial, start: int, stop: int, fd: int) -> None:
+    """Worker side of map_trials: pickle (True, results) of trials start ..
+    stop-1, or (False, exception) of the first that raised, into fd."""
+    try:
+        payload = (True, [per_trial(i) for i in range(start, stop)])
+    except BaseException as exc:  # sent to map_trials, which raises it
+        payload = (False, exc)
+    try:
+        data = pickle.dumps(payload)
+    except Exception as exc:  # an unpicklable result or exception
+        data = pickle.dumps((False, TrialWorkerError(
+            f"trials {start}-{stop - 1}: cannot send the result back: {exc}")))
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+def _fork_chunk(per_trial, start: int, stop: int) -> tuple[int, int] | None:
+    """(pid, read end of its pipe) of a forked child that sends trials start
+    .. stop-1 (_send_chunk) and ends with os._exit; None if no pipe or child
+    can be made."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _send_chunk(per_trial, start, stop, write_fd)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def map_trials(trials: int, per_trial) -> list:
+    """[per_trial(i) for i in range(trials)], in trial order, on
+    min(usable_cpus(), trials) processes.
+
+    range(trials) is cut into that many contiguous chunks. This process runs
+    the first chunk; every other chunk runs in an os.fork'ed child, which
+    inherits this process's memory and BLAS thread count and pickles its
+    results back through a pipe. When per_trial(i) depends on i alone, the
+    result therefore equals the serial loop's. A failing trial raises the
+    exception of the earliest failing trial, as the serial loop would; a
+    child that ends without sending a result raises TrialWorkerError. No
+    child outlives the call. Chunks left without a child, when no pipe or
+    process can be made, run in this process.
+
+    fork, not spawn: a spawned worker would import numpy afresh, about a
+    third of an lsv-tail run, and could not receive per_trial, a closure.
+    The only other threads in a CLI run are OpenBLAS's, and OpenBLAS stops
+    them itself before a fork. Processes, not threads: at one BLAS thread,
+    two threads decomposing 100 x 100 matrices ran slower than one.
+    """
+    workers = max(1, min(usable_cpus(), trials))
+    bounds = [(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
+    children = []  # (pid, read end) of every child not yet reaped, in chunk order
+    tail = trials  # trials from tail on run here, after the children's
+    try:
+        for start, stop in bounds[1:]:
+            child = _fork_chunk(per_trial, start, stop)
+            if child is None:
+                tail = start
+                break
+            children.append(child)
+        results = [per_trial(i) for i in range(*bounds[0])]
+        for (start, stop), child in zip(bounds[1:], list(children)):
+            pid, read_fd = child
+            data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(read_fd)
+            children.remove(child)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:  # no result, a truncated one, or one not rebuilt
+                raise TrialWorkerError(f"the worker for trials {start}-{stop - 1} "
+                                       f"ended with status {code} and no result") from None
+            if not ok:
+                raise value
+            results.extend(value)
+        results.extend(per_trial(i) for i in range(tail, trials))
+        return results
+    finally:
+        for pid, read_fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
 
 
 def ks_statistic(sample, cdf, cdf_left=None) -> float:
@@ -197,22 +310,25 @@ def lsv_tail_experiment(config: ExperimentConfig, z: complex) -> TailReport:
     """Frequency of {s_N(Y - zI) <= n^(-37/22), ||X|| <= C0} over trials.
 
     The bound's leading constant is unspecified, so the check is one-sided
-    smallness against the configured frequency threshold.
+    smallness against the configured frequency threshold. The trials are
+    independent and run through map_trials; ||X|| <= C0 is decided by
+    linalg.norm_at_most, a Cholesky factorization, not an SVD.
     """
     spec = config.spec
     if z == 0:
         raise ValueError("z = 0 is excluded")
     threshold = spec.n ** (-37.0 / 22.0)
     c0 = default_c0_bound(spec.N, spec.n)
-    lsv_values, norm_ok, events = [], 0, 0
-    for trial_index in range(config.trials):
-        X = sample_entry_matrix(spec, trial_index)
+
+    def trial(index: int) -> tuple[float, bool]:
+        X = sample_entry_matrix(spec, index)
         s_min = float(resolvent_singular_values(X, spec.k, [z]).min())
-        lsv_values.append(s_min)
-        if linalg.operator_norm(X) <= c0:
-            norm_ok += 1
-            if s_min <= threshold:
-                events += 1
+        return s_min, linalg.norm_at_most(X, c0)
+
+    results = map_trials(config.trials, trial)
+    lsv_values = [s_min for s_min, _ in results]
+    norm_ok = sum(ok for _, ok in results)
+    events = sum(ok and s_min <= threshold for s_min, ok in results)
     freq = events / config.trials
     return TailReport(
         threshold=float(threshold),

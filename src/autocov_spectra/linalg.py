@@ -5,10 +5,12 @@ returned in descending order; eigenvalues as an unordered array.
 one_blas_thread pins the BLAS thread count for a block.
 
 Backends: eigenvalues (np.linalg.eigvals), singular_values
-(np.linalg.svd without vectors) and qr_triangular_factor (np.linalg.qr)
-all run on numpy.linalg, and a backend failure reaches the caller as
-numpy's own np.linalg.LinAlgError. numpy is the package's only runtime
-dependency; scipy's LAPACK wrappers serve the tests alone, as oracles.
+(np.linalg.svd without vectors), qr_triangular_factor (np.linalg.qr) and
+norm_at_most (np.linalg.cholesky) all run on numpy.linalg, and a backend
+failure reaches the caller as numpy's own np.linalg.LinAlgError (a failed
+Cholesky is norm_at_most's answer, not a failure). numpy is the package's
+only runtime dependency; scipy's LAPACK wrappers serve the tests alone, as
+oracles.
 """
 
 from __future__ import annotations
@@ -135,3 +137,23 @@ def operator_norm(M) -> float:
     """Largest singular value."""
     s = singular_values(M)
     return float(s[0]) if s.size else 0.0
+
+
+def norm_at_most(M, bound: float) -> bool:
+    """Whether ||M|| <= bound, from one Cholesky factorization, not an SVD.
+
+    ||M|| <= bound exactly when bound^2 I - G is positive semidefinite, for
+    the Gram matrix G = M* M or M M*, whichever is smaller, and
+    np.linalg.cholesky succeeds exactly when that matrix is positive
+    definite. So this agrees with operator_norm(M) <= bound except when
+    ||M|| is within rounding of bound.
+    """
+    M = _as_matrix(M)
+    G = M.conj().T @ M if M.shape[1] <= M.shape[0] else M @ M.conj().T
+    G *= -1
+    G.ravel()[:: G.shape[0] + 1] += bound * bound
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True

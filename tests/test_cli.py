@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ TINY_CONFIGS = {
     "limit-law-table": {"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}},
     "law-diagnostics": {"law": "complex-gaussian", "n": 8, "seed": 1, "sample_count": 10_000},
 }
+
+
+def _reject_constant(token):
+    """parse_constant for json.loads that rejects NaN, Infinity and -Infinity,
+    which RFC 8259 does not allow."""
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def _key_paths(node, prefix=()):
@@ -163,6 +170,17 @@ class TestEsdRun:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert len(manifest["resolved_seeds"]) == 1
+
+    def test_small_n_report_is_strict_json(self, tmp_path):
+        # 16 eigenvalues are fewer than ROTATION_MIN_COUNT angles, so every
+        # angular KS is nan, written as null: a strict parser reads the files.
+        cfg = write_config(tmp_path, {"n": 16, "N": 16, "k": 1, "seed": 9000, "trials": 2})
+        out = tmp_path / "out"
+        assert cli.run("esd", cfg, output_dir=str(out)) in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        report, _ = (json.loads((out / name).read_text(), parse_constant=_reject_constant)
+                     for name in ("esd_report.json", "manifest.json"))
+        assert report["mean_angular_ks"] is None
+        assert report["angular_ks_per_trial"] == [None, None]
 
     @pytest.mark.parametrize("N", [192, 256], ids=["gamma0-1.5", "gamma0-2"])
     def test_wide_runs_pass(self, tmp_path, N):
@@ -273,6 +291,13 @@ class TestWriters:
             "z": {"re": 1.0, "im": -2.0}, "a": [1.5, 2.5],
             "nested": [{"x": 0.25, "k": 3}]}
         assert path.read_text().endswith("}\n")
+
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"x": math.nan, "a": np.array([1.5, -np.inf]),
+                               "z": complex(math.inf, 2.0), "s": np.float64(math.nan)})
+        assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+            "x": None, "a": [1.5, None], "z": {"re": None, "im": 2.0}, "s": None}
 
     def test_csv_fields_are_reprs_with_crlf_line_ends(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -532,6 +557,116 @@ class TestBlasThreads:
         assert env["cpu_count"] == os.cpu_count()
         assert set(env) == {"python", "numpy", "numpy_blas", "blas_threads", "cpu_count"}
         assert set(env["numpy_blas"]) == {"name", "version"}
+
+
+class TestTrialWorkers:
+    """lsv-tail and linearize-check run their trials through
+    experiments.map_trials; experiments.usable_cpus sets the worker count."""
+
+    CONFIGS = {
+        "lsv-tail": {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]},
+        "linearize-check": {"n": 16, "N": 12, "k": 10, "seed": 4, "trials": 7, "z": -2},
+    }
+    # The function each subcommand samples X through, per trial.
+    SAMPLERS = {"lsv-tail": experiments, "linearize-check": cli}
+
+    def _fail_at(self, monkeypatch, subcommand, trials, failure):
+        module = self.SAMPLERS[subcommand]
+        sample = module.sample_entry_matrix
+
+        def sampler(spec, i):
+            if i in trials:
+                failure(i)
+            return sample(spec, i)
+
+        monkeypatch.setattr(module, "sample_entry_matrix", sampler)
+
+    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+    @pytest.mark.parametrize("trials", [7, 2])
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch, subcommand,
+                                                 trials):
+        cfg = write_config(tmp_path, dict(self.CONFIGS[subcommand], trials=trials))
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK,
+                                                                     cli.EXIT_ASSERTION)
+            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                                if p.name != "manifest.json"}
+        assert outputs[1] and outputs[1] == outputs[2] == outputs[3]
+
+    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+    @pytest.mark.parametrize("failing", [{1, 5}, {4, 6}, {6}])
+    def test_linalg_error_in_a_worker_exits_four_as_serially(self, tmp_path, monkeypatch,
+                                                             capsys, subcommand, failing):
+        def fail(i):
+            raise np.linalg.LinAlgError(f"SVD did not converge at trial {i}")
+
+        self._fail_at(monkeypatch, subcommand, failing, fail)
+        cfg = write_config(tmp_path, self.CONFIGS[subcommand])
+        errors = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            assert cli.run(subcommand, cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+            errors.add(capsys.readouterr().err)
+        assert errors == {"numeric backend failure: SVD did not converge at trial "
+                          f"{min(failing)}\n"}
+
+    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+    def test_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys, subcommand):
+        # 7 trials on 2 workers: trials 3-6 run in the child, which dies.
+        parent = os.getpid()
+
+        def die(i):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self._fail_at(monkeypatch, subcommand, {5}, die)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, self.CONFIGS[subcommand])
+        assert cli.run(subcommand, cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == ("numeric backend failure: the worker for trials 3-6 ended with "
+                       "status 1 and no result\n")
+
+    def test_no_worker_outlives_the_run(self, tmp_path):
+        # A fresh interpreter has no other children. Runs on 3 workers (trials
+        # 0-1 here, 2-3 and 4-6 in children): one that passes, one where this
+        # process's own chunk raises, one where a worker raises and one where
+        # a worker dies. After each, os.waitpid(-1, WNOHANG) finds no child.
+        cfg = write_config(tmp_path, self.CONFIGS["lsv-tail"])
+        code = textwrap.dedent("""
+            import os, sys, numpy as np
+            from autocov_spectra import cli, experiments
+            experiments.usable_cpus = lambda: 3
+            sample = experiments.sample_entry_matrix
+
+            def failing_at(trial, failure):
+                def sampler(spec, i):
+                    if i == trial:
+                        failure()
+                    return sample(spec, i)
+                return sampler
+
+            def raise_linalg_error():
+                raise np.linalg.LinAlgError("x")
+
+            codes = []
+            for sampler in (sample, failing_at(0, raise_linalg_error),
+                            failing_at(5, raise_linalg_error),
+                            failing_at(3, lambda: os._exit(1))):
+                experiments.sample_entry_matrix = sampler
+                codes.append(cli.run("lsv-tail", sys.argv[1], output_dir=sys.argv[2]))
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                    codes.append("child left")
+                except ChildProcessError:
+                    pass
+            print(codes)
+        """)
+        out = _fresh_process_output(code, cfg, tmp_path / "out")
+        assert out in ("[0, 4, 4, 4]", "[2, 4, 4, 4]")
 
 
 def _fresh_process_output(code, *args):

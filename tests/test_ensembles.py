@@ -19,8 +19,18 @@ from autocov_spectra.ensembles import (
     moment_diagnostics,
     resolvent_singular_values,
     sample_entry_matrix,
-    shift_matrix,
 )
+
+
+def shift_matrix(n: int, k: int) -> np.ndarray:
+    """The n x n nilpotent k-step shift A: entry (i, j) is 1 iff i = j + k.
+    The oracle for build_autocov, Y = X A X*, which never forms A."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    A = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n - k)
+    A[idx + k, idx] = 1.0
+    return A
 
 
 def test_seed_mixing_is_pure_and_spread():

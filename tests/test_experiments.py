@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import tracemalloc
 from dataclasses import dataclass
 
@@ -279,6 +280,80 @@ class TestLsvTail:
             full = linalg.singular_values(Y - z * np.eye(spec.N))
             assert abs(got - full[-1]) <= 1e-13 * (full[0] + abs(z))
             assert got < abs(z) - 1e-6
+
+
+class TestMapTrials:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 9])
+    def test_results_in_trial_order(self, monkeypatch, workers, trials):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+        got = experiments.map_trials(trials, lambda i: (i, float(i) ** 0.5, {"i": [i]}))
+        assert got == [(i, float(i) ** 0.5, {"i": [i]}) for i in range(trials)]
+
+    def test_chunks_run_in_one_process_each(self, monkeypatch):
+        # 7 trials on 3 workers: trials 0-1 here, 2-3 and 4-6 in two children.
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        pids = experiments.map_trials(7, lambda i: os.getpid())
+        assert pids[:2] == [os.getpid()] * 2
+        assert pids[2] == pids[3] and pids[4] == pids[5] == pids[6]
+        assert len(set(pids)) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing,first", [({2, 6}, 2), ({4, 7}, 4), ({8}, 8)])
+    def test_earliest_failing_trial_raises(self, monkeypatch, workers, failing, first):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+
+        def trial(i):
+            if i in failing:
+                raise np.linalg.LinAlgError(f"trial {i} failed")
+            return i
+
+        with pytest.raises(np.linalg.LinAlgError, match=f"^trial {first} failed$"):
+            experiments.map_trials(9, trial)
+
+    def test_worker_without_result_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def trial(i):
+            if os.getpid() != parent:
+                os._exit(1)
+            return i
+
+        with pytest.raises(experiments.TrialWorkerError,
+                           match="trials 2-3 ended with status 1 and no result"):
+            experiments.map_trials(4, trial)
+
+    def test_unpicklable_result_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with pytest.raises(experiments.TrialWorkerError,
+                           match="trials 1-1: cannot send the result back"):
+            experiments.map_trials(2, lambda i: lambda: i)
+
+    def test_runs_here_when_no_child_can_be_made(self, monkeypatch):
+        def no_fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert experiments.map_trials(7, lambda i: (i, os.getpid())) == [
+            (i, os.getpid()) for i in range(7)]
+
+    def test_worker_sees_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        with linalg.one_blas_thread():
+            counts = experiments.map_trials(2, lambda i: (os.getpid(), linalg.blas_thread_counts()))
+        assert counts[1][0] != os.getpid()
+        assert [c for _, c in counts] == [{name: 1 for name in counts[0][1]}] * 2
+
+    def test_lsv_tail_norm_gate_counts_operator_norms(self, monkeypatch):
+        # C0 at the median norm, so the gate goes both ways.
+        spec = EnsembleSpec(n=20, N=20, k=1, master_seed=3)
+        norms = [linalg.operator_norm(sample_entry_matrix(spec, i)) for i in range(40)]
+        c0 = float(np.median(norms))
+        monkeypatch.setattr(experiments, "default_c0_bound", lambda N, n: c0)
+        rep = lsv_tail_experiment(ExperimentConfig(spec=spec, trials=40), 1.0 + 0j)
+        assert rep.norm_ok_count == sum(norm <= c0 for norm in norms) == 20
 
 
 class TestLinearizationCheck:

@@ -271,3 +271,24 @@ class TestNorms:
         M = random_complex(rng, (5, 5))
         op, hs = linalg.operator_norm(M), np.linalg.norm(M)
         assert op <= hs <= np.sqrt(5) * op + 1e-12
+
+
+class TestNormAtMost:
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 25), (25, 40)])
+    def test_matches_operator_norm(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(10):
+            X = random_complex(rng, shape) / np.sqrt(2 * shape[1])
+            norm = linalg.operator_norm(X)
+            for bound in (0.5 * norm, 0.99 * norm, 1.01 * norm, 2.0 * norm, 2.5):
+                assert linalg.norm_at_most(X, bound) is (norm <= bound)
+
+    @pytest.mark.parametrize("shape", [(100, 100), (60, 40), (40, 60)])
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+    def test_matches_operator_norm_next_to_the_bound(self, shape, factor):
+        # X rescaled so that ||X|| = C0 (1 -+ 1e-9), C0 = lsv-tail's bound.
+        rng = np.random.default_rng(7)
+        c0 = 2.5
+        X = random_complex(rng, shape)
+        X *= c0 * factor / linalg.operator_norm(X)
+        assert linalg.norm_at_most(X, c0) is (linalg.operator_norm(X) <= c0) is (factor < 1)
