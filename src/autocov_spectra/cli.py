@@ -17,9 +17,9 @@ A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
-count together with the numpy version and its BLAS build. lsv-tail and
-linearize-check spread their independent trials over the usable CPUs
-(experiments.map_trials), whose forked workers inherit that pin.
+count together with the numpy version and its BLAS build. lsv-tail spreads
+its independent trials over the usable CPUs (experiments.map_trials), whose
+forked workers inherit that pin.
 """
 
 from __future__ import annotations
@@ -276,9 +276,10 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     z = _parse_complex(cfg["z"])
     trials = _experiment_config(cfg, spec, manifest).trials
-    reports = experiments.map_trials(
-        trials, lambda i: experiments.linearization_check(sample_entry_matrix(spec, i),
-                                                          z, spec.k))
+    # Serial: a forked worker costs about 0.1 s of CPU, and at (n, N, k) =
+    # (64, 48, 40) with 2-20 trials it added wall time (README).
+    reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
+               for i in range(trials)]
     all_ok = all(rep.passed for rep in reports)
     manifest.seeds = _trial_seeds(spec, trials)
     _write_json(manifest.path("linearization_report.json"),

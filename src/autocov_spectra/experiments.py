@@ -97,26 +97,23 @@ class TrialWorkerError(RuntimeError):
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on; 1 where os.sched_getaffinity is missing.
+
+    Sharding is checked only where sched_getaffinity exists (Linux, whose
+    OpenBLAS stops its threads before a fork). On macOS numpy may be linked
+    to Accelerate, which is not fork-safe, so trials run serially there."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _send_chunk(per_trial, start: int, stop: int, fd: int) -> None:
     """Worker side of map_trials: pickle (True, results) of trials start ..
-    stop-1, or (False, exception) of the first that raised, into fd."""
+    stop-1, or (False, exception) of the first that raised, into fd. A
+    payload that cannot be pickled raises here, so the child sends nothing."""
     try:
         payload = (True, [per_trial(i) for i in range(start, stop)])
     except BaseException as exc:  # sent to map_trials, which raises it
         payload = (False, exc)
-    try:
-        data = pickle.dumps(payload)
-    except Exception as exc:  # an unpicklable result or exception
-        data = pickle.dumps((False, TrialWorkerError(
-            f"trials {start}-{stop - 1}: cannot send the result back: {exc}")))
+    data = pickle.dumps(payload)
     with open(fd, "wb") as fh:
         fh.write(data)
 
@@ -183,8 +180,8 @@ def map_trials(trials: int, per_trial) -> list:
             pid, read_fd = child
             data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.remove(child)  # reaped: the finally must not kill or wait it again
             os.close(read_fd)
-            children.remove(child)
             try:
                 ok, value = pickle.loads(data)
             except Exception:  # no result, a truncated one, or one not rebuilt

@@ -560,61 +560,51 @@ class TestBlasThreads:
 
 
 class TestTrialWorkers:
-    """lsv-tail and linearize-check run their trials through
-    experiments.map_trials; experiments.usable_cpus sets the worker count."""
+    """lsv-tail runs its trials through experiments.map_trials;
+    experiments.usable_cpus sets the worker count."""
 
-    CONFIGS = {
-        "lsv-tail": {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]},
-        "linearize-check": {"n": 16, "N": 12, "k": 10, "seed": 4, "trials": 7, "z": -2},
-    }
-    # The function each subcommand samples X through, per trial.
-    SAMPLERS = {"lsv-tail": experiments, "linearize-check": cli}
+    CONFIG = {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]}
 
-    def _fail_at(self, monkeypatch, subcommand, trials, failure):
-        module = self.SAMPLERS[subcommand]
-        sample = module.sample_entry_matrix
+    def _fail_at(self, monkeypatch, trials, failure):
+        sample = experiments.sample_entry_matrix
 
         def sampler(spec, i):
             if i in trials:
                 failure(i)
             return sample(spec, i)
 
-        monkeypatch.setattr(module, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
 
-    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
     @pytest.mark.parametrize("trials", [7, 2])
-    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch, subcommand,
-                                                 trials):
-        cfg = write_config(tmp_path, dict(self.CONFIGS[subcommand], trials=trials))
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch, trials):
+        cfg = write_config(tmp_path, dict(self.CONFIG, trials=trials))
         outputs = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
             out = tmp_path / f"workers{workers}"
-            assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK,
+            assert cli.run("lsv-tail", cfg, output_dir=str(out)) in (cli.EXIT_OK,
                                                                      cli.EXIT_ASSERTION)
             outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
                                 if p.name != "manifest.json"}
         assert outputs[1] and outputs[1] == outputs[2] == outputs[3]
 
-    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
     @pytest.mark.parametrize("failing", [{1, 5}, {4, 6}, {6}])
     def test_linalg_error_in_a_worker_exits_four_as_serially(self, tmp_path, monkeypatch,
-                                                             capsys, subcommand, failing):
+                                                             capsys, failing):
         def fail(i):
             raise np.linalg.LinAlgError(f"SVD did not converge at trial {i}")
 
-        self._fail_at(monkeypatch, subcommand, failing, fail)
-        cfg = write_config(tmp_path, self.CONFIGS[subcommand])
+        self._fail_at(monkeypatch, failing, fail)
+        cfg = write_config(tmp_path, self.CONFIG)
         errors = set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
-            assert cli.run(subcommand, cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+            assert cli.run("lsv-tail", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
             errors.add(capsys.readouterr().err)
         assert errors == {"numeric backend failure: SVD did not converge at trial "
                           f"{min(failing)}\n"}
 
-    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
-    def test_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys, subcommand):
+    def test_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys):
         # 7 trials on 2 workers: trials 3-6 run in the child, which dies.
         parent = os.getpid()
 
@@ -622,10 +612,10 @@ class TestTrialWorkers:
             if os.getpid() != parent:
                 os._exit(1)
 
-        self._fail_at(monkeypatch, subcommand, {5}, die)
+        self._fail_at(monkeypatch, {5}, die)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        cfg = write_config(tmp_path, self.CONFIGS[subcommand])
-        assert cli.run(subcommand, cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert cli.run("lsv-tail", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == ("numeric backend failure: the worker for trials 3-6 ended with "
                        "status 1 and no result\n")
@@ -635,7 +625,7 @@ class TestTrialWorkers:
         # 0-1 here, 2-3 and 4-6 in children): one that passes, one where this
         # process's own chunk raises, one where a worker raises and one where
         # a worker dies. After each, os.waitpid(-1, WNOHANG) finds no child.
-        cfg = write_config(tmp_path, self.CONFIGS["lsv-tail"])
+        cfg = write_config(tmp_path, self.CONFIG)
         code = textwrap.dedent("""
             import os, sys, numpy as np
             from autocov_spectra import cli, experiments

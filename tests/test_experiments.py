@@ -327,7 +327,7 @@ class TestMapTrials:
     def test_unpicklable_result_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         with pytest.raises(experiments.TrialWorkerError,
-                           match="trials 1-1: cannot send the result back"):
+                           match="trials 1-1 ended with status 1 and no result"):
             experiments.map_trials(2, lambda i: lambda: i)
 
     def test_runs_here_when_no_child_can_be_made(self, monkeypatch):
