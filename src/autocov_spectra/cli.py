@@ -18,8 +18,12 @@ A usage error, which argparse rejects, exits 3 as well.
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
 count together with the numpy version and its BLAS build. lsv-tail spreads
-its independent trials over the usable CPUs (experiments.map_trials), whose
-forked workers inherit that pin.
+its trials, and large-k its 2n sample and its resolvent trials, over the
+usable CPUs (experiments.map_trials), whose forked workers inherit the pin.
+Run as a program (python -m), the module loads numpy with
+OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads for the pin to idle,
+then puts the caller's value back; the autocov-spectra console script
+imports the module, so the pin alone applies there.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ import os
 import platform
 import sys
 import tempfile
+
+if __name__ == "__main__":
+    _caller_threads = os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401  OpenBLAS reads the variable as numpy loads it
+    del os.environ["OPENBLAS_NUM_THREADS"]
+    if _caller_threads is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 
 import numpy as np
 
@@ -132,10 +144,11 @@ def _spec_from(cfg: dict) -> EnsembleSpec:
                         law=law, master_seed=int(cfg["seed"]))
 
 
-def _experiment_config(cfg: dict, spec: EnsembleSpec,
-                       manifest: RunManifest) -> ExperimentConfig:
-    """The run's ExperimentConfig; the manifest records its thresholds, the
-    defaults merged with cfg's overrides."""
+def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
+                       gated: tuple[str, ...] = ()) -> ExperimentConfig:
+    """The run's ExperimentConfig; the manifest records the thresholds named
+    in gated, those the subcommand's verdict compares against, with cfg's
+    overrides applied."""
     config = ExperimentConfig(
         spec=spec,
         trials=int(cfg.get("trials", 1)),
@@ -143,7 +156,7 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec,
         t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
         thresholds=cfg.get("thresholds", {}),
     )
-    manifest.thresholds = config.thresholds
+    manifest.thresholds = {key: config.thresholds[key] for key in gated}
     return config
 
 
@@ -248,7 +261,7 @@ class RunManifest:
 
 def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest)
+    config = _experiment_config(cfg, spec, manifest, ("radial_ks",))
     report = experiments.esd_experiment(config)
     manifest.seeds = report.seeds
     _write_json(manifest.path("esd_report.json"), report)
@@ -263,7 +276,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest)
+    config = _experiment_config(cfg, spec, manifest, ("lsv_tail_freq",))
     report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"]))
     manifest.seeds = _trial_seeds(spec, config.trials)
     _write_json(manifest.path("lsv_tail_report.json"), report)
@@ -289,7 +302,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest)
+    config = _experiment_config(cfg, spec, manifest, ("hermitization_tv",))
     h = float(cfg.get("h", 0.1))
     if not 0 < h < math.inf:
         raise ConfigError(f"grid spacing h must be positive and finite, got {h}")
@@ -340,7 +353,8 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest)
+    config = _experiment_config(cfg, spec, manifest,
+                                ("resolvent_abs_error", "stability_ks"))
     report = experiments.large_k_experiment(config)
     manifest.seeds = (_trial_seeds(spec, config.trials)
                       + _trial_seeds(experiments.stability_spec(spec), 1))

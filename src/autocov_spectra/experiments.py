@@ -156,7 +156,8 @@ def map_trials(trials: int, per_trial) -> list:
     exception of the earliest failing trial, as the serial loop would; a
     child that ends without sending a result raises TrialWorkerError. No
     child outlives the call. Chunks left without a child, when no pipe or
-    process can be made, run in this process.
+    process can be made, run in this process. A trial may be any
+    independent task: large_k_experiment maps two unlike ones.
 
     fork, not spawn: a spawned worker would import numpy afresh, about a
     third of an lsv-tail run, and could not receive per_trial, a closure.
@@ -420,6 +421,21 @@ def log_potential_grid(Y, lam, xs) -> tuple[np.ndarray, int]:
     return L, flagged
 
 
+def bilinear_histogram(points, nodes, h: float) -> np.ndarray:
+    """hist[i, j]: the share of the complex points at node nodes[i] + i
+    nodes[j] of the square grid with spacing h, each point split over the
+    four nodes around it with bilinear ("cloud-in-cell") weights. Weight
+    that falls on a node outside the grid is dropped."""
+    u, v = (np.real(points) - nodes[0]) / h, (np.imag(points) - nodes[0]) / h
+    i0, j0 = np.floor(u), np.floor(v)
+    hist = np.zeros((nodes.size, nodes.size))
+    for i, wu in ((i0, i0 + 1 - u), (i0 + 1, u - i0)):
+        for j, wv in ((j0, j0 + 1 - v), (j0 + 1, v - j0)):
+            ok = (0 <= i) & (i < nodes.size) & (0 <= j) & (j < nodes.size)
+            np.add.at(hist, (i[ok].astype(int), j[ok].astype(int)), (wu * wv)[ok])
+    return hist / np.size(points)
+
+
 def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = None,
                            h: float = 0.1) -> HermitizationReport:
     """Recover the eigenvalue density from log potentials on a z-grid.
@@ -427,11 +443,12 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from one eigensolve of Y
     (log_potential_grid), applies the 5-point discrete Laplacian scaled by
     -1/(2 pi), clips negatives, normalizes, and compares with the histogram
-    of those eigenvalues by total variation. The comparison aggregates
-    TV_BLOCK x TV_BLOCK cells first: the Laplacian spreads each unit charge
-    over the nodes adjacent to it while the histogram assigns it to one cell,
-    so single-cell TV measures that sub-cell smearing rather than the
-    recovery error.
+    of those eigenvalues by total variation. The Laplacian spreads each unit
+    charge over the nodes around it, so the histogram does too
+    (bilinear_histogram): a one-cell histogram would put each eigenvalue,
+    and the whole zero atom, in a single cell, and the TV would measure
+    where the eigenvalues sit relative to the grid rather than the recovery
+    error. The comparison aggregates TV_BLOCK x TV_BLOCK cells first.
     """
     spec = config.spec
     Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
@@ -448,11 +465,7 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
         density_norm = density / np.sum(density)
     else:
         density_norm = density
-    # Histogram eigenvalues over the same interior cells.
-    interior = xs[1:-1]
-    edges = np.concatenate([interior - h / 2, [interior[-1] + h / 2]])
-    hist, _, _ = np.histogram2d(eigs.real, eigs.imag, bins=[edges, edges])
-    hist = hist / eigs.size
+    hist = bilinear_histogram(eigs, xs[1:-1], h)
     b = TV_BLOCK
     m = (density_norm.shape[0] // b) * b
     coarse_dens = density_norm[:m, :m].reshape(m // b, b, m // b, b).sum(axis=(1, 3))
@@ -509,9 +522,12 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     and the sample whose zero atom is counted. Both it and the 2n-sample take
     their eigenvalues from autocov_eigenvalues: an (n-k) x (n-k) eigensolve
     plus N - (n-k) exact zeros when n - k < N. The stability KS compares
-    the atom_radii of both samples. The 2n-sample, whose X is the run's
-    largest array, is sampled and decomposed first, so trial 0's X is not
-    held alongside it.
+    the atom_radii of both samples. Task 0 (the predictions, then the
+    2n-sample) and task 1 (trial 0, then the resolvent trials) run through
+    map_trials(2, ...), task 1 in a forked child on two CPUs. On one CPU they
+    run in that order, the steps' order before the split: the 2n-sample,
+    whose X is the run's largest array, is decomposed before trial 0's X
+    exists.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -522,18 +538,23 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     a = 1.0 - spec.gamma1
     z_list = [complex(z) for z in config.z_list]
     t_list = [float(t) for t in config.t_list]
-    predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
-                   for z in z_list for t in t_list]
-
     big = stability_spec(spec)
-    big_eigs = autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
-    X0 = sample_entry_matrix(spec, 0)
-    eigs = autocov_eigenvalues(X0, spec.k)
+
+    def stability_task():
+        predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
+                       for z in z_list for t in t_list]
+        return predictions, autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
+
+    def trial_task():
+        X0 = sample_entry_matrix(spec, 0)
+        later = (sample_entry_matrix(spec, i) for i in range(1, config.trials))
+        return (autocov_eigenvalues(X0, spec.k),
+                resolvent_trace_means(itertools.chain([X0], later), spec.k, z_list, t_list))
+
+    tasks = (stability_task, trial_task)
+    (predictions, big_eigs), (eigs, means) = map_trials(2, lambda i: tasks[i]())
     stability = ks_two_sample(atom_radii(eigs), atom_radii(big_eigs))
     stability_ok = stability <= config.thresholds["stability_ks"]
-
-    later = (sample_entry_matrix(spec, i) for i in range(1, config.trials))
-    means = resolvent_trace_means(itertools.chain([X0], later), spec.k, z_list, t_list)
     errors = [float(abs(emp - pred)) for emp, pred in zip(means, predictions)]
     mean_error = float(np.mean(errors))
     resolvent_ok = mean_error <= config.thresholds["resolvent_abs_error"]

@@ -31,16 +31,20 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def run_cli(subcommand, cfg, out_dir, **env_vars):
+# What the autocov-spectra console script runs: cli imported as a module.
+CONSOLE_SCRIPT = ["-c", "import sys; from autocov_spectra.cli import main; sys.exit(main())"]
+
+
+def run_cli(subcommand, cfg, out_dir, entry=("-m", "autocov_spectra.cli"), **env_vars):
     """Run the CLI in a fresh interpreter on this source tree, with env_vars
-    added to the environment."""
+    added to the environment; entry is how the interpreter is told to run it
+    (python -m by default, or CONSOLE_SCRIPT)."""
     src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
     return subprocess.run(
-        [sys.executable, "-m", "autocov_spectra.cli", subcommand, cfg,
-         "--output-dir", str(out_dir)],
+        [sys.executable, *entry, subcommand, cfg, "--output-dir", str(out_dir)],
         capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -269,11 +273,29 @@ class TestManifestSeeds:
 
 class TestManifestThresholds:
     def test_overrides_merged_with_defaults(self, tmp_path):
-        payload = dict(TINY_CONFIGS["lsv-tail"], thresholds={"lsv_tail_freq": 0.2})
+        # Only the key lsv-tail gates is recorded, with its override; the
+        # overridden radial_ks decides nothing here.
+        payload = dict(TINY_CONFIGS["lsv-tail"],
+                       thresholds={"lsv_tail_freq": 0.2, "radial_ks": 0.5})
         out = tmp_path / "out"
         cli.run("lsv-tail", write_config(tmp_path, payload), output_dir=str(out))
         recorded = json.loads((out / "manifest.json").read_text())["thresholds"]
-        assert recorded == {**experiments.DEFAULT_THRESHOLDS, "lsv_tail_freq": 0.2}
+        assert recorded == {"lsv_tail_freq": 0.2}
+
+    @pytest.mark.parametrize("subcommand,gated", [
+        ("esd", {"radial_ks": 0.5}),  # TINY_CONFIGS["esd"] overrides it
+        ("lsv-tail", {"lsv_tail_freq": 0.05}),
+        ("linearize-check", {}),
+        ("hermitize", {"hermitization_tv": 0.15}),
+        ("fixed-point", {}),
+        ("large-k", {"resolvent_abs_error": 0.05, "stability_ks": 0.08}),
+        ("law-diagnostics", {}),
+    ])
+    def test_only_the_gated_keys(self, tmp_path, subcommand, gated):
+        out = tmp_path / "out"
+        cli.run(subcommand, write_config(tmp_path, TINY_CONFIGS[subcommand]),
+                output_dir=str(out))
+        assert json.loads((out / "manifest.json").read_text())["thresholds"] == gated
 
     def test_empty_without_experiment_config(self, tmp_path):
         out = tmp_path / "out"
@@ -539,7 +561,10 @@ class TestBlasThreads:
         outputs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            proc = run_cli(subcommand, cfg, out, OPENBLAS_NUM_THREADS=threads)
+            # The console script's OpenBLAS loads at the caller's thread count,
+            # so the run's outputs rest on cli.run's pin alone.
+            proc = run_cli(subcommand, cfg, out, entry=CONSOLE_SCRIPT,
+                           OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode in (cli.EXIT_OK, cli.EXIT_ASSERTION), proc.stderr
             outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                                 if p.name != "manifest.json"}
@@ -560,10 +585,14 @@ class TestBlasThreads:
 
 
 class TestTrialWorkers:
-    """lsv-tail runs its trials through experiments.map_trials;
-    experiments.usable_cpus sets the worker count."""
+    """lsv-tail runs its trials, and large-k its two tasks, through
+    experiments.map_trials; experiments.usable_cpus sets the worker count."""
 
     CONFIG = {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]}
+    # Task 0 decomposes the 2n-sample (X of 32 columns) here; task 1, trial 0
+    # (X of 16 columns) and the resolvent trials, in the worker.
+    LARGE_K = {"n": 16, "N": 24, "k": 8, "seed": 4, "trials": 3,
+               "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}
 
     def _fail_at(self, monkeypatch, trials, failure):
         sample = experiments.sample_entry_matrix
@@ -620,17 +649,77 @@ class TestTrialWorkers:
         assert err == ("numeric backend failure: the worker for trials 3-6 ended with "
                        "status 1 and no result\n")
 
+    def test_large_k_report_independent_of_worker_count(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, self.LARGE_K)
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert cli.run("large-k", cfg, output_dir=str(out)) in (cli.EXIT_OK,
+                                                                    cli.EXIT_ASSERTION)
+            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                                if p.name != "manifest.json"}
+        assert list(outputs[1]) == ["large_k_report.json"]
+        assert outputs[1] == outputs[2] == outputs[3]
+
+    def _fail_large_k_solve(self, monkeypatch, samples, failure):
+        solve = experiments.autocov_eigenvalues
+
+        def failing(X, k):
+            sample = "2n" if X.shape[1] == 2 * self.LARGE_K["n"] else "trial 0"
+            if sample in samples:
+                failure(sample)
+            return solve(X, k)
+
+        monkeypatch.setattr(experiments, "autocov_eigenvalues", failing)
+
+    @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"}])
+    def test_large_k_linalg_error_in_either_task_exits_four_as_serially(
+            self, tmp_path, monkeypatch, capsys, failing):
+        def fail(sample):
+            raise np.linalg.LinAlgError(f"eigenvalues of the {sample} sample did not converge")
+
+        self._fail_large_k_solve(monkeypatch, failing, fail)
+        cfg = write_config(tmp_path, self.LARGE_K)
+        errors = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+            errors.add(capsys.readouterr().err)
+        # Serially the 2n-sample is decomposed first.
+        first = "2n" if "2n" in failing else "trial 0"
+        assert errors == {f"numeric backend failure: eigenvalues of the {first} sample "
+                          "did not converge\n"}
+
+    def test_large_k_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die(sample):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self._fail_large_k_solve(monkeypatch, {"trial 0"}, die)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, self.LARGE_K)
+        assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == ("numeric backend failure: the worker for trials "
+                                           "1-1 ended with status 1 and no result\n")
+
     def test_no_worker_outlives_the_run(self, tmp_path):
-        # A fresh interpreter has no other children. Runs on 3 workers (trials
-        # 0-1 here, 2-3 and 4-6 in children): one that passes, one where this
-        # process's own chunk raises, one where a worker raises and one where
-        # a worker dies. After each, os.waitpid(-1, WNOHANG) finds no child.
+        # A fresh interpreter has no other children. lsv-tail runs on 3
+        # workers (trials 0-1 here, 2-3 and 4-6 in children), large-k on 2
+        # (task 0 here, task 1 in a child): one run that passes, one where
+        # this process's own chunk raises, one where a worker raises and one
+        # where a worker dies. After each, os.waitpid(-1, WNOHANG) finds no
+        # child.
         cfg = write_config(tmp_path, self.CONFIG)
+        large_k = write_config(tmp_path, self.LARGE_K, "large_k.json")
         code = textwrap.dedent("""
             import os, sys, numpy as np
             from autocov_spectra import cli, experiments
             experiments.usable_cpus = lambda: 3
             sample = experiments.sample_entry_matrix
+            solve = experiments.autocov_eigenvalues
 
             def failing_at(trial, failure):
                 def sampler(spec, i):
@@ -639,24 +728,42 @@ class TestTrialWorkers:
                     return sample(spec, i)
                 return sampler
 
+            def failing_on(columns, failure):
+                def solver(X, k):
+                    if X.shape[1] == columns:
+                        failure()
+                    return solve(X, k)
+                return solver
+
             def raise_linalg_error():
                 raise np.linalg.LinAlgError("x")
+
+            def check(subcommand, config):
+                codes.append(cli.run(subcommand, config, output_dir=sys.argv[3]))
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                    codes.append("child left")
+                except ChildProcessError:
+                    pass
 
             codes = []
             for sampler in (sample, failing_at(0, raise_linalg_error),
                             failing_at(5, raise_linalg_error),
                             failing_at(3, lambda: os._exit(1))):
                 experiments.sample_entry_matrix = sampler
-                codes.append(cli.run("lsv-tail", sys.argv[1], output_dir=sys.argv[2]))
-                try:
-                    os.waitpid(-1, os.WNOHANG)
-                    codes.append("child left")
-                except ChildProcessError:
-                    pass
+                check("lsv-tail", sys.argv[1])
+            experiments.sample_entry_matrix = sample
+            # The 2n-sample's X has 32 columns, trial 0's 16.
+            for solver in (solve, failing_on(32, raise_linalg_error),
+                           failing_on(16, raise_linalg_error),
+                           failing_on(16, lambda: os._exit(1))):
+                experiments.autocov_eigenvalues = solver
+                check("large-k", sys.argv[2])
             print(codes)
         """)
-        out = _fresh_process_output(code, cfg, tmp_path / "out")
-        assert out in ("[0, 4, 4, 4]", "[2, 4, 4, 4]")
+        out = _fresh_process_output(code, cfg, large_k, tmp_path / "out")
+        assert out in ("[0, 4, 4, 4, 0, 4, 4, 4]", "[2, 4, 4, 4, 0, 4, 4, 4]",
+                       "[0, 4, 4, 4, 2, 4, 4, 4]", "[2, 4, 4, 4, 2, 4, 4, 4]")
 
 
 def _fresh_process_output(code, *args):
@@ -688,3 +795,30 @@ class TestStartup:
             lsv, large_k, hermitize, tmp_path / "out")
         assert out == ("['cli', 'ensembles', 'experiments', 'fixed_point', 'geometry', "
                        "'limit_law', 'linalg'] True []")
+
+    def test_package_import_loads_no_numpy(self):
+        assert _fresh_process_output(
+            "import sys, autocov_spectra; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "2"])
+    def test_cli_process_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
+        # Run as a program, the CLI loads numpy with OPENBLAS_NUM_THREADS=1:
+        # cli.run's pin then restores one thread, not the caller's count. The
+        # variable itself is back to the caller's value afterwards.
+        cfg = write_config(tmp_path, TINY_CONFIGS["large-k"])
+        code = textwrap.dedent("""
+            import os, runpy, sys
+            if sys.argv[3] != "unset":
+                os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[3]
+            sys.argv = ["autocov-spectra", "large-k", sys.argv[1], "--output-dir", sys.argv[2]]
+            try:
+                runpy.run_module("autocov_spectra.cli", run_name="__main__")
+            except SystemExit as exc:
+                status = exc.code
+            from autocov_spectra import linalg
+            counts = linalg.blas_thread_counts()
+            print(status in (0, 2), all(c == 1 for c in counts.values()),
+                  os.environ.get("OPENBLAS_NUM_THREADS"))
+        """)
+        out = _fresh_process_output(code, cfg, tmp_path / "out", caller_threads or "unset")
+        assert out == f"True True {caller_threads}"

@@ -379,15 +379,43 @@ class TestRankPerturbation:
 
 
 class TestHermitization:
+    SPEC = EnsembleSpec(n=96, N=96, k=1, master_seed=8)
+
     def test_small_run(self):
-        config = ExperimentConfig(
-            spec=EnsembleSpec(n=96, N=96, k=1, master_seed=8),
-            thresholds={"hermitization_tv": 0.4})
-        rep = hermitization_pipeline(config, h=0.2)
+        # At the defaults: h = 0.1 and the 0.15 TV threshold.
+        rep = hermitization_pipeline(ExperimentConfig(spec=self.SPEC))
+        assert rep.grid_spacing == 0.1
         assert 0.7 <= rep.total_mass <= 1.3
-        assert 0.0 <= rep.tv_distance <= 1.0
+        assert 0.0 <= rep.tv_distance <= DEFAULT_THRESHOLDS["hermitization_tv"]
         assert rep.flagged_cells == 0
         assert rep.passed
+
+    @pytest.mark.parametrize("mutation", ["another-seed", "scaled-by-1.1"])
+    def test_wrong_eigenvalues_fail(self, monkeypatch, mutation):
+        # The histogram is fed wrong eigenvalues while the log potential
+        # still comes from Y: the TV check must catch it.
+        other_spec = EnsembleSpec(n=96, N=96, k=1, master_seed=9)
+        other = linalg.eigenvalues(build_autocov(sample_entry_matrix(other_spec, 0), 1))
+        wrong = {"another-seed": lambda eigs: other,
+                 "scaled-by-1.1": lambda eigs: 1.1 * eigs}[mutation]
+        histogram = experiments.bilinear_histogram
+        monkeypatch.setattr(experiments, "bilinear_histogram",
+                            lambda eigs, nodes, h: histogram(wrong(eigs), nodes, h))
+        rep = hermitization_pipeline(ExperimentConfig(spec=self.SPEC))
+        assert rep.tv_distance > DEFAULT_THRESHOLDS["hermitization_tv"]
+        assert not rep.passed
+
+    def test_bilinear_histogram_keeps_mass_and_mean(self):
+        # Points inside the grid keep their total weight and their mean: the
+        # four weights of a point average the nodes to the point itself.
+        rng = np.random.default_rng(3)
+        nodes = np.arange(-1.0, 1.05, 0.1)
+        points = rng.uniform(-0.95, 0.95, 50) + 1j * rng.uniform(-0.95, 0.95, 50)
+        hist = experiments.bilinear_histogram(points, nodes, 0.1)
+        assert hist.min() >= 0.0
+        assert hist.sum() == pytest.approx(1.0, abs=1e-12)
+        mean = np.sum(hist * (nodes[:, None] + 1j * nodes[None, :]))
+        assert mean == pytest.approx(points.mean(), abs=1e-12)
 
 
 def svd_log_potential_grid(Y, xs, s_floor=1e-12):
@@ -411,9 +439,14 @@ def reference_tv(L, eigs, xs, h, tv_block=2):
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
     density = np.clip(-lap / (2.0 * np.pi), 0.0, None)
     density = density / np.sum(density)
+    # Each eigenvalue's weight at an interior node is the product of two tent
+    # functions, max(0, 1 - |distance| / h) along each axis.
     interior = xs[1:-1]
-    edges = np.concatenate([interior - h / 2, [interior[-1] + h / 2]])
-    hist, _, _ = np.histogram2d(eigs.real, eigs.imag, bins=[edges, edges])
+    hist = np.zeros((interior.size, interior.size))
+    for lam in eigs:
+        tent_x = np.maximum(0.0, 1.0 - np.abs(lam.real - interior) / h)
+        tent_y = np.maximum(0.0, 1.0 - np.abs(lam.imag - interior) / h)
+        hist += np.outer(tent_x, tent_y)
     hist = hist / eigs.size
     m = (density.shape[0] // tv_block) * tv_block
     blocks = (m // tv_block, tv_block, m // tv_block, tv_block)
@@ -547,21 +580,36 @@ class TestLargeK:
 
     @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 64, 32), (48, 96, 40),
                                        (64, 16, 32)])
-    def test_eigensolves_take_the_smallest_exact_size(self, n, N, k, monkeypatch):
-        shapes, original = [], linalg.eigenvalues
+    def test_eigensolves_take_the_smallest_exact_size(self, n, N, k, monkeypatch, tmp_path):
+        # Each solve appends "pid rows cols" to a file, so a forked task's
+        # solve is recorded as well as this process's.
+        log, original = tmp_path / "eigensolves", linalg.eigenvalues
 
         def recording(M):
-            shapes.append(np.shape(M))
+            with open(log, "a") as fh:
+                fh.write("%d %d %d\n" % (os.getpid(), *np.shape(M)))
             return original(M)
 
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(linalg, "eigenvalues", recording)
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=15),
                                   trials=2, z_list=[1.0 + 0j], t_list=[0.5])
-        large_k_experiment(config)
-        # The 2n-sample, then trial 0, each at min(n - k, N).
         m = min(n - k, N)
-        assert shapes == [(2 * m, 2 * m), (m, m)]
+        here = os.getpid()
+        for workers in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            log.write_text("")
+            large_k_experiment(config)
+            solves = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            if workers == 1:
+                # The 2n-sample, then trial 0, each at min(n - k, N).
+                assert solves == [(here, 2 * m, 2 * m), (here, m, m)]
+            else:
+                # The 2n-sample here, trial 0 in the forked task.
+                assert len(solves) == 2
+                assert (here, 2 * m, 2 * m) in solves
+                (pid, rows, cols), = [s for s in solves if s != (here, 2 * m, 2 * m)]
+                assert (rows, cols) == (m, m) and pid != here
 
 
 class TestConfig:
