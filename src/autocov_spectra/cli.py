@@ -20,10 +20,14 @@ not depend on the caller's BLAS thread setting; the manifest records the
 count together with the numpy version and its BLAS build. lsv-tail spreads
 its trials, and large-k its 2n sample and its resolvent trials, over the
 usable CPUs (experiments.map_trials), whose forked workers inherit the pin.
-Run as a program (python -m), the module loads numpy with
-OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads for the pin to idle,
-then puts the caller's value back; the autocov-spectra console script
-imports the module, so the pin alone applies there.
+
+A CLI process, run as a program (python -m) or through the autocov-spectra
+console script (startup.main), starts with startup.start before numpy loads:
+it loads numpy with OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads
+for the pin to idle, then puts the caller's value back, and it fixes glibc's
+mmap threshold, so a freed trial's large arrays go back to the OS. A library
+caller that imports this module keeps its own settings; the pin alone
+applies there.
 """
 
 from __future__ import annotations
@@ -40,12 +44,8 @@ import sys
 import tempfile
 
 if __name__ == "__main__":
-    _caller_threads = os.environ.pop("OPENBLAS_NUM_THREADS", None)
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy  # noqa: F401  OpenBLAS reads the variable as numpy loads it
-    del os.environ["OPENBLAS_NUM_THREADS"]
-    if _caller_threads is not None:
-        os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
+    from autocov_spectra import startup
+    startup.start()
 
 import numpy as np
 
@@ -55,9 +55,9 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
     build_autocov,
-    mix_seed,
     moment_diagnostics,
     sample_entry_matrix,
+    trial_seeds,
 )
 from autocov_spectra.experiments import ExperimentConfig
 from autocov_spectra.fixed_point import ResolventParams, predicted_stieltjes, solve_s
@@ -158,11 +158,6 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
     )
     manifest.thresholds = {key: config.thresholds[key] for key in gated}
     return config
-
-
-def _trial_seeds(spec: EnsembleSpec, trials: int) -> list[int]:
-    """The derived seeds sample_entry_matrix uses for trials 0 .. trials-1."""
-    return [mix_seed(spec.master_seed, i) for i in range(trials)]
 
 
 def _write_output(path: str, text: str) -> None:
@@ -278,7 +273,7 @@ def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest, ("lsv_tail_freq",))
     report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"]))
-    manifest.seeds = _trial_seeds(spec, config.trials)
+    manifest.seeds = trial_seeds(spec.master_seed, config.trials)
     _write_json(manifest.path("lsv_tail_report.json"), report)
     _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
                enumerate(report.lsv_values))
@@ -294,7 +289,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
                for i in range(trials)]
     all_ok = all(rep.passed for rep in reports)
-    manifest.seeds = _trial_seeds(spec, trials)
+    manifest.seeds = trial_seeds(spec.master_seed, trials)
     _write_json(manifest.path("linearization_report.json"),
                 {"trials": reports, "passed": all_ok})
     return EXIT_OK if all_ok else EXIT_ASSERTION
@@ -307,7 +302,7 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     if not 0 < h < math.inf:
         raise ConfigError(f"grid spacing h must be positive and finite, got {h}")
     report = experiments.hermitization_pipeline(config, h=h)
-    manifest.seeds = _trial_seeds(spec, 1)
+    manifest.seeds = trial_seeds(spec.master_seed, 1)
     _write_json(manifest.path("hermitization_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
@@ -335,7 +330,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     if spec is not None:
         means = experiments.resolvent_trace_means(
             (sample_entry_matrix(spec, i) for i in range(trials)), spec.k, z_list, t_list)
-        manifest.seeds = _trial_seeds(spec, trials)
+        manifest.seeds = trial_seeds(spec.master_seed, trials)
     rows = []
     for params, sol, mean in zip(points, solutions, means):
         emp = 0j
@@ -356,8 +351,8 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     config = _experiment_config(cfg, spec, manifest,
                                 ("resolvent_abs_error", "stability_ks"))
     report = experiments.large_k_experiment(config)
-    manifest.seeds = (_trial_seeds(spec, config.trials)
-                      + _trial_seeds(experiments.stability_spec(spec), 1))
+    manifest.seeds = (trial_seeds(spec.master_seed, config.trials)
+                      + trial_seeds(experiments.stability_spec(spec).master_seed, 1))
     _write_json(manifest.path("large_k_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
@@ -390,7 +385,7 @@ def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
     report = moment_diagnostics(law, n=int(cfg["n"]),
                                 sample_count=int(cfg.get("sample_count", 100_000)),
                                 seed=int(cfg["seed"]))
-    manifest.seeds = [mix_seed(int(cfg["seed"]), 0)]
+    manifest.seeds = trial_seeds(int(cfg["seed"]), 1)
     _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
 

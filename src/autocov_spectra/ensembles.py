@@ -155,6 +155,12 @@ class SeededTrial:
         return cls(trial_index=trial_index, derived_seed=mix_seed(master_seed, trial_index))
 
 
+def trial_seeds(master_seed: int, trials: int) -> list[int]:
+    """The derived seeds of trials 0 .. trials-1 of master_seed, those
+    sample_entry_matrix draws X from."""
+    return [mix_seed(master_seed, i) for i in range(trials)]
+
+
 def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
     """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
     if not isinstance(trial, SeededTrial):
@@ -181,14 +187,16 @@ def build_autocov(X, k: int) -> np.ndarray:
     return Y
 
 
-def autocov_eigenvalues(X, k: int) -> np.ndarray:
-    """The N eigenvalues of Y = build_autocov(X, k), unordered.
+def autocov_companion(X, k: int) -> tuple[np.ndarray, int]:
+    """(M, zeros): the N eigenvalues of Y = build_autocov(X, k) are those of
+    the square matrix M followed by zeros exact zeros (companion_eigenvalues).
 
     Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :n-k], both N x (n-k).
-    AB and BA share their nonzero spectra, so when n - k < N the eigenvalues
-    are those of the (n-k) x (n-k) matrix X_0* X_k followed by N - (n-k)
-    exact zeros, Y's structural atom; X_0* X_k is filled BLOCK rows at a
-    time. Otherwise Y itself is decomposed.
+    AB and BA share their nonzero spectra, so when n - k < N, M is the
+    (n-k) x (n-k) matrix X_0* X_k, filled BLOCK rows at a time, and the
+    N - (n-k) zeros are Y's structural atom. Otherwise M is Y itself and
+    zeros is 0. M is a new array: a caller that drops X before calling
+    companion_eigenvalues decomposes M without holding X.
     """
     X = _as_matrix(X)
     N, n = X.shape
@@ -196,11 +204,23 @@ def autocov_eigenvalues(X, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m = n - k
     if m >= N:
-        return eigenvalues(build_autocov(X, k))
+        return build_autocov(X, k), 0
     P = np.empty((m, m), dtype=complex)
     for a, b in block_bounds(m):
         P[a:b] = X[:, a:b].conj().T @ X[:, k:]
-    return np.concatenate([eigenvalues(P), np.zeros(N - m, dtype=complex)])
+    return P, N - m
+
+
+def companion_eigenvalues(M, zeros: int) -> np.ndarray:
+    """The eigenvalues of M, unordered, followed by zeros exact zeros."""
+    return np.concatenate([eigenvalues(M), np.zeros(zeros, dtype=complex)])
+
+
+def autocov_eigenvalues(X, k: int) -> np.ndarray:
+    """The N eigenvalues of Y = build_autocov(X, k), unordered, from
+    autocov_companion. X is held through the eigensolve; a caller that can
+    drop X makes the two calls itself."""
+    return companion_eigenvalues(*autocov_companion(X, k))
 
 
 def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:

@@ -19,13 +19,14 @@ import numpy as np
 from autocov_spectra import linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
-    SeededTrial,
-    autocov_eigenvalues,
+    autocov_companion,
     build_autocov,
     build_linearization,
+    companion_eigenvalues,
     default_c0_bound,
     resolvent_singular_values,
     sample_entry_matrix,
+    trial_seeds,
 )
 from autocov_spectra.fixed_point import (
     ResolventParams,
@@ -270,12 +271,11 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
     the atom's whole mass as a deviation."""
     spec = config.spec
     law = Gamma0Law(spec.gamma0)
-    radial_ks, angular_ks, seeds = [], [], []
+    radial_ks, angular_ks = [], []
     for trial_index in range(config.trials):
-        trial = SeededTrial.from_master(spec.master_seed, trial_index)
-        seeds.append(trial.derived_seed)
         # X and Y are temporaries, so neither outlives its use.
-        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, trial), spec.k))
+        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, trial_index),
+                                                spec.k))
         radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
                                       law.radial_cdf_left))
         angular_ks.append(rotation_invariance_test(eigs))
@@ -288,7 +288,7 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
         angular_ks_per_trial=angular_ks,
         mean_radial_ks=mean_radial,
         mean_angular_ks=mean_angular,
-        seeds=seeds,
+        seeds=trial_seeds(spec.master_seed, config.trials),
         passed=bool(passed),
     )
 
@@ -515,19 +515,24 @@ def stability_spec(spec: EnsembleSpec) -> EnsembleSpec:
 
 def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     """Large-lag regime (k >= n/2): ESD stability between n and 2n, resolvent
-    match against the fixed-point prediction, and the zero atom: the count of
-    |lambda| <= ZERO_EIGENVALUE_TOL, of which N > n requires at least N - n.
+    match against the fixed-point prediction, and the zero atom.
 
     Trial 0 of the resolvent average is also the stability check's n-sample
     and the sample whose zero atom is counted. Both it and the 2n-sample take
-    their eigenvalues from autocov_eigenvalues: an (n-k) x (n-k) eigensolve
+    their eigenvalues from autocov_companion: an (n-k) x (n-k) eigensolve
     plus N - (n-k) exact zeros when n - k < N. The stability KS compares
-    the atom_radii of both samples. Task 0 (the predictions, then the
-    2n-sample) and task 1 (trial 0, then the resolvent trials) run through
-    map_trials(2, ...), task 1 in a forked child on two CPUs. On one CPU they
-    run in that order, the steps' order before the split: the 2n-sample,
-    whose X is the run's largest array, is decomposed before trial 0's X
-    exists.
+    the atom_radii of both samples. Y has rank at most n - k, so its atom,
+    the count of |lambda| <= ZERO_EIGENVALUE_TOL, is at least
+    max(0, N - (n-k)), which N > n makes at least N - n (zero_required).
+    The atom passes when it is exactly the rank defect, that is when no
+    eigenvalue of the companion (of Y itself when n - k >= N) lies in it.
+
+    Task 0 (the predictions, then the 2n-sample) and task 1 (trial 0, then
+    the resolvent trials) run through map_trials(2, ...), task 1 in a forked
+    child on two CPUs. On one CPU they run in that order, the steps' order
+    before the split: the 2n-sample, whose X is the run's largest array, is
+    decomposed before trial 0's X exists, and that X is freed once its
+    companion is built, so its eigensolve holds no X at all.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -543,12 +548,16 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     def stability_task():
         predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
                        for z in z_list for t in t_list]
-        return predictions, autocov_eigenvalues(sample_entry_matrix(big, 0), big.k)
+        # Two calls: X is a temporary of the first, so no frame holds it
+        # during the eigensolve. A del X inside one call would not free it on
+        # Python 3.10, where the caller's stack keeps an argument alive.
+        companion = autocov_companion(sample_entry_matrix(big, 0), big.k)
+        return predictions, companion_eigenvalues(*companion)
 
     def trial_task():
         X0 = sample_entry_matrix(spec, 0)
         later = (sample_entry_matrix(spec, i) for i in range(1, config.trials))
-        return (autocov_eigenvalues(X0, spec.k),
+        return (companion_eigenvalues(*autocov_companion(X0, spec.k)),
                 resolvent_trace_means(itertools.chain([X0], later), spec.k, z_list, t_list))
 
     tasks = (stability_task, trial_task)
@@ -561,7 +570,7 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
 
     zero_required = max(0, spec.N - spec.n)
     zero_eigs = int(np.count_nonzero(np.abs(eigs) <= ZERO_EIGENVALUE_TOL))
-    atom_ok = zero_eigs >= zero_required
+    atom_ok = zero_eigs == max(0, spec.N - (spec.n - spec.k))
     return LargeKReport(
         stability_ks=float(stability),
         stability_ok=bool(stability_ok),

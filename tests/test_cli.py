@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -31,14 +32,16 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-# What the autocov-spectra console script runs: cli imported as a module.
-CONSOLE_SCRIPT = ["-c", "import sys; from autocov_spectra.cli import main; sys.exit(main())"]
+# What the autocov-spectra console script runs (pyproject.toml).
+CONSOLE_SCRIPT = ["-c", "import sys; from autocov_spectra.startup import main; sys.exit(main())"]
+# A library caller of cli.main: cli imported as a module, with no start-up.
+LIBRARY_CALL = ["-c", "import sys; from autocov_spectra.cli import main; sys.exit(main())"]
 
 
 def run_cli(subcommand, cfg, out_dir, entry=("-m", "autocov_spectra.cli"), **env_vars):
     """Run the CLI in a fresh interpreter on this source tree, with env_vars
     added to the environment; entry is how the interpreter is told to run it
-    (python -m by default, or CONSOLE_SCRIPT)."""
+    (python -m by default, CONSOLE_SCRIPT or LIBRARY_CALL)."""
     src = os.path.dirname(os.path.dirname(autocov_spectra.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -371,6 +374,36 @@ class TestLargeKRun:
         assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_CONFIG
         assert "k >= n/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["sampled", "zeroed-column"])
+    def test_singular_companion_fails_the_atom_check(self, tmp_path, monkeypatch, workers,
+                                                     zeroed):
+        # n - k = 8 < N = 24: Y's atom is its rank defect, 16 zeros, when the
+        # companion X_0* X_k is invertible. A zeroed column of trial 0's X_0
+        # makes it singular, and the atom one larger. Loose thresholds leave
+        # the atom check alone to decide the verdict.
+        n, N, k = 16, 24, 8
+        sample = experiments.sample_entry_matrix
+
+        def sampler(spec, i):
+            X = sample(spec, i)
+            if zeroed and spec.n == n and i == 0:
+                X[:, 0] = 0
+            return X
+
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+        cfg = write_config(tmp_path, {
+            "n": n, "N": N, "k": k, "seed": 4, "trials": 2, "z_list": [1.0],
+            "t_list": [0.5], "thresholds": {"stability_ks": 1.0, "resolvent_abs_error": 10.0},
+        })
+        status = cli.run("large-k", cfg, output_dir=str(tmp_path / "o"))
+        report = json.loads((tmp_path / "o" / "large_k_report.json").read_text())
+        assert (report["zero_eigs"], report["zero_required"]) == (16 + zeroed, 8)
+        assert report["stability_ok"] and report["resolvent_ok"]
+        assert report["atom_ok"] is report["passed"] is (not zeroed)
+        assert status == (cli.EXIT_ASSERTION if zeroed else cli.EXIT_OK)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("subcommand,payload", [
@@ -561,9 +594,9 @@ class TestBlasThreads:
         outputs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            # The console script's OpenBLAS loads at the caller's thread count,
+            # A library caller's OpenBLAS loads at the caller's thread count,
             # so the run's outputs rest on cli.run's pin alone.
-            proc = run_cli(subcommand, cfg, out, entry=CONSOLE_SCRIPT,
+            proc = run_cli(subcommand, cfg, out, entry=LIBRARY_CALL,
                            OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode in (cli.EXIT_OK, cli.EXIT_ASSERTION), proc.stderr
             outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
@@ -663,7 +696,7 @@ class TestTrialWorkers:
         assert outputs[1] == outputs[2] == outputs[3]
 
     def _fail_large_k_solve(self, monkeypatch, samples, failure):
-        solve = experiments.autocov_eigenvalues
+        solve = experiments.autocov_companion
 
         def failing(X, k):
             sample = "2n" if X.shape[1] == 2 * self.LARGE_K["n"] else "trial 0"
@@ -671,7 +704,7 @@ class TestTrialWorkers:
                 failure(sample)
             return solve(X, k)
 
-        monkeypatch.setattr(experiments, "autocov_eigenvalues", failing)
+        monkeypatch.setattr(experiments, "autocov_companion", failing)
 
     @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"}])
     def test_large_k_linalg_error_in_either_task_exits_four_as_serially(
@@ -719,7 +752,7 @@ class TestTrialWorkers:
             from autocov_spectra import cli, experiments
             experiments.usable_cpus = lambda: 3
             sample = experiments.sample_entry_matrix
-            solve = experiments.autocov_eigenvalues
+            solve = experiments.autocov_companion
 
             def failing_at(trial, failure):
                 def sampler(spec, i):
@@ -757,7 +790,7 @@ class TestTrialWorkers:
             for solver in (solve, failing_on(32, raise_linalg_error),
                            failing_on(16, raise_linalg_error),
                            failing_on(16, lambda: os._exit(1))):
-                experiments.autocov_eigenvalues = solver
+                experiments.autocov_companion = solver
                 check("large-k", sys.argv[2])
             print(codes)
         """)
@@ -794,25 +827,25 @@ class TestStartup:
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             lsv, large_k, hermitize, tmp_path / "out")
         assert out == ("['cli', 'ensembles', 'experiments', 'fixed_point', 'geometry', "
-                       "'limit_law', 'linalg'] True []")
+                       "'limit_law', 'linalg', 'startup'] True []")
 
     def test_package_import_loads_no_numpy(self):
         assert _fresh_process_output(
             "import sys, autocov_spectra; print('numpy' in sys.modules)") == "False"
 
-    @pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "2"])
-    def test_cli_process_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
-        # Run as a program, the CLI loads numpy with OPENBLAS_NUM_THREADS=1:
-        # cli.run's pin then restores one thread, not the caller's count. The
-        # variable itself is back to the caller's value afterwards.
+    def _run_entry(self, tmp_path, caller_threads, entry):
+        """(exit status in (0, 2), every OpenBLAS on one thread, the
+        variable's value) after a large-k run through the code entry in a
+        fresh process."""
         cfg = write_config(tmp_path, TINY_CONFIGS["large-k"])
         code = textwrap.dedent("""
-            import os, runpy, sys
+            import os, sys
             if sys.argv[3] != "unset":
                 os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[3]
+            entry = sys.argv[4]
             sys.argv = ["autocov-spectra", "large-k", sys.argv[1], "--output-dir", sys.argv[2]]
             try:
-                runpy.run_module("autocov_spectra.cli", run_name="__main__")
+                exec(entry)
             except SystemExit as exc:
                 status = exc.code
             from autocov_spectra import linalg
@@ -820,5 +853,52 @@ class TestStartup:
             print(status in (0, 2), all(c == 1 for c in counts.values()),
                   os.environ.get("OPENBLAS_NUM_THREADS"))
         """)
-        out = _fresh_process_output(code, cfg, tmp_path / "out", caller_threads or "unset")
+        return _fresh_process_output(code, cfg, tmp_path / "out", caller_threads or "unset",
+                                     entry)
+
+    @pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "2"])
+    def test_cli_process_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
+        # Run as a program, the CLI loads numpy with OPENBLAS_NUM_THREADS=1:
+        # cli.run's pin then restores one thread, not the caller's count. The
+        # variable itself is back to the caller's value afterwards.
+        out = self._run_entry(
+            tmp_path, caller_threads,
+            "import runpy; runpy.run_module('autocov_spectra.cli', run_name='__main__')")
         assert out == f"True True {caller_threads}"
+
+    @pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "2"])
+    def test_console_script_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
+        # The console script's entry runs the same start-up before numpy loads.
+        out = self._run_entry(tmp_path, caller_threads, CONSOLE_SCRIPT[1])
+        assert out == f"True True {caller_threads}"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap threshold is pinned through glibc's mallopt")
+    @pytest.mark.parametrize("started", [True, False], ids=["started", "not-started"])
+    def test_freed_large_arrays_go_back_to_the_os(self, started):
+        # A 4 MiB array allocated and freed twice. After start-up both are
+        # mmapped and unmapped. Without it glibc raises its mmap threshold when
+        # the first is freed, and the second stays on the heap, resident.
+        code = textwrap.dedent("""
+            import sys
+            if sys.argv[1] == "True":
+                from autocov_spectra import startup
+                startup.start()
+            import numpy as np
+
+            def resident_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh
+                                if line.startswith("VmRSS:"))
+
+            before = resident_kib()
+            for _ in range(2):
+                a = np.ones(1 << 18, dtype=complex)
+                del a
+            print(resident_kib() - before)
+        """)
+        grown_kib = int(_fresh_process_output(code, started))
+        if started:
+            assert abs(grown_kib) <= 1024
+        else:
+            assert grown_kib >= 3 * 1024

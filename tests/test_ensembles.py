@@ -9,6 +9,7 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
     SeededTrial,
+    autocov_companion,
     autocov_eigenvalues,
     block_bounds,
     build_autocov,
@@ -19,6 +20,7 @@ from autocov_spectra.ensembles import (
     moment_diagnostics,
     resolvent_singular_values,
     sample_entry_matrix,
+    trial_seeds,
 )
 
 
@@ -187,6 +189,11 @@ class TestSampling:
         X2 = sample_entry_matrix(spec, SeededTrial.from_master(42, 3))
         assert np.array_equal(X1, X2)
 
+    def test_trial_seeds_are_the_sampled_seeds(self):
+        assert trial_seeds(42, 3) == [SeededTrial.from_master(42, i).derived_seed
+                                      for i in range(3)]
+        assert trial_seeds(42, 0) == []
+
     def test_trials_differ(self):
         spec = EnsembleSpec(n=16, N=12, k=2, master_seed=42)
         assert not np.array_equal(sample_entry_matrix(spec, 0), sample_entry_matrix(spec, 1))
@@ -319,6 +326,16 @@ class TestAutocovEigenvalues:
         X = sample_entry_matrix(EnsembleSpec(n=64, N=16, k=32, master_seed=3), 0)
         assert np.array_equal(autocov_eigenvalues(X, 32),
                               linalg.eigenvalues(build_autocov(X, 32)))
+
+    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 16, 32)],
+                             ids=["companion", "full"])
+    def test_companion_is_a_new_array(self, n, N, k):
+        # The caller may drop X and keep M: M shares no memory with X.
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=5), 0)
+        M, zeros = autocov_companion(X, k)
+        m = min(n - k, N)
+        assert M.shape == (m, m) and zeros == N - m
+        assert not np.shares_memory(M, X)
 
     @pytest.mark.parametrize("k", [0, 8])
     def test_lag_out_of_range(self, k):

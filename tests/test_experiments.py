@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,58 @@ class TestTrialMemory:
         big_product_bytes = 2 * m * 2 * m * 16
         x0_bytes = N * n * 16
         assert held[(2 * m, 2 * m)] <= big_x_bytes + big_product_bytes + x0_bytes // 4
+
+    @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (64, 16, 32)],
+                             ids=["companion", "full"])
+    def test_large_k_2n_eigensolve_holds_no_x(self, n, N, k, monkeypatch):
+        # A weak reference to the 2n-sample's X is dead inside the eigensolve
+        # of its companion (of its Y, when n - k >= N): no frame holds X.
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        refs, freed = [], {}
+        sample, original = experiments.sample_entry_matrix, linalg.eigenvalues
+
+        def sampler(spec, i):
+            X = sample(spec, i)
+            if spec.n == 2 * n:
+                refs.append(weakref.ref(X))
+            return X
+
+        def recording(M):
+            freed[np.shape(M)] = [ref() is None for ref in refs]
+            return original(M)
+
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        large_k_experiment(config)
+        size = 2 * min(n - k, N)
+        assert freed[(size, size)] == [True]
+
+    def test_large_k_2n_eigensolve_holds_the_product_alone(self, monkeypatch):
+        # Of the 2n-sample, only its 2m x 2m product X_0* X_k is held at its
+        # eigensolve: not its X, six times as large here.
+        n, N, k = 128, 192, 64
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        held, original = {}, linalg.eigenvalues
+
+        def recording(M):
+            held[np.shape(M)] = tracemalloc.get_traced_memory()[0] - base
+            return original(M)
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        large_k_experiment(config)  # first-call imports and caches stay untraced
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            large_k_experiment(config)
+        finally:
+            tracemalloc.stop()
+        m = n - k
+        big_product_bytes = 2 * m * 2 * m * 16
+        assert held[(2 * m, 2 * m)] <= big_product_bytes + 32 * 1024
 
 
 class TestLsvTail:
@@ -517,6 +570,32 @@ class TestLargeK:
         assert rep.zero_eigs == 32
         assert rep.zero_required == 0
         assert rep.atom_ok
+
+    @pytest.mark.parametrize("n,N,k", [(32, 64, 16), (64, 16, 32)],
+                             ids=["companion", "full"])
+    def test_atom_fails_when_the_decomposed_matrix_is_singular(self, n, N, k, monkeypatch):
+        # Trial 0's X with a zeroed column (in X_0) and row: the companion
+        # X_0* X_k gets a zero row, and so does Y when n - k >= N, where Y
+        # itself is decomposed. The atom is then one more than the rank
+        # defect max(0, N - (n - k)).
+        sample = experiments.sample_entry_matrix
+
+        def sampler(spec, i):
+            X = sample(spec, i)
+            if spec.n == n and i == 0:
+                X[:, 0] = X[0] = 0
+            return X
+
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        config = ExperimentConfig(
+            spec=EnsembleSpec(n=n, N=N, k=k, master_seed=10),
+            trials=1, z_list=[1.0 + 0j], t_list=[0.5],
+            thresholds={"stability_ks": 1.0, "resolvent_abs_error": 10.0})
+        rep = large_k_experiment(config)
+        assert rep.zero_eigs == max(0, N - (n - k)) + 1
+        assert rep.zero_required == max(0, N - n)
+        assert rep.stability_ok and rep.resolvent_ok
+        assert not rep.atom_ok and not rep.passed
 
     def test_small_lag_rejected(self):
         config = ExperimentConfig(spec=EnsembleSpec(n=64, N=64, k=1))
