@@ -2,8 +2,9 @@
 and the reductions that take the eigenvalues of Y and the singular values
 of Y - zI from smaller matrices, since Y has rank at most n - k.
 
-X is sampled, and Y = X_k X_0* and X_0* X_k are built, BLOCK rows or columns
-at a time (block_bounds), so a trial holds X and Y plus one block of each.
+X is sampled, and Y = X_k X_0* and X_0* X_k are built, a block of rows or
+columns at a time (block_bounds), so a trial holds X and Y plus one block of
+each.
 
 The entry laws all have mean 0 and variance 1/n. The default complex
 Gaussian has independent real and imaginary parts of variance 1/(2n), so
@@ -37,9 +38,16 @@ ENTRY_LAW_KINDS = (
 BLOCK = 64
 
 
-def block_bounds(count: int) -> list[tuple[int, int]]:
+# Width of the row blocks in which autocov_companion fills X_0* X_k. X is
+# held while they are built, and large-k's 2n sample is the largest X of any
+# run, so the blocks are narrower than BLOCK: a conjugated block of X is
+# N x 16.
+COMPANION_BLOCK = 16
+
+
+def block_bounds(count: int, width: int = BLOCK) -> list[tuple[int, int]]:
     """(start, stop) of the blocks covering range(count): starts at multiples
-    of BLOCK, and a one-wide tail joins the block before it.
+    of width, and a one-wide tail joins the block before it.
 
     At one BLAS thread a product's entries then come out bit for bit as in
     one product over the whole range; a one-wide block would take numpy's
@@ -47,7 +55,7 @@ def block_bounds(count: int) -> list[tuple[int, int]]:
     small enough for OpenBLAS to run on one thread rounds like the
     one-thread product.
     """
-    starts = list(range(0, count, BLOCK))
+    starts = list(range(0, count, width))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [count]))
@@ -193,9 +201,9 @@ def autocov_companion(X, k: int) -> tuple[np.ndarray, int]:
 
     Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :n-k], both N x (n-k).
     AB and BA share their nonzero spectra, so when n - k < N, M is the
-    (n-k) x (n-k) matrix X_0* X_k, filled BLOCK rows at a time, and the
-    N - (n-k) zeros are Y's structural atom. Otherwise M is Y itself and
-    zeros is 0. M is a new array: a caller that drops X before calling
+    (n-k) x (n-k) matrix X_0* X_k, filled COMPANION_BLOCK rows at a time,
+    and the N - (n-k) zeros are Y's structural atom. Otherwise M is Y itself
+    and zeros is 0. M is a new array: a caller that drops X before calling
     companion_eigenvalues decomposes M without holding X.
     """
     X = _as_matrix(X)
@@ -206,21 +214,20 @@ def autocov_companion(X, k: int) -> tuple[np.ndarray, int]:
     if m >= N:
         return build_autocov(X, k), 0
     P = np.empty((m, m), dtype=complex)
-    for a, b in block_bounds(m):
-        P[a:b] = X[:, a:b].conj().T @ X[:, k:]
+    for a, b in block_bounds(m, COMPANION_BLOCK):
+        # Copied, then conjugated in place: a ufunc on the strided view would
+        # also allocate an iteration buffer as large as the block. The del
+        # frees the block before the next one is copied.
+        block = X[:, a:b].copy()
+        np.conjugate(block, out=block)
+        P[a:b] = block.T @ X[:, k:]
+        del block
     return P, N - m
 
 
 def companion_eigenvalues(M, zeros: int) -> np.ndarray:
     """The eigenvalues of M, unordered, followed by zeros exact zeros."""
     return np.concatenate([eigenvalues(M), np.zeros(zeros, dtype=complex)])
-
-
-def autocov_eigenvalues(X, k: int) -> np.ndarray:
-    """The N eigenvalues of Y = build_autocov(X, k), unordered, from
-    autocov_companion. X is held through the eigensolve; a caller that can
-    drop X makes the two calls itself."""
-    return companion_eigenvalues(*autocov_companion(X, k))
 
 
 def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
@@ -234,8 +241,13 @@ def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
     N x d matrix of orthonormal columns, so Y = Q M Q* with the d x d
     M = R[:, -m:] R[:, :m]*, while Y - zI is -zI on the complement of
     range(Q). Hence s(Y - zI) is s(M - zI_d) together with |z| repeated
-    N - d times: one QR per X and one d x d SVD per z. When d >= N, Y - zI
-    itself is decomposed.
+    N - d times: one QR per X and one d x d SVD per z. When d >= N, M is Y
+    itself.
+
+    Only M is held through the SVDs: C and R are dropped once M is formed,
+    and each z writes diag(M) - z into M's diagonal in place, from a saved
+    copy of the diagonal. The entries are those of minus_identity(M, z) bit
+    for bit, without a copy of M per z. X is not modified.
     """
     X = _as_matrix(X)
     N, n = X.shape
@@ -243,19 +255,21 @@ def resolvent_singular_values(X, k: int, z_list) -> np.ndarray:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m = n - k
     d = n if k <= m else 2 * m
-    out = np.empty((len(z_list), N))
     if d >= N:
-        Y = build_autocov(X, k)
-        for row, z in zip(out, z_list):
-            row[:] = singular_values(minus_identity(Y, z))
-        return out
-    C = X if k <= m else np.concatenate([X[:, :m], X[:, k:]], axis=1)
-    R = qr_triangular_factor(C)
-    M = R[:, -m:] @ R[:, :m].conj().T
+        d, M = N, build_autocov(X, k)
+    else:
+        C = X if k <= m else np.concatenate([X[:, :m], X[:, k:]], axis=1)
+        R = qr_triangular_factor(C)
+        M = R[:, -m:] @ R[:, :m].conj().T
+        del C, R
+    diagonal = M.diagonal().copy()
+    out = np.empty((len(z_list), N))
     for row, z in zip(out, z_list):
-        row[:d] = singular_values(minus_identity(M, z))
-        row[d:] = abs(z)
-        row[::-1].sort()  # ascending in reverse: row descends
+        np.fill_diagonal(M, diagonal - z)
+        row[:d] = singular_values(M)
+        if d < N:
+            row[d:] = abs(z)
+            row[::-1].sort()  # ascending in reverse: row descends
     return out
 
 

@@ -527,12 +527,13 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     The atom passes when it is exactly the rank defect, that is when no
     eigenvalue of the companion (of Y itself when n - k >= N) lies in it.
 
-    Task 0 (the predictions, then the 2n-sample) and task 1 (trial 0, then
+    Task 0 (the 2n-sample, then the predictions) and task 1 (trial 0, then
     the resolvent trials) run through map_trials(2, ...), task 1 in a forked
-    child on two CPUs. On one CPU they run in that order, the steps' order
-    before the split: the 2n-sample, whose X is the run's largest array, is
-    decomposed before trial 0's X exists, and that X is freed once its
-    companion is built, so its eigensolve holds no X at all.
+    child on two CPUs, and in that order on one. The 2n-sample, whose X is
+    the run's largest array, comes first, so its peak, X and its companion,
+    falls before the fixed-point solves load their code and memory and
+    before trial 0's X exists. That X is freed once its companion is built,
+    so its eigensolve holds no X at all.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -546,19 +547,26 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     big = stability_spec(spec)
 
     def stability_task():
-        predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
-                       for z in z_list for t in t_list]
         # Two calls: X is a temporary of the first, so no frame holds it
         # during the eigensolve. A del X inside one call would not free it on
         # Python 3.10, where the caller's stack keeps an argument alive.
         companion = autocov_companion(sample_entry_matrix(big, 0), big.k)
-        return predictions, companion_eigenvalues(*companion)
+        big_eigs = companion_eigenvalues(*companion)
+        del companion
+        predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
+                       for z in z_list for t in t_list]
+        return predictions, big_eigs
 
     def trial_task():
         X0 = sample_entry_matrix(spec, 0)
-        later = (sample_entry_matrix(spec, i) for i in range(1, config.trials))
-        return (companion_eigenvalues(*autocov_companion(X0, spec.k)),
-                resolvent_trace_means(itertools.chain([X0], later), spec.k, z_list, t_list))
+        eigs = companion_eigenvalues(*autocov_companion(X0, spec.k))
+        # Only the chain holds X0 now, through a list iterator, which lets go
+        # of its list once exhausted: later trials run without X0. The list
+        # itself, as chain's argument, would live as long as the chain.
+        Xs = itertools.chain(iter([X0]), (sample_entry_matrix(spec, i)
+                                          for i in range(1, config.trials)))
+        del X0
+        return eigs, resolvent_trace_means(Xs, spec.k, z_list, t_list)
 
     tasks = (stability_task, trial_task)
     (predictions, big_eigs), (eigs, means) = map_trials(2, lambda i: tasks[i]())

@@ -10,11 +10,11 @@ from autocov_spectra.ensembles import (
     EntryLaw,
     SeededTrial,
     autocov_companion,
-    autocov_eigenvalues,
     block_bounds,
     build_autocov,
     build_circular,
     build_linearization,
+    companion_eigenvalues,
     hermitize,
     mix_seed,
     moment_diagnostics,
@@ -73,6 +73,12 @@ def one_shot_autocov(X, k):
     return X[:, k:] @ X[:, : X.shape[1] - k].conj().T
 
 
+def autocov_eigenvalues(X, k):
+    """The N eigenvalues of Y = build_autocov(X, k), unordered, from
+    autocov_companion: large-k's two calls, with X held throughout."""
+    return companion_eigenvalues(*autocov_companion(X, k))
+
+
 def one_shot_autocov_eigenvalues(X, k):
     N, n = X.shape
     m = n - k
@@ -82,8 +88,9 @@ def one_shot_autocov_eigenvalues(X, k):
     return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
 
 
-# (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, shapes below 64, k > n/2,
-# and m both below and above N.
+# (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, m = 1 mod 16 (the
+# companion's block width) but not mod 64, shapes below 64, k > n/2, and m
+# both below and above N.
 BLOCKED_SHAPES = [
     (40, 30, 3),     # below 64, m > N
     (50, 60, 30),    # below 64, k > n/2, m < N
@@ -97,6 +104,7 @@ BLOCKED_SHAPES = [
     (66, 191, 1),    # m = 1 mod 64 far below N = 63 mod 64
     (400, 65, 1),    # N = 1 mod 64, m far above N
     (100, 64, 99),   # m = 1: a 1 x 1 X_0* X_k
+    (130, 200, 49),  # k > n/2, m = 81 = 1 mod 16, 17 mod 64, m < N
 ]
 
 
@@ -107,6 +115,15 @@ BLOCKED_SHAPES = [
 ])
 def test_block_bounds(count, bounds):
     assert block_bounds(count) == bounds
+
+
+@pytest.mark.parametrize("count,bounds", [
+    (16, [(0, 16)]), (17, [(0, 17)]), (34, [(0, 16), (16, 32), (32, 34)]),
+    (81, [(0, 16), (16, 32), (32, 48), (48, 64), (64, 81)]),
+])
+def test_block_bounds_of_width_16(count, bounds):
+    # The companion's width: a one-wide tail still joins the block before it.
+    assert block_bounds(count, 16) == bounds
 
 
 class TestBlockedBitIdentity:
@@ -171,9 +188,34 @@ class TestPeakMemory:
         monkeypatch.setattr(ensembles, "eigenvalues",
                             lambda P: products.append(P) or np.zeros(len(P), complex))
         _, peak = traced_peak(autocov_eigenvalues, X, 1)
-        # X_0* X_k (m x m), a block of X_0's conjugate (N x BLOCK) and one of
-        # the product (BLOCK x m); the returned N eigenvalues are smaller.
-        assert peak <= products[-1].nbytes + (N * BLOCK + BLOCK * m) * 16 + PEAK_SLACK
+        # X_0* X_k (m x m), a block of X_0's conjugate (N x 16) and one of
+        # the product (16 x m); the returned N eigenvalues are smaller.
+        assert peak <= products[-1].nbytes + (N * 16 + 16 * m) * 16 + PEAK_SLACK
+
+    @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (128, 128, 1)],
+                             ids=["core", "full"])
+    def test_resolvent_svds_hold_one_matrix(self, n, N, k, monkeypatch):
+        # At each SVD only the d x d matrix it decomposes is held: not the
+        # QR factor R, nor a shifted copy per z (nor, when d >= N, a copy of
+        # Y). X is the caller's.
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=8), 0)
+        held, original = [], linalg.singular_values
+
+        def recording(M):
+            held.append((len(M), tracemalloc.get_traced_memory()[0] - base))
+            return original(M)
+
+        resolvent_singular_values(X, k, [0.5])  # first-call caches stay untraced
+        monkeypatch.setattr(ensembles, "singular_values", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            resolvent_singular_values(X, k, [0.5, 1j, 2.0])
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        for d, nbytes in held:
+            assert nbytes <= d * d * 16 + PEAK_SLACK
 
     def test_build_linearization(self):
         # The two outputs alone: no z I_N, I_m or permuted column block.
@@ -369,6 +411,27 @@ class TestResolventSingularValues:
             else:
                 scale = linalg.operator_norm(Y) + abs(z)
                 assert np.max(np.abs(s - full)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n,N,k", [(40, 60, 20), (20, 20, 1)], ids=["core", "full"])
+    def test_in_place_shift_matches_minus_identity(self, n, N, k):
+        # Each row is s(minus_identity(M, z)) bit for bit, for the d x d core
+        # M (with |z| for the rest) or for Y itself; shifting M in place
+        # carries nothing from one z to the next, and X is left as it was.
+        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=17), 0)
+        before = X.copy()
+        z_list = [0.5 + 0.25j, -1j, 0.5 + 0.25j]
+        got = resolvent_singular_values(X, k, z_list)
+        if n < N:  # k <= n - k, so C = X and d = n
+            R = linalg.qr_triangular_factor(X)
+            M = R[:, k:] @ R[:, : n - k].conj().T
+        else:
+            M = build_autocov(X, k)
+        for row, z in zip(got, z_list):
+            s = linalg.singular_values(linalg.minus_identity(M, z))
+            want = np.sort(np.concatenate([s, np.full(N - len(M), abs(z))]))[::-1]
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got[0].view(np.uint64), got[2].view(np.uint64))
+        assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
 
     def test_lag_out_of_range(self):
         with pytest.raises(ValueError):

@@ -306,6 +306,33 @@ class TestTrialMemory:
         big_product_bytes = 2 * m * 2 * m * 16
         assert held[(2 * m, 2 * m)] <= big_product_bytes + 32 * 1024
 
+    def test_large_k_resolvent_svds_hold_one_x(self, monkeypatch):
+        # At each resolvent SVD of the trial task, the current trial's X and
+        # the d x d matrix being decomposed are held: not trial 0's X in a
+        # later trial, nor the QR factor R or a shifted copy per z.
+        n, N, k = 128, 192, 64
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=3, z_list=[0.5 + 0j, 1.0 + 1j], t_list=[0.5])
+        held, original = [], ensembles.singular_values
+
+        def recording(M):
+            held.append((len(M), tracemalloc.get_traced_memory()[0] - base))
+            return original(M)
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        large_k_experiment(config)  # first-call imports and caches stay untraced
+        monkeypatch.setattr(ensembles, "singular_values", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            large_k_experiment(config)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == config.trials * len(config.z_list)
+        x_bytes = N * n * 16
+        for d, nbytes in held:
+            assert nbytes <= x_bytes + d * d * 16 + 64 * 1024
+
 
 class TestLsvTail:
     def test_small_run(self):
