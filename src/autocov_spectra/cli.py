@@ -11,8 +11,9 @@ Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values). run is the one place a rejected config value becomes exit 3: a
 subcommand is a deterministic function of its config, so a ConfigError,
 TypeError, ValueError or OverflowError raised by the run (every one of them
-an argument check), or an OSError from an unreadable config or unusable
-output directory, is reported as ``config error: <subcommand>: <message>``.
+an argument check), a MemoryError (every array's size follows from the
+config), or an OSError from an unreadable config or unusable output
+directory, is reported as ``config error: <subcommand>: <message>``.
 A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
@@ -138,10 +139,19 @@ def validate_keys(subcommand: str, cfg: dict) -> None:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
 
+def _integer(cfg: dict, key: str, default: int | None = None) -> int:
+    """cfg[key], or default when given and key is absent, which must be a
+    JSON integer: int() would run 1.5 as 1 and accept true and "7"."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _spec_from(cfg: dict) -> EnsembleSpec:
     law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
-    return EnsembleSpec(n=int(cfg["n"]), N=int(cfg["N"]), k=int(cfg["k"]),
-                        law=law, master_seed=int(cfg["seed"]))
+    return EnsembleSpec(n=_integer(cfg, "n"), N=_integer(cfg, "N"), k=_integer(cfg, "k"),
+                        law=law, master_seed=_integer(cfg, "seed"))
 
 
 def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
@@ -151,7 +161,7 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
     overrides applied."""
     config = ExperimentConfig(
         spec=spec,
-        trials=int(cfg.get("trials", 1)),
+        trials=_integer(cfg, "trials", 1),
         z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
         t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
         thresholds=cfg.get("thresholds", {}),
@@ -312,12 +322,12 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     gamma1 = float(cfg["gamma1"])
     spec = None
     if "n" in cfg and "seed" in cfg:
+        n = _integer(cfg, "n")
         spec = EnsembleSpec(
-            n=int(cfg["n"]), N=int(round(gamma0 * int(cfg["n"]))),
-            k=int(round(gamma1 * int(cfg["n"]))),
+            n=n, N=int(round(gamma0 * n)), k=int(round(gamma1 * n)),
             law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
-            master_seed=int(cfg["seed"]))
-        trials = ExperimentConfig(spec, int(cfg.get("trials", 1))).trials
+            master_seed=_integer(cfg, "seed"))
+        trials = ExperimentConfig(spec, _integer(cfg, "trials", 1)).trials
     z_list = [_parse_complex(z) for z in cfg["z_list"]]
     t_list = [float(t) for t in cfg["t_list"]]
     # An empty list would leave the table with no rows.
@@ -382,10 +392,11 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
     law = EntryLaw(kind=cfg["law"])
-    report = moment_diagnostics(law, n=int(cfg["n"]),
-                                sample_count=int(cfg.get("sample_count", 100_000)),
-                                seed=int(cfg["seed"]))
-    manifest.seeds = trial_seeds(int(cfg["seed"]), 1)
+    seed = _integer(cfg, "seed")
+    report = moment_diagnostics(law, n=_integer(cfg, "n"),
+                                sample_count=_integer(cfg, "sample_count", 100_000),
+                                seed=seed)
+    manifest.seeds = trial_seeds(seed, 1)
     _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
 
@@ -423,7 +434,7 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
     except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, TypeError, ValueError, OverflowError, OSError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"config error: {subcommand}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

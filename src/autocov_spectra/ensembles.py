@@ -4,7 +4,8 @@ of Y - zI from smaller matrices, since Y has rank at most n - k.
 
 X is sampled, and Y = X_k X_0* and X_0* X_k are built, a block of rows or
 columns at a time (block_bounds), so a trial holds X and Y plus one block of
-each.
+each. X_0* X_k can also be summed over a stream of X's row blocks
+(sampled_companion), which holds no X at all.
 
 The entry laws all have mean 0 and variance 1/n. The default complex
 Gaussian has independent real and imaginary parts of variance 1/(2n), so
@@ -39,9 +40,8 @@ BLOCK = 64
 
 
 # Width of the row blocks in which autocov_companion fills X_0* X_k. X is
-# held while they are built, and large-k's 2n sample is the largest X of any
-# run, so the blocks are narrower than BLOCK: a conjugated block of X is
-# N x 16.
+# held while they are built, so the blocks are narrower than BLOCK: a
+# conjugated block of X is N x 16.
 COMPANION_BLOCK = 16
 
 
@@ -99,31 +99,42 @@ class EntryLaw:
         if self.kind not in ENTRY_LAW_KINDS:
             raise ValueError(f"unknown entry law kind {self.kind!r}")
 
-    def sample(self, rng: np.random.Generator, size, n: int) -> np.ndarray:
-        """Draw entries with variance 1/n from this law."""
+    @property
+    def streams(self) -> int:
+        """The number of streams of draws the entries take, one after the
+        other: 2 when all real parts are drawn before all imaginary parts."""
+        return 2 if self.kind in ("complex-gaussian", "two-point-complex") else 1
+
+    def fill(self, rng: np.random.Generator, stream: int, out: np.ndarray, n: int,
+             draws: np.ndarray) -> None:
+        """Draw one stream of out's entries from rng: for a two-stream law,
+        stream 0 is their real parts and stream 1 their imaginary parts;
+        otherwise stream 0 is the whole entries. draws is float scratch of
+        out's shape."""
         if self.kind == "complex-gaussian":
-            # All real parts are drawn first, then all imaginary parts: that
-            # order is what makes X a fixed function of the seed. Each is
-            # drawn BLOCK rows at a time straight into out.
-            scale = 1.0 / np.sqrt(2.0 * n)
-            out = np.empty(size, dtype=complex)
-            rows = np.atleast_2d(out)
-            for part in (rows.real, rows.imag):
-                for a, b in block_bounds(len(rows)):
-                    part[a:b] = rng.standard_normal(part[a:b].shape)
-                    part[a:b] *= scale
-            return out
-        if self.kind == "uniform-phase-modulus":
-            phase = rng.uniform(0.0, 2.0 * np.pi, size)
-            return np.exp(1j * phase) / np.sqrt(n)
-        if self.kind == "two-point-complex":
-            scale = 1.0 / np.sqrt(2.0 * n)
-            re = rng.integers(0, 2, size) * 2.0 - 1.0
-            im = rng.integers(0, 2, size) * 2.0 - 1.0
-            return (re + 1j * im) * scale
-        if self.kind == "real-gaussian":
-            return rng.standard_normal(size) / np.sqrt(n) + 0j
-        raise AssertionError(self.kind)
+            rng.standard_normal(out=draws)
+            np.multiply(draws, 1.0 / np.sqrt(2.0 * n), out=(out.real, out.imag)[stream])
+        elif self.kind == "two-point-complex":
+            signs = rng.integers(0, 2, out.shape) * 2.0 - 1.0
+            np.multiply(signs, 1.0 / np.sqrt(2.0 * n), out=(out.real, out.imag)[stream])
+        elif self.kind == "uniform-phase-modulus":
+            out[...] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, out.shape)) / np.sqrt(n)
+        else:  # real-gaussian
+            rng.standard_normal(out=draws)
+            out[...] = draws / np.sqrt(n) + 0j
+
+    def sample(self, rng: np.random.Generator, size, n: int) -> np.ndarray:
+        """Draw entries with variance 1/n from this law. Each stream is drawn
+        in turn over all entries, BLOCK rows at a time straight into the
+        result: that order is what makes X a fixed function of the seed."""
+        out = np.empty(size, dtype=complex)
+        rows = np.atleast_2d(out)
+        draws = np.empty((min(BLOCK, len(rows)), rows.shape[1]))
+        for stream in range(self.streams):
+            for a in range(0, len(rows), BLOCK):
+                block = rows[a:a + BLOCK]
+                self.fill(rng, stream, block, n, draws[:len(block)])
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,12 +180,40 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [mix_seed(master_seed, i) for i in range(trials)]
 
 
-def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
-    """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
+def _trial_rng(spec: EnsembleSpec, trial: SeededTrial | int) -> np.random.Generator:
     if not isinstance(trial, SeededTrial):
         trial = SeededTrial.from_master(spec.master_seed, trial)
-    rng = np.random.Generator(np.random.PCG64(trial.derived_seed))
-    return spec.law.sample(rng, (spec.N, spec.n), spec.n)
+    return np.random.Generator(np.random.PCG64(trial.derived_seed))
+
+
+def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
+    """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
+    return spec.law.sample(_trial_rng(spec, trial), (spec.N, spec.n), spec.n)
+
+
+def sample_row_blocks(spec: EnsembleSpec, trial: SeededTrial | int):
+    """Yield the rows of sample_entry_matrix(spec, trial), BLOCK at a time
+    (the last block may be shorter), bit for bit, without holding X.
+
+    Every block is a view of one buffer that the next block overwrites. A
+    two-stream law (EntryLaw.streams) draws all of X's real parts before its
+    imaginary parts, so a block's imaginary parts come from a second
+    generator of the same seed, moved past the first stream by drawing and
+    discarding its N x n draws: PCG64.advance cannot place it, because the
+    ziggurat takes a varying count of raw draws per normal.
+    """
+    law, N, n = spec.law, spec.N, spec.n
+    rngs = [_trial_rng(spec, trial) for _ in range(law.streams)]
+    block = np.empty((min(BLOCK, N), n), dtype=complex)
+    draws = np.empty(block.shape)
+    sizes = [min(BLOCK, N - a) for a in range(0, N, BLOCK)]
+    if law.streams == 2:
+        for rows in sizes:
+            law.fill(rngs[1], 0, block[:rows], n, draws[:rows])
+    for rows in sizes:
+        for stream, rng in enumerate(rngs):
+            law.fill(rng, stream, block[:rows], n, draws[:rows])
+        yield block[:rows]
 
 
 def build_autocov(X, k: int) -> np.ndarray:
@@ -223,6 +262,35 @@ def autocov_companion(X, k: int) -> tuple[np.ndarray, int]:
         P[a:b] = block.T @ X[:, k:]
         del block
     return P, N - m
+
+
+def sampled_companion(spec: EnsembleSpec, trial: SeededTrial | int) -> tuple[np.ndarray, int]:
+    """autocov_companion(sample_entry_matrix(spec, trial), spec.k), which
+    never holds X when n - k < N.
+
+    M = X_0* X_k is then summed over the row blocks X_b of X
+    (sample_row_blocks) as the sum of X_b[:, :m]* X_b[:, k:], so only M, one
+    m x m product, one block of X and its conjugated first m columns are
+    held. The sum runs in another order than autocov_companion's product, so
+    M agrees with it to rounding, not bit for bit. Otherwise M is Y, and X
+    is sampled whole.
+    """
+    n, N, k = spec.n, spec.N, spec.k
+    m = n - k
+    if m >= N:
+        return autocov_companion(sample_entry_matrix(spec, trial), k)
+    M = np.zeros((m, m), dtype=complex)
+    product = np.empty_like(M)
+    conjugate = np.empty((min(BLOCK, N), m), dtype=complex)
+    for block in sample_row_blocks(spec, trial):
+        # Copied, then conjugated in place: a ufunc reading the strided view
+        # would also allocate a 128 KiB iteration buffer.
+        left = conjugate[:len(block)]
+        left[...] = block[:, :m]
+        np.conjugate(left, out=left)
+        np.matmul(left.T, block[:, k:], out=product)
+        M += product
+    return M, N - m
 
 
 def companion_eigenvalues(M, zeros: int) -> np.ndarray:

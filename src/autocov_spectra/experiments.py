@@ -9,6 +9,7 @@ the underlying statements are asymptotic with no finite-n rates.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
 import signal
@@ -26,6 +27,7 @@ from autocov_spectra.ensembles import (
     default_c0_bound,
     resolvent_singular_values,
     sample_entry_matrix,
+    sampled_companion,
     trial_seeds,
 )
 from autocov_spectra.fixed_point import (
@@ -86,6 +88,9 @@ class ExperimentConfig:
         for key, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"threshold {key!r} must be a number, got {value!r}")
+            # A NaN threshold fails every run and an infinite one passes it.
+            if not math.isfinite(value):
+                raise ValueError(f"threshold {key!r} must be finite, got {value!r}")
         unknown = sorted(set(self.thresholds) - set(DEFAULT_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}; "
@@ -519,8 +524,11 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
 
     Trial 0 of the resolvent average is also the stability check's n-sample
     and the sample whose zero atom is counted. Both it and the 2n-sample take
-    their eigenvalues from autocov_companion: an (n-k) x (n-k) eigensolve
-    plus N - (n-k) exact zeros when n - k < N. The stability KS compares
+    their eigenvalues from the companion of Y: an (n-k) x (n-k) eigensolve
+    plus N - (n-k) exact zeros when n - k < N. Trial 0's comes from
+    autocov_companion, as its X is reused; the 2n-sample's from
+    sampled_companion, which sums it over row blocks of X and so never holds
+    X when n - k < N. The stability KS compares
     the atom_radii of both samples. Y has rank at most n - k, so its atom,
     the count of |lambda| <= ZERO_EIGENVALUE_TOL, is at least
     max(0, N - (n-k)), which N > n makes at least N - n (zero_required).
@@ -529,11 +537,10 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
 
     Task 0 (the 2n-sample, then the predictions) and task 1 (trial 0, then
     the resolvent trials) run through map_trials(2, ...), task 1 in a forked
-    child on two CPUs, and in that order on one. The 2n-sample, whose X is
-    the run's largest array, comes first, so its peak, X and its companion,
+    child on two CPUs, and in that order on one. The 2n-sample comes first,
+    so its peak, the companion, one m x m product and one row block of X,
     falls before the fixed-point solves load their code and memory and
-    before trial 0's X exists. That X is freed once its companion is built,
-    so its eigensolve holds no X at all.
+    before trial 0's X exists.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -547,12 +554,9 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     big = stability_spec(spec)
 
     def stability_task():
-        # Two calls: X is a temporary of the first, so no frame holds it
-        # during the eigensolve. A del X inside one call would not free it on
-        # Python 3.10, where the caller's stack keeps an argument alive.
-        companion = autocov_companion(sample_entry_matrix(big, 0), big.k)
-        big_eigs = companion_eigenvalues(*companion)
-        del companion
+        # The companion is summed over row blocks of the 2n-sample's X, so
+        # that X, the run's largest array, is never held.
+        big_eigs = companion_eigenvalues(*sampled_companion(big, 0))
         predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
                        for z in z_list for t in t_list]
         return predictions, big_eigs

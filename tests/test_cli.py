@@ -461,6 +461,10 @@ class TestExitCodes:
         ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
                      "z_list": [1.0], "t_list": []}),
         ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [0], "t_list": [0.5]}),
+        ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1,
+                 "thresholds": {"radial_ks": math.nan}}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1, "z_list": [1.0],
+                     "t_list": [0.5], "thresholds": {"stability_ks": math.inf}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -470,7 +474,8 @@ class TestExitCodes:
             "empty-fixed-point-t", "nan-fixed-point-z", "nan-t", "infinite-h", "negative-start",
             "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap",
             "removed-angular-ks", "list-thresholds", "zero-z", "zero-linearize-z",
-            "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z"])
+            "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
+            "nan-threshold", "infinite-threshold"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -481,10 +486,63 @@ class TestExitCodes:
         assert err.startswith(f"config error: {subcommand}: ")
         assert err.count(subcommand) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 1.5), ("seed", "7"), ("trials", 2.9), ("k", True), ("n", 16.0), ("N", False),
+    ])
+    @pytest.mark.parametrize("subcommand", ["esd", "large-k"])
+    def test_integer_keys_take_only_integers(self, tmp_path, capsys, subcommand, key, value):
+        # int() would run seed 1.5 as seed 1, and take true as 1 and "7" as 7.
+        payload = dict(TINY_CONFIGS[subcommand], **{key: value})
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {subcommand}: {key} must be an "
+                                           f"integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("fixed-point", "n", 8.0), ("fixed-point", "seed", 1.5), ("fixed-point", "trials", True),
+        ("law-diagnostics", "n", 8.5), ("law-diagnostics", "seed", "1"),
+        ("law-diagnostics", "sample_count", 1e5),
+    ])
+    def test_integer_keys_of_other_subcommands(self, tmp_path, capsys, subcommand, key, value):
+        payload = dict(TINY_CONFIGS[subcommand], **{key: value})
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    def test_integer_override_still_runs(self, tmp_path):
+        out = tmp_path / "o"
+        status = cli.main(["esd", write_config(tmp_path, TINY_CONFIGS["esd"]), "--set",
+                           "seed=7", "--output-dir", str(out)])
+        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 7
+        assert manifest["resolved_seeds"] == [mix_seed(7, i)
+                                              for i in range(TINY_CONFIGS["esd"]["trials"])]
+
+    # Each size lies beyond the 47-bit user address space, so the allocation
+    # fails at once, whatever the machine's overcommit setting.
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 1e-15}),
+        ("esd", {"n": 10**8, "N": 10**8, "k": 1, "seed": 1, "trials": 1}),
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0,
+                                                     "step": 1e-15}}),
+        ("law-diagnostics", {"law": "complex-gaussian", "n": 8, "seed": 1,
+                             "sample_count": 10**17}),
+    ], ids=["hermitize-h", "esd-n", "limit-law-step", "diagnostics-sample-count"])
+    def test_unallocatable_sizes_exit_three(self, tmp_path, capsys, subcommand, payload):
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {subcommand}: Unable to allocate ")
+
     @pytest.mark.parametrize("subcommand,payload", [
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": "bogus"}),
         ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [math.nan], "t_list": [0.5]}),
-    ], ids=["unknown-law", "nan-fixed-point-z"])
+        ("esd", {"n": 10**8, "N": 10**8, "k": 1, "seed": 1, "trials": 1}),
+    ], ids=["unknown-law", "nan-fixed-point-z", "unallocatable-esd"])
     def test_config_error_reaches_a_real_process_without_traceback(self, tmp_path, subcommand,
                                                                    payload):
         proc = run_cli(subcommand, write_config(tmp_path, payload), tmp_path / "out")
@@ -696,15 +754,22 @@ class TestTrialWorkers:
         assert outputs[1] == outputs[2] == outputs[3]
 
     def _fail_large_k_solve(self, monkeypatch, samples, failure):
-        solve = experiments.autocov_companion
+        # The 2n-sample's companion comes from sampled_companion, trial 0's
+        # from autocov_companion.
+        sampled, held = experiments.sampled_companion, experiments.autocov_companion
 
-        def failing(X, k):
-            sample = "2n" if X.shape[1] == 2 * self.LARGE_K["n"] else "trial 0"
-            if sample in samples:
-                failure(sample)
-            return solve(X, k)
+        def failing_2n(spec, trial):
+            if "2n" in samples:
+                failure("2n")
+            return sampled(spec, trial)
 
-        monkeypatch.setattr(experiments, "autocov_companion", failing)
+        def failing_trial_0(X, k):
+            if "trial 0" in samples:
+                failure("trial 0")
+            return held(X, k)
+
+        monkeypatch.setattr(experiments, "sampled_companion", failing_2n)
+        monkeypatch.setattr(experiments, "autocov_companion", failing_trial_0)
 
     @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"}])
     def test_large_k_linalg_error_in_either_task_exits_four_as_serially(
@@ -752,7 +817,7 @@ class TestTrialWorkers:
             from autocov_spectra import cli, experiments
             experiments.usable_cpus = lambda: 3
             sample = experiments.sample_entry_matrix
-            solve = experiments.autocov_companion
+            sampled, held = experiments.sampled_companion, experiments.autocov_companion
 
             def failing_at(trial, failure):
                 def sampler(spec, i):
@@ -761,12 +826,11 @@ class TestTrialWorkers:
                     return sample(spec, i)
                 return sampler
 
-            def failing_on(columns, failure):
-                def solver(X, k):
-                    if X.shape[1] == columns:
-                        failure()
-                    return solve(X, k)
-                return solver
+            def failing(solver, failure):
+                def wrapped(*args):
+                    failure()
+                    return solver(*args)
+                return wrapped
 
             def raise_linalg_error():
                 raise np.linalg.LinAlgError("x")
@@ -786,11 +850,12 @@ class TestTrialWorkers:
                 experiments.sample_entry_matrix = sampler
                 check("lsv-tail", sys.argv[1])
             experiments.sample_entry_matrix = sample
-            # The 2n-sample's X has 32 columns, trial 0's 16.
-            for solver in (solve, failing_on(32, raise_linalg_error),
-                           failing_on(16, raise_linalg_error),
-                           failing_on(16, lambda: os._exit(1))):
-                experiments.autocov_companion = solver
+            # The 2n-sample's companion comes from sampled_companion, trial
+            # 0's from autocov_companion.
+            for solvers in ((sampled, held), (failing(sampled, raise_linalg_error), held),
+                            (sampled, failing(held, raise_linalg_error)),
+                            (sampled, failing(held, lambda: os._exit(1)))):
+                experiments.sampled_companion, experiments.autocov_companion = solvers
                 check("large-k", sys.argv[2])
             print(codes)
         """)

@@ -6,6 +6,7 @@ import pytest
 from autocov_spectra import ensembles, linalg
 from autocov_spectra.ensembles import (
     BLOCK,
+    ENTRY_LAW_KINDS,
     EnsembleSpec,
     EntryLaw,
     SeededTrial,
@@ -20,6 +21,8 @@ from autocov_spectra.ensembles import (
     moment_diagnostics,
     resolvent_singular_values,
     sample_entry_matrix,
+    sample_row_blocks,
+    sampled_companion,
     trial_seeds,
 )
 
@@ -77,6 +80,14 @@ def autocov_eigenvalues(X, k):
     """The N eigenvalues of Y = build_autocov(X, k), unordered, from
     autocov_companion: large-k's two calls, with X held throughout."""
     return companion_eigenvalues(*autocov_companion(X, k))
+
+
+def row_block_companion(X, k):
+    """X_0* X_k summed over the BLOCK-row blocks X_b of X, from zero, as
+    X_b[:, :m]* X_b[:, k:]: sampled_companion's sum, with X held."""
+    m = X.shape[1] - k
+    return sum((X[a:a + BLOCK, :m].conj().T @ X[a:a + BLOCK, k:]
+                for a in range(0, len(X), BLOCK)), np.zeros((m, m), dtype=complex))
 
 
 def one_shot_autocov_eigenvalues(X, k):
@@ -145,6 +156,44 @@ class TestBlockedBitIdentity:
         assert np.array_equal(X.view(np.uint64), one_shot_sample(spec, 1).view(np.uint64))
         assert np.array_equal(build_autocov(X, k), one_shot_autocov(X, k))
         assert np.array_equal(autocov_eigenvalues(X, k), one_shot_autocov_eigenvalues(X, k))
+
+    @pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
+    def test_sampled_companion_is_the_row_block_sum(self, blas, n, N, k):
+        # When n - k < N the oracle runs at one BLAS thread, so the
+        # default-thread case also checks that the sum does not depend on
+        # the thread count. Otherwise M is Y, from the sampled X.
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=n * 1000 + N)
+        X = sample_entry_matrix(spec, 1)
+        if n - k < N:
+            with linalg.one_blas_thread():
+                want, zeros = row_block_companion(X, k), N - (n - k)
+        else:
+            want, zeros = autocov_companion(X, k)
+        M, got_zeros = sampled_companion(spec, 1)
+        assert got_zeros == zeros
+        assert np.array_equal(M.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ENTRY_LAW_KINDS)
+@pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
+def test_row_blocks_are_the_sampled_x(kind, n, N, k):
+    spec = EnsembleSpec(n=n, N=N, k=k, law=EntryLaw(kind), master_seed=n * 1000 + N)
+    blocks = [block.copy() for block in sample_row_blocks(spec, 2)]
+    assert [len(block) for block in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+    X = sample_entry_matrix(spec, 2)
+    assert np.array_equal(np.concatenate(blocks).view(np.uint64), X.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ENTRY_LAW_KINDS)
+@pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
+def test_sampled_companion_matches_the_held_x_companion(kind, n, N, k):
+    # Summed in another order than autocov_companion's product: equal to
+    # rounding, relative to the largest entry.
+    spec = EnsembleSpec(n=n, N=N, k=k, law=EntryLaw(kind), master_seed=n + N + k)
+    want, zeros = autocov_companion(sample_entry_matrix(spec, 0), k)
+    M, got_zeros = sampled_companion(spec, 0)
+    assert got_zeros == zeros and M.shape == want.shape
+    assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def traced_peak(fn, *args):
@@ -216,6 +265,18 @@ class TestPeakMemory:
         assert len(held) == 3
         for d, nbytes in held:
             assert nbytes <= d * d * 16 + PEAK_SLACK
+
+    @pytest.mark.parametrize("N", [192, 768], ids=["N", "4N"])
+    def test_sampled_companion_holds_no_x(self, N):
+        # M, one m x m product, and one row block of X with its float draws
+        # and its conjugated first m columns, whatever N is: X itself is
+        # larger than that at 4N.
+        n, k = 256, 128
+        m = n - k
+        (M, _), peak = traced_peak(sampled_companion,
+                                   EnsembleSpec(n=n, N=N, k=k, master_seed=9), 0)
+        block_bytes = BLOCK * (n * 16 + n * 8 + m * 16)
+        assert peak <= 2 * M.nbytes + block_bytes + PEAK_SLACK
 
     def test_build_linearization(self):
         # The two outputs alone: no z I_N, I_m or permuted column block.

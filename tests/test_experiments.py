@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import tracemalloc
 import weakref
@@ -11,6 +12,7 @@ from test_linalg import RANK_TOL, perturbation_interlacing_check
 
 from autocov_spectra import cli, ensembles, experiments, linalg
 from autocov_spectra.ensembles import (
+    BLOCK,
     EnsembleSpec,
     build_autocov,
     build_circular,
@@ -257,12 +259,14 @@ class TestTrialMemory:
     @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (64, 16, 32)],
                              ids=["companion", "full"])
     def test_large_k_2n_eigensolve_holds_no_x(self, n, N, k, monkeypatch):
-        # A weak reference to the 2n-sample's X is dead inside the eigensolve
-        # of its companion (of its Y, when n - k >= N): no frame holds X.
+        # When n - k >= N, a weak reference to the 2n-sample's X is dead
+        # inside the eigensolve of its Y: no frame holds X. Otherwise
+        # sampled_companion sums the companion over row blocks, and X is
+        # never sampled whole.
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
                                   trials=2, z_list=[1.0 + 0j], t_list=[0.5])
         refs, freed = [], {}
-        sample, original = experiments.sample_entry_matrix, linalg.eigenvalues
+        sample, original = ensembles.sample_entry_matrix, linalg.eigenvalues
 
         def sampler(spec, i):
             X = sample(spec, i)
@@ -275,11 +279,40 @@ class TestTrialMemory:
             return original(M)
 
         monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "sample_entry_matrix", sampler)
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
         large_k_experiment(config)
         size = 2 * min(n - k, N)
-        assert freed[(size, size)] == [True]
+        assert freed[(size, size)] == ([True] if n - k >= N else [])
+
+    def test_large_k_2n_sample_peaks_without_its_x(self, monkeypatch):
+        # Up to the 2n-sample's eigensolve, which task 0 reaches first on one
+        # CPU, the peak is the 2m x 2m companion, one product of that size,
+        # a row block of X with its float draws and its conjugated first 2m
+        # columns: not the 2n-sample's X, alone larger than that bound here.
+        n, N, k = 128, 192, 64
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        peaks, original = {}, linalg.eigenvalues
+
+        def recording(M):
+            peaks[np.shape(M)] = tracemalloc.get_traced_memory()[1] - base
+            return original(M)
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        large_k_experiment(config)  # first-call imports and caches stay untraced
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            large_k_experiment(config)
+        finally:
+            tracemalloc.stop()
+        m, big_n = n - k, 2 * n
+        product_bytes = 2 * m * 2 * m * 16
+        block_bytes = BLOCK * (big_n * 16 + big_n * 8 + 2 * m * 16)
+        assert peaks[(2 * m, 2 * m)] <= 2 * product_bytes + block_bytes + 64 * 1024
 
     def test_large_k_2n_eigensolve_holds_the_product_alone(self, monkeypatch):
         # Of the 2n-sample, only its 2m x 2m product X_0* X_k is held at its
@@ -636,6 +669,7 @@ class TestLargeK:
             raise AssertionError("sampled")
 
         monkeypatch.setattr(experiments, "sample_entry_matrix", sample)
+        monkeypatch.setattr(experiments, "sampled_companion", sample)
         config = ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=4), z_list=z_list,
                                   t_list=t_list)
         with pytest.raises(ValueError, match="nonempty"):
@@ -740,6 +774,12 @@ class TestConfig:
     def test_malformed_thresholds_rejected_at_construction(self, thresholds):
         with pytest.raises(TypeError):
             ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=1), thresholds=thresholds)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thresholds_rejected_at_construction(self, value):
+        # A NaN threshold would fail every run, an infinite one pass it.
+        with pytest.raises(ValueError, match="radial_ks.*finite"):
+            ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=1), thresholds={"radial_ks": value})
 
 
 class TestOutputs:
