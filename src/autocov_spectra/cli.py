@@ -148,6 +148,15 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _array(cfg: dict, key: str, default: list | None = None) -> list:
+    """cfg[key], or default when given and key is absent, which must be a
+    JSON array: iterating would run "5" as ["5"] and {"1": 0} as ["1"]."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be an array, got {value!r}")
+    return value
+
+
 def _spec_from(cfg: dict) -> EnsembleSpec:
     law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
     return EnsembleSpec(n=_integer(cfg, "n"), N=_integer(cfg, "N"), k=_integer(cfg, "k"),
@@ -162,8 +171,8 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
     config = ExperimentConfig(
         spec=spec,
         trials=_integer(cfg, "trials", 1),
-        z_list=[_parse_complex(z) for z in cfg.get("z_list", [1.0])],
-        t_list=[float(t) for t in cfg.get("t_list", [0.3, 0.5, 1.0])],
+        z_list=[_parse_complex(z) for z in _array(cfg, "z_list", [1.0])],
+        t_list=[float(t) for t in _array(cfg, "t_list", [0.3, 0.5, 1.0])],
         thresholds=cfg.get("thresholds", {}),
     )
     manifest.thresholds = {key: config.thresholds[key] for key in gated}
@@ -321,15 +330,17 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     gamma0 = float(cfg["gamma0"])
     gamma1 = float(cfg["gamma1"])
     spec = None
-    if "n" in cfg and "seed" in cfg:
+    if ("n" in cfg) != ("seed" in cfg):
+        raise ConfigError("n and seed go together: give both to simulate, or neither")
+    if "n" in cfg:
         n = _integer(cfg, "n")
         spec = EnsembleSpec(
             n=n, N=int(round(gamma0 * n)), k=int(round(gamma1 * n)),
             law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
             master_seed=_integer(cfg, "seed"))
         trials = ExperimentConfig(spec, _integer(cfg, "trials", 1)).trials
-    z_list = [_parse_complex(z) for z in cfg["z_list"]]
-    t_list = [float(t) for t in cfg["t_list"]]
+    z_list = [_parse_complex(z) for z in _array(cfg, "z_list")]
+    t_list = [float(t) for t in _array(cfg, "t_list")]
     # An empty list would leave the table with no rows.
     if not z_list or not t_list:
         raise ConfigError("z_list and t_list must be nonempty")

@@ -2,9 +2,9 @@
 and the reductions that take the eigenvalues of Y and the singular values
 of Y - zI from smaller matrices, since Y has rank at most n - k.
 
-X is sampled, and Y = X_k X_0* and X_0* X_k are built, a block of rows or
-columns at a time (block_bounds), so a trial holds X and Y plus one block of
-each. X_0* X_k can also be summed over a stream of X's row blocks
+X is sampled, and Y = X_k X_0* built, a block of rows or columns at a time
+(block_bounds), so a trial holds X and Y plus one block of each. The
+companion X_0* X_k is summed over a stream of X's row blocks
 (sampled_companion), which holds no X at all.
 
 The entry laws all have mean 0 and variance 1/n. The default complex
@@ -39,15 +39,9 @@ ENTRY_LAW_KINDS = (
 BLOCK = 64
 
 
-# Width of the row blocks in which autocov_companion fills X_0* X_k. X is
-# held while they are built, so the blocks are narrower than BLOCK: a
-# conjugated block of X is N x 16.
-COMPANION_BLOCK = 16
-
-
-def block_bounds(count: int, width: int = BLOCK) -> list[tuple[int, int]]:
+def block_bounds(count: int) -> list[tuple[int, int]]:
     """(start, stop) of the blocks covering range(count): starts at multiples
-    of width, and a one-wide tail joins the block before it.
+    of BLOCK, and a one-wide tail joins the block before it.
 
     At one BLAS thread a product's entries then come out bit for bit as in
     one product over the whole range; a one-wide block would take numpy's
@@ -55,7 +49,7 @@ def block_bounds(count: int, width: int = BLOCK) -> list[tuple[int, int]]:
     small enough for OpenBLAS to run on one thread rounds like the
     one-thread product.
     """
-    starts = list(range(0, count, width))
+    starts = list(range(0, count, BLOCK))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [count]))
@@ -234,51 +228,22 @@ def build_autocov(X, k: int) -> np.ndarray:
     return Y
 
 
-def autocov_companion(X, k: int) -> tuple[np.ndarray, int]:
-    """(M, zeros): the N eigenvalues of Y = build_autocov(X, k) are those of
-    the square matrix M followed by zeros exact zeros (companion_eigenvalues).
-
-    Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :n-k], both N x (n-k).
-    AB and BA share their nonzero spectra, so when n - k < N, M is the
-    (n-k) x (n-k) matrix X_0* X_k, filled COMPANION_BLOCK rows at a time,
-    and the N - (n-k) zeros are Y's structural atom. Otherwise M is Y itself
-    and zeros is 0. M is a new array: a caller that drops X before calling
-    companion_eigenvalues decomposes M without holding X.
-    """
-    X = _as_matrix(X)
-    N, n = X.shape
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    m = n - k
-    if m >= N:
-        return build_autocov(X, k), 0
-    P = np.empty((m, m), dtype=complex)
-    for a, b in block_bounds(m, COMPANION_BLOCK):
-        # Copied, then conjugated in place: a ufunc on the strided view would
-        # also allocate an iteration buffer as large as the block. The del
-        # frees the block before the next one is copied.
-        block = X[:, a:b].copy()
-        np.conjugate(block, out=block)
-        P[a:b] = block.T @ X[:, k:]
-        del block
-    return P, N - m
-
-
 def sampled_companion(spec: EnsembleSpec, trial: SeededTrial | int) -> tuple[np.ndarray, int]:
-    """autocov_companion(sample_entry_matrix(spec, trial), spec.k), which
-    never holds X when n - k < N.
+    """(M, zeros): the N eigenvalues of Y = build_autocov(X, spec.k), X =
+    sample_entry_matrix(spec, trial), are those of the square matrix M
+    followed by zeros exact zeros (companion_eigenvalues).
 
-    M = X_0* X_k is then summed over the row blocks X_b of X
-    (sample_row_blocks) as the sum of X_b[:, :m]* X_b[:, k:], so only M, one
-    m x m product, one block of X and its conjugated first m columns are
-    held. The sum runs in another order than autocov_companion's product, so
-    M agrees with it to rounding, not bit for bit. Otherwise M is Y, and X
-    is sampled whole.
+    Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :m], m = n - k. AB and
+    BA share their nonzero spectra, so when m < N, M is the m x m X_0* X_k
+    and the N - m zeros are Y's structural atom. M is then summed over the
+    row blocks X_b of X (sample_row_blocks) as the sum of X_b[:, :m]*
+    X_b[:, k:], so X is never held: only M, one m x m product, one block of
+    X and its conjugated first m columns. Otherwise M is Y and zeros is 0.
     """
     n, N, k = spec.n, spec.N, spec.k
     m = n - k
     if m >= N:
-        return autocov_companion(sample_entry_matrix(spec, trial), k)
+        return build_autocov(sample_entry_matrix(spec, trial), k), 0
     M = np.zeros((m, m), dtype=complex)
     product = np.empty_like(M)
     conjugate = np.empty((min(BLOCK, N), m), dtype=complex)

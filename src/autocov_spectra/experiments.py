@@ -8,7 +8,6 @@ the underlying statements are asymptotic with no finite-n rates.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -20,7 +19,6 @@ import numpy as np
 from autocov_spectra import linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
-    autocov_companion,
     build_autocov,
     build_linearization,
     companion_eigenvalues,
@@ -524,23 +522,22 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
 
     Trial 0 of the resolvent average is also the stability check's n-sample
     and the sample whose zero atom is counted. Both it and the 2n-sample take
-    their eigenvalues from the companion of Y: an (n-k) x (n-k) eigensolve
-    plus N - (n-k) exact zeros when n - k < N. Trial 0's comes from
-    autocov_companion, as its X is reused; the 2n-sample's from
-    sampled_companion, which sums it over row blocks of X and so never holds
-    X when n - k < N. The stability KS compares
-    the atom_radii of both samples. Y has rank at most n - k, so its atom,
-    the count of |lambda| <= ZERO_EIGENVALUE_TOL, is at least
-    max(0, N - (n-k)), which N > n makes at least N - n (zero_required).
+    their eigenvalues from sampled_companion: an (n-k) x (n-k) eigensolve
+    plus N - (n-k) exact zeros when n - k < N, summed over row blocks of X,
+    which is never held. The stability KS compares the atom_radii of both
+    samples. Y has rank at most n - k, so its atom, the count of |lambda| <=
+    ZERO_EIGENVALUE_TOL, is at least max(0, N - (n-k)), which N > n makes at
+    least N - n (zero_required).
     The atom passes when it is exactly the rank defect, that is when no
     eigenvalue of the companion (of Y itself when n - k >= N) lies in it.
 
-    Task 0 (the 2n-sample, then the predictions) and task 1 (trial 0, then
-    the resolvent trials) run through map_trials(2, ...), task 1 in a forked
-    child on two CPUs, and in that order on one. The 2n-sample comes first,
-    so its peak, the companion, one m x m product and one row block of X,
-    falls before the fixed-point solves load their code and memory and
-    before trial 0's X exists.
+    Task 0 (the 2n-sample, then the predictions) and task 1 (the resolvent
+    trials, then trial 0's companion) run through map_trials(2, ...), task 1
+    in a forked child on two CPUs, and in that order on one. The 2n-sample
+    comes first, so its peak, the companion, one m x m product and one row
+    block of X, falls before the fixed-point solves load their code and
+    memory and before any trial's X exists. Trial 0's X is drawn twice, whole
+    for its resolvent trial and streamed for its companion.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -562,15 +559,11 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
         return predictions, big_eigs
 
     def trial_task():
-        X0 = sample_entry_matrix(spec, 0)
-        eigs = companion_eigenvalues(*autocov_companion(X0, spec.k))
-        # Only the chain holds X0 now, through a list iterator, which lets go
-        # of its list once exhausted: later trials run without X0. The list
-        # itself, as chain's argument, would live as long as the chain.
-        Xs = itertools.chain(iter([X0]), (sample_entry_matrix(spec, i)
-                                          for i in range(1, config.trials)))
-        del X0
-        return eigs, resolvent_trace_means(Xs, spec.k, z_list, t_list)
+        # The resolvent trials run before trial 0's companion is built, so
+        # its small blocks do not stay resident under the trials' arrays.
+        Xs = (sample_entry_matrix(spec, i) for i in range(config.trials))
+        means = resolvent_trace_means(Xs, spec.k, z_list, t_list)
+        return companion_eigenvalues(*sampled_companion(spec, 0)), means
 
     tasks = (stability_task, trial_task)
     (predictions, big_eigs), (eigs, means) = map_trials(2, lambda i: tasks[i]())

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autocov_spectra
-from autocov_spectra import cli, experiments, fixed_point, linalg
+from autocov_spectra import cli, ensembles, experiments, fixed_point, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     build_autocov,
@@ -380,10 +380,12 @@ class TestLargeKRun:
                                                      zeroed):
         # n - k = 8 < N = 24: Y's atom is its rank defect, 16 zeros, when the
         # companion X_0* X_k is invertible. A zeroed column of trial 0's X_0
-        # makes it singular, and the atom one larger. Loose thresholds leave
-        # the atom check alone to decide the verdict.
+        # makes it singular, and the atom one larger. The companion is summed
+        # over a stream of X's row blocks, so the column is zeroed in each,
+        # and in the resolvent trial's X. Loose thresholds leave the atom
+        # check alone to decide the verdict.
         n, N, k = 16, 24, 8
-        sample = experiments.sample_entry_matrix
+        sample, row_blocks = experiments.sample_entry_matrix, ensembles.sample_row_blocks
 
         def sampler(spec, i):
             X = sample(spec, i)
@@ -391,7 +393,14 @@ class TestLargeKRun:
                 X[:, 0] = 0
             return X
 
+        def zeroed_row_blocks(spec, i):
+            for block in row_blocks(spec, i):
+                if zeroed and spec.n == n and i == 0:
+                    block[:, 0] = 0
+                yield block
+
         monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "sample_row_blocks", zeroed_row_blocks)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
         cfg = write_config(tmp_path, {
             "n": n, "N": N, "k": k, "seed": 4, "trials": 2, "z_list": [1.0],
@@ -465,6 +474,14 @@ class TestExitCodes:
                  "thresholds": {"radial_ks": math.nan}}),
         ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1, "z_list": [1.0],
                      "t_list": [0.5], "thresholds": {"stability_ks": math.inf}}),
+        ("large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1, "z_list": [1.0],
+                     "t_list": "5"}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": "2", "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": {"1": 0}, "t_list": [0.5]}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
+                         "n": 16}),
+        ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
+                         "seed": 1}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -475,7 +492,8 @@ class TestExitCodes:
             "negative-stop", "nan-start", "unknown-threshold", "removed-lag-ks-gap",
             "removed-angular-ks", "list-thresholds", "zero-z", "zero-linearize-z",
             "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
-            "nan-threshold", "infinite-threshold"])
+            "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
+            "mapping-z-list", "n-without-seed", "seed-without-n"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -754,22 +772,17 @@ class TestTrialWorkers:
         assert outputs[1] == outputs[2] == outputs[3]
 
     def _fail_large_k_solve(self, monkeypatch, samples, failure):
-        # The 2n-sample's companion comes from sampled_companion, trial 0's
-        # from autocov_companion.
-        sampled, held = experiments.sampled_companion, experiments.autocov_companion
+        # Both companions come from sampled_companion: the 2n-sample's has
+        # n = 32, trial 0's n = 16.
+        sampled = experiments.sampled_companion
 
-        def failing_2n(spec, trial):
-            if "2n" in samples:
-                failure("2n")
+        def failing(spec, trial):
+            sample = "2n" if spec.n == 2 * self.LARGE_K["n"] else "trial 0"
+            if sample in samples:
+                failure(sample)
             return sampled(spec, trial)
 
-        def failing_trial_0(X, k):
-            if "trial 0" in samples:
-                failure("trial 0")
-            return held(X, k)
-
-        monkeypatch.setattr(experiments, "sampled_companion", failing_2n)
-        monkeypatch.setattr(experiments, "autocov_companion", failing_trial_0)
+        monkeypatch.setattr(experiments, "sampled_companion", failing)
 
     @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"}])
     def test_large_k_linalg_error_in_either_task_exits_four_as_serially(
@@ -816,8 +829,7 @@ class TestTrialWorkers:
             import os, sys, numpy as np
             from autocov_spectra import cli, experiments
             experiments.usable_cpus = lambda: 3
-            sample = experiments.sample_entry_matrix
-            sampled, held = experiments.sampled_companion, experiments.autocov_companion
+            sample, sampled = experiments.sample_entry_matrix, experiments.sampled_companion
 
             def failing_at(trial, failure):
                 def sampler(spec, i):
@@ -826,11 +838,12 @@ class TestTrialWorkers:
                     return sample(spec, i)
                 return sampler
 
-            def failing(solver, failure):
-                def wrapped(*args):
-                    failure()
-                    return solver(*args)
-                return wrapped
+            def failing_companion(n, failure):
+                def companion(spec, trial):
+                    if spec.n == n:
+                        failure()
+                    return sampled(spec, trial)
+                return companion
 
             def raise_linalg_error():
                 raise np.linalg.LinAlgError("x")
@@ -850,12 +863,12 @@ class TestTrialWorkers:
                 experiments.sample_entry_matrix = sampler
                 check("lsv-tail", sys.argv[1])
             experiments.sample_entry_matrix = sample
-            # The 2n-sample's companion comes from sampled_companion, trial
-            # 0's from autocov_companion.
-            for solvers in ((sampled, held), (failing(sampled, raise_linalg_error), held),
-                            (sampled, failing(held, raise_linalg_error)),
-                            (sampled, failing(held, lambda: os._exit(1)))):
-                experiments.sampled_companion, experiments.autocov_companion = solvers
+            # Both companions come from sampled_companion: the 2n-sample's
+            # has n = 32, trial 0's n = 16.
+            for companion in (sampled, failing_companion(32, raise_linalg_error),
+                              failing_companion(16, raise_linalg_error),
+                              failing_companion(16, lambda: os._exit(1))):
+                experiments.sampled_companion = companion
                 check("large-k", sys.argv[2])
             print(codes)
         """)

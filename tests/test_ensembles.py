@@ -10,7 +10,6 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
     SeededTrial,
-    autocov_companion,
     block_bounds,
     build_autocov,
     build_circular,
@@ -76,12 +75,6 @@ def one_shot_autocov(X, k):
     return X[:, k:] @ X[:, : X.shape[1] - k].conj().T
 
 
-def autocov_eigenvalues(X, k):
-    """The N eigenvalues of Y = build_autocov(X, k), unordered, from
-    autocov_companion: large-k's two calls, with X held throughout."""
-    return companion_eigenvalues(*autocov_companion(X, k))
-
-
 def row_block_companion(X, k):
     """X_0* X_k summed over the BLOCK-row blocks X_b of X, from zero, as
     X_b[:, :m]* X_b[:, k:]: sampled_companion's sum, with X held."""
@@ -90,18 +83,18 @@ def row_block_companion(X, k):
                 for a in range(0, len(X), BLOCK)), np.zeros((m, m), dtype=complex))
 
 
-def one_shot_autocov_eigenvalues(X, k):
+def one_shot_companion(X, k):
+    """sampled_companion's (M, zeros) from a held X in one product: X_0* X_k
+    and N - m zeros when m = n - k < N, otherwise Y and 0."""
     N, n = X.shape
     m = n - k
     if m >= N:
-        return linalg.eigenvalues(one_shot_autocov(X, k))
-    nonzero = linalg.eigenvalues(X[:, :m].conj().T @ X[:, k:])
-    return np.concatenate([nonzero, np.zeros(N - m, dtype=complex)])
+        return one_shot_autocov(X, k), 0
+    return X[:, :m].conj().T @ X[:, k:], N - m
 
 
-# (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, m = 1 mod 16 (the
-# companion's block width) but not mod 64, shapes below 64, k > n/2, and m
-# both below and above N.
+# (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, shapes below 64,
+# k > n/2, and m both below and above N.
 BLOCKED_SHAPES = [
     (40, 30, 3),     # below 64, m > N
     (50, 60, 30),    # below 64, k > n/2, m < N
@@ -115,7 +108,7 @@ BLOCKED_SHAPES = [
     (66, 191, 1),    # m = 1 mod 64 far below N = 63 mod 64
     (400, 65, 1),    # N = 1 mod 64, m far above N
     (100, 64, 99),   # m = 1: a 1 x 1 X_0* X_k
-    (130, 200, 49),  # k > n/2, m = 81 = 1 mod 16, 17 mod 64, m < N
+    (130, 200, 49),  # k > n/2, m = 81 = 17 mod 64, m < N
 ]
 
 
@@ -126,15 +119,6 @@ BLOCKED_SHAPES = [
 ])
 def test_block_bounds(count, bounds):
     assert block_bounds(count) == bounds
-
-
-@pytest.mark.parametrize("count,bounds", [
-    (16, [(0, 16)]), (17, [(0, 17)]), (34, [(0, 16), (16, 32), (32, 34)]),
-    (81, [(0, 16), (16, 32), (32, 48), (48, 64), (64, 81)]),
-])
-def test_block_bounds_of_width_16(count, bounds):
-    # The companion's width: a one-wide tail still joins the block before it.
-    assert block_bounds(count, 16) == bounds
 
 
 class TestBlockedBitIdentity:
@@ -155,20 +139,20 @@ class TestBlockedBitIdentity:
         X = sample_entry_matrix(spec, 1)
         assert np.array_equal(X.view(np.uint64), one_shot_sample(spec, 1).view(np.uint64))
         assert np.array_equal(build_autocov(X, k), one_shot_autocov(X, k))
-        assert np.array_equal(autocov_eigenvalues(X, k), one_shot_autocov_eigenvalues(X, k))
 
     @pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
     def test_sampled_companion_is_the_row_block_sum(self, blas, n, N, k):
         # When n - k < N the oracle runs at one BLAS thread, so the
         # default-thread case also checks that the sum does not depend on
-        # the thread count. Otherwise M is Y, from the sampled X.
+        # the thread count. Otherwise M is Y, from the sampled X, which
+        # build_autocov forms bit for bit as the one-shot product.
         spec = EnsembleSpec(n=n, N=N, k=k, master_seed=n * 1000 + N)
         X = sample_entry_matrix(spec, 1)
         if n - k < N:
             with linalg.one_blas_thread():
                 want, zeros = row_block_companion(X, k), N - (n - k)
         else:
-            want, zeros = autocov_companion(X, k)
+            want, zeros = one_shot_companion(X, k)
         M, got_zeros = sampled_companion(spec, 1)
         assert got_zeros == zeros
         assert np.array_equal(M.view(np.uint64), want.view(np.uint64))
@@ -187,10 +171,10 @@ def test_row_blocks_are_the_sampled_x(kind, n, N, k):
 @pytest.mark.parametrize("kind", ENTRY_LAW_KINDS)
 @pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
 def test_sampled_companion_matches_the_held_x_companion(kind, n, N, k):
-    # Summed in another order than autocov_companion's product: equal to
-    # rounding, relative to the largest entry.
+    # Summed in another order than the one-shot product: equal to rounding,
+    # relative to the largest entry.
     spec = EnsembleSpec(n=n, N=N, k=k, law=EntryLaw(kind), master_seed=n + N + k)
-    want, zeros = autocov_companion(sample_entry_matrix(spec, 0), k)
+    want, zeros = one_shot_companion(sample_entry_matrix(spec, 0), k)
     M, got_zeros = sampled_companion(spec, 0)
     assert got_zeros == zeros and M.shape == want.shape
     assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
@@ -229,17 +213,6 @@ class TestPeakMemory:
         Y, peak = traced_peak(build_autocov, X, 1)
         # A block of X_0's conjugate (BLOCK x m) and one of Y (N x BLOCK).
         assert peak <= Y.nbytes + (BLOCK * m + N * BLOCK) * 16 + PEAK_SLACK
-
-    def test_autocov_eigenvalues_product(self, monkeypatch):
-        X = sample_entry_matrix(EnsembleSpec(n=257, N=512, k=1, master_seed=6), 0)
-        N, m = 512, 256
-        products = []
-        monkeypatch.setattr(ensembles, "eigenvalues",
-                            lambda P: products.append(P) or np.zeros(len(P), complex))
-        _, peak = traced_peak(autocov_eigenvalues, X, 1)
-        # X_0* X_k (m x m), a block of X_0's conjugate (N x 16) and one of
-        # the product (16 x m); the returned N eigenvalues are smaller.
-        assert peak <= products[-1].nbytes + (N * 16 + 16 * m) * 16 + PEAK_SLACK
 
     @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (128, 128, 1)],
                              ids=["core", "full"])
@@ -411,8 +384,9 @@ class TestAutocovEigenvalues:
         (48, 96, 40),   # wide with a large atom
     ])
     def test_reduction_matches_full_eigensolve(self, n, N, k):
-        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=n + k), 0)
-        fast = autocov_eigenvalues(X, k)
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=n + k)
+        X = sample_entry_matrix(spec, 0)
+        fast = companion_eigenvalues(*sampled_companion(spec, 0))
         full = linalg.eigenvalues(build_autocov(X, k))
         assert fast.shape == (N,)
         # N - (n-k) exact zeros; the full solve puts them inside the atom.
@@ -426,24 +400,10 @@ class TestAutocovEigenvalues:
         assert np.max(np.min(np.abs(nz_fast[:, None] - nz_full[None, :]), axis=1)) <= 1e-10
 
     def test_full_eigensolve_when_lag_leaves_n_minus_k_at_least_N(self):
-        X = sample_entry_matrix(EnsembleSpec(n=64, N=16, k=32, master_seed=3), 0)
-        assert np.array_equal(autocov_eigenvalues(X, 32),
+        spec = EnsembleSpec(n=64, N=16, k=32, master_seed=3)
+        X = sample_entry_matrix(spec, 0)
+        assert np.array_equal(companion_eigenvalues(*sampled_companion(spec, 0)),
                               linalg.eigenvalues(build_autocov(X, 32)))
-
-    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 16, 32)],
-                             ids=["companion", "full"])
-    def test_companion_is_a_new_array(self, n, N, k):
-        # The caller may drop X and keep M: M shares no memory with X.
-        X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=5), 0)
-        M, zeros = autocov_companion(X, k)
-        m = min(n - k, N)
-        assert M.shape == (m, m) and zeros == N - m
-        assert not np.shares_memory(M, X)
-
-    @pytest.mark.parametrize("k", [0, 8])
-    def test_lag_out_of_range(self, k):
-        with pytest.raises(ValueError):
-            autocov_eigenvalues(np.ones((4, 8), dtype=complex), k)
 
 
 class TestResolventSingularValues:

@@ -286,6 +286,37 @@ class TestTrialMemory:
         size = 2 * min(n - k, N)
         assert freed[(size, size)] == ([True] if n - k >= N else [])
 
+    @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (64, 16, 32)],
+                             ids=["companion", "full"])
+    def test_large_k_trial_0_eigensolve_holds_no_x(self, n, N, k, monkeypatch):
+        # Task 1 runs the resolvent trials before it builds trial 0's
+        # companion, which streams X's rows (or, when n - k >= N, decomposes
+        # a Y whose X is dropped once Y is built): at trial 0's eigensolve,
+        # a weak reference to every X of the n-sample is dead.
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
+                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+        refs, alive = [], {}
+        sample, original = ensembles.sample_entry_matrix, linalg.eigenvalues
+
+        def sampler(spec, i):
+            X = sample(spec, i)
+            if spec.n == n:
+                refs.append(weakref.ref(X))
+            return X
+
+        def recording(M):
+            alive[np.shape(M)] = [ref() is not None for ref in refs]
+            return original(M)
+
+        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        large_k_experiment(config)
+        m = min(n - k, N)
+        assert len(refs) == config.trials + (n - k >= N)
+        assert alive[(m, m)] == [False] * len(refs)
+
     def test_large_k_2n_sample_peaks_without_its_x(self, monkeypatch):
         # Up to the 2n-sample's eigensolve, which task 0 reaches first on one
         # CPU, the peak is the 2m x 2m companion, one product of that size,
@@ -637,8 +668,10 @@ class TestLargeK:
         # Trial 0's X with a zeroed column (in X_0) and row: the companion
         # X_0* X_k gets a zero row, and so does Y when n - k >= N, where Y
         # itself is decomposed. The atom is then one more than the rank
-        # defect max(0, N - (n - k)).
-        sample = experiments.sample_entry_matrix
+        # defect max(0, N - (n - k)). The companion is summed over a stream
+        # of X's row blocks, or built from a whole X when n - k >= N, so
+        # both are zeroed, and so is the resolvent trial's X.
+        sample, row_blocks = ensembles.sample_entry_matrix, ensembles.sample_row_blocks
 
         def sampler(spec, i):
             X = sample(spec, i)
@@ -646,7 +679,17 @@ class TestLargeK:
                 X[:, 0] = X[0] = 0
             return X
 
+        def zeroed_row_blocks(spec, i):
+            for b, block in enumerate(row_blocks(spec, i)):
+                if spec.n == n and i == 0:
+                    block[:, 0] = 0
+                    if b == 0:
+                        block[0] = 0
+                yield block
+
         monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(ensembles, "sample_row_blocks", zeroed_row_blocks)
         config = ExperimentConfig(
             spec=EnsembleSpec(n=n, N=N, k=k, master_seed=10),
             trials=1, z_list=[1.0 + 0j], t_list=[0.5],
