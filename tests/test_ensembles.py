@@ -251,6 +251,21 @@ class TestPeakMemory:
         block_bytes = BLOCK * (n * 16 + n * 8 + m * 16)
         assert peak <= 2 * M.nbytes + block_bytes + PEAK_SLACK
 
+    def test_autocov_eigenvalues_product(self, monkeypatch):
+        # Trial 0's eigenvalues, companion_eigenvalues(*sampled_companion):
+        # the sum's peak (M, one m x m product and one row block of X), then
+        # M and the N eigenvalues. X (N x n) is never held.
+        spec = EnsembleSpec(n=257, N=512, k=1, master_seed=6)
+        N, n, m = 512, 257, 256
+        products = []
+        monkeypatch.setattr(ensembles, "eigenvalues",
+                            lambda P: products.append(P) or np.zeros(len(P), complex))
+        _, peak = traced_peak(lambda: companion_eigenvalues(*sampled_companion(spec, 0)))
+        assert products[-1].shape == (m, m)
+        block_bytes = BLOCK * (n * 16 + n * 8 + m * 16)
+        assert peak <= 2 * products[-1].nbytes + block_bytes + N * 16 + PEAK_SLACK
+        assert peak < products[-1].nbytes + N * n * 16
+
     def test_build_linearization(self):
         # The two outputs alone: no z I_N, I_m or permuted column block.
         X = sample_entry_matrix(EnsembleSpec(n=256, N=256, k=1, master_seed=7), 0)
@@ -404,6 +419,23 @@ class TestAutocovEigenvalues:
         X = sample_entry_matrix(spec, 0)
         assert np.array_equal(companion_eigenvalues(*sampled_companion(spec, 0)),
                               linalg.eigenvalues(build_autocov(X, 32)))
+
+    @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 16, 32)],
+                             ids=["companion", "full"])
+    def test_companion_is_a_new_array(self, n, N, k):
+        # The caller may keep M: it is no view of a larger array (X or Y)
+        # that keeping it would hold.
+        M, zeros = sampled_companion(EnsembleSpec(n=n, N=N, k=k, master_seed=5), 0)
+        m = min(n - k, N)
+        assert M.shape == (m, m) and zeros == N - m
+        assert M.base is None and M.flags.owndata
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_lag_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            companion_eigenvalues(*sampled_companion(EnsembleSpec(n=8, N=4, k=k), 0))
+        with pytest.raises(ValueError):
+            build_autocov(np.ones((4, 8), dtype=complex), k)
 
 
 class TestResolventSingularValues:
