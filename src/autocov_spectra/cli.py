@@ -55,9 +55,10 @@ from autocov_spectra import experiments, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
-    build_autocov,
+    companion_eigenvalues,
     moment_diagnostics,
     sample_entry_matrix,
+    sampled_companion,
     trial_seeds,
 )
 from autocov_spectra.experiments import ExperimentConfig
@@ -85,19 +86,27 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_complex(v) -> complex:
+def _is_number(v) -> bool:
+    """Whether v is a JSON number; bool is an int, but true is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _parse_complex(v, key: str) -> complex:
+    """v, the config value named key, as a finite complex number: a JSON
+    number, a [re, im] pair of numbers, or a string such as "1+1j" or
+    "1+1i"."""
     z = None
     try:
-        if isinstance(v, (int, float)):
+        if _is_number(v):
             z = complex(v)
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+        elif isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
             z = complex(float(v[0]), float(v[1]))
         elif isinstance(v, str):
             z = complex(v.replace("i", "j"))
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     if z is None or not cmath.isfinite(z):
-        raise ConfigError(f"cannot parse finite complex value {v!r}")
+        raise ConfigError(f"{key} must be a finite complex number, got {v!r}")
     return z
 
 
@@ -148,13 +157,23 @@ def _integer(cfg: dict, key: str, default: int | None = None) -> int:
     return value
 
 
-def _array(cfg: dict, key: str, default: list | None = None) -> list:
-    """cfg[key], or default when given and key is absent, which must be a
-    JSON array: iterating would run "5" as ["5"] and {"1": 0} as ["1"]."""
-    value = cfg[key] if default is None else cfg.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be an array, got {value!r}")
-    return value
+def _real(value, key: str) -> float:
+    """value, the config value named key, which must be a JSON number:
+    float() would run true as 1.0 and "1.5" as 1.5."""
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _resolvent_grid(cfg: dict) -> tuple[list[complex], list[float]]:
+    """(z_list, t_list) of large-k and fixed-point: nonempty JSON arrays, of
+    complex values and of numbers. Iterating would run "5" as ["5"] and
+    {"1": 0} as ["1"], and an empty list would leave no point to compare."""
+    for key in ("z_list", "t_list"):
+        if not isinstance(cfg[key], list) or not cfg[key]:
+            raise ConfigError(f"{key} must be a nonempty array, got {cfg[key]!r}")
+    return ([_parse_complex(z, "z_list entry") for z in cfg["z_list"]],
+            [_real(t, "t_list entry") for t in cfg["t_list"]])
 
 
 def _spec_from(cfg: dict) -> EnsembleSpec:
@@ -171,8 +190,6 @@ def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
     config = ExperimentConfig(
         spec=spec,
         trials=_integer(cfg, "trials", 1),
-        z_list=[_parse_complex(z) for z in _array(cfg, "z_list", [1.0])],
-        t_list=[float(t) for t in _array(cfg, "t_list", [0.3, 0.5, 1.0])],
         thresholds=cfg.get("thresholds", {}),
     )
     manifest.thresholds = {key: config.thresholds[key] for key in gated}
@@ -279,7 +296,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     report = experiments.esd_experiment(config)
     manifest.seeds = report.seeds
     _write_json(manifest.path("esd_report.json"), report)
-    eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, 0), spec.k))
+    eigs = companion_eigenvalues(*sampled_companion(spec, 0))
     _write_csv(manifest.path("eigenvalues.csv"), ["re_lambda", "im_lambda"],
                [(lam.real, lam.imag) for lam in eigs.tolist()])
     radii = np.sort(np.abs(eigs)).tolist()
@@ -291,7 +308,7 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
 def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest, ("lsv_tail_freq",))
-    report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"]))
+    report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"], "z"))
     manifest.seeds = trial_seeds(spec.master_seed, config.trials)
     _write_json(manifest.path("lsv_tail_report.json"), report)
     _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
@@ -301,7 +318,7 @@ def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
 
 def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
-    z = _parse_complex(cfg["z"])
+    z = _parse_complex(cfg["z"], "z")
     trials = _experiment_config(cfg, spec, manifest).trials
     # Serial: a forked worker costs about 0.1 s of CPU, and at (n, N, k) =
     # (64, 48, 40) with 2-20 trials it added wall time (README).
@@ -317,7 +334,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest, ("hermitization_tv",))
-    h = float(cfg.get("h", 0.1))
+    h = _real(cfg.get("h", 0.1), "h")
     if not 0 < h < math.inf:
         raise ConfigError(f"grid spacing h must be positive and finite, got {h}")
     report = experiments.hermitization_pipeline(config, h=h)
@@ -327,8 +344,8 @@ def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
 
 
 def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
-    gamma0 = float(cfg["gamma0"])
-    gamma1 = float(cfg["gamma1"])
+    gamma0 = _real(cfg["gamma0"], "gamma0")
+    gamma1 = _real(cfg["gamma1"], "gamma1")
     spec = None
     if ("n" in cfg) != ("seed" in cfg):
         raise ConfigError("n and seed go together: give both to simulate, or neither")
@@ -339,11 +356,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
             law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
             master_seed=_integer(cfg, "seed"))
         trials = ExperimentConfig(spec, _integer(cfg, "trials", 1)).trials
-    z_list = [_parse_complex(z) for z in _array(cfg, "z_list")]
-    t_list = [float(t) for t in _array(cfg, "t_list")]
-    # An empty list would leave the table with no rows.
-    if not z_list or not t_list:
-        raise ConfigError("z_list and t_list must be nonempty")
+    z_list, t_list = _resolvent_grid(cfg)
     points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
               for z in z_list for t in t_list]
     solutions = [solve_s(params) for params in points]
@@ -371,7 +384,7 @@ def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest,
                                 ("resolvent_abs_error", "stability_ks"))
-    report = experiments.large_k_experiment(config)
+    report = experiments.large_k_experiment(config, *_resolvent_grid(cfg))
     manifest.seeds = (trial_seeds(spec.master_seed, config.trials)
                       + trial_seeds(experiments.stability_spec(spec).master_seed, 1))
     _write_json(manifest.path("large_k_report.json"), report)
@@ -385,8 +398,8 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
     for key in ("start", "stop", "step"):
         if key not in grid:
             raise ConfigError(f"grid missing key {key!r}")
-    law = Gamma0Law(float(cfg["gamma0"]))
-    start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
+    law = Gamma0Law(_real(cfg["gamma0"], "gamma0"))
+    start, stop, step = (_real(grid[k], f"grid.{k}") for k in ("start", "stop", "step"))
     if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if not 0 <= start <= stop < math.inf:

@@ -234,15 +234,16 @@ def sampled_companion(spec: EnsembleSpec, trial: SeededTrial | int) -> tuple[np.
     followed by zeros exact zeros (companion_eigenvalues).
 
     Y = X_k X_0* with X_k = X[:, k:] and X_0 = X[:, :m], m = n - k. AB and
-    BA share their nonzero spectra, so when m < N, M is the m x m X_0* X_k
-    and the N - m zeros are Y's structural atom. M is then summed over the
-    row blocks X_b of X (sample_row_blocks) as the sum of X_b[:, :m]*
-    X_b[:, k:], so X is never held: only M, one m x m product, one block of
-    X and its conjugated first m columns. Otherwise M is Y and zeros is 0.
+    BA share their nonzero spectra, so when m < N - 1, M is the m x m
+    X_0* X_k and the N - m zeros are Y's structural atom. M is then summed
+    over the row blocks X_b of X (sample_row_blocks) as the sum of
+    X_b[:, :m]* X_b[:, k:], so X is never held: only M, one m x m product,
+    one block of X and its conjugated first m columns. Otherwise M is Y and
+    zeros is 0: at m = N - 1 the companion saves less than its stream costs.
     """
     n, N, k = spec.n, spec.N, spec.k
     m = n - k
-    if m >= N:
+    if m >= N - 1:
         return build_autocov(sample_entry_matrix(spec, trial), k), 0
     M = np.zeros((m, m), dtype=complex)
     product = np.empty_like(M)

@@ -72,8 +72,6 @@ DEFAULT_THRESHOLDS = {
 class ExperimentConfig:
     spec: EnsembleSpec
     trials: int = 1
-    z_list: list[complex] = field(default_factory=lambda: [1.0 + 0j])
-    t_list: list[float] = field(default_factory=lambda: [0.3, 0.5, 1.0])
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def __post_init__(self):
@@ -265,8 +263,9 @@ class ConvergenceReport:
 
 
 def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    """Sample Y, compare the empirical radial CDF of its eigenvalues to the
-    small-lag limit law, and test angular uniformity.
+    """Take each trial's N eigenvalues of Y from sampled_companion (holding
+    neither X nor Y when n - k < N - 1), compare their empirical radial CDF
+    to the small-lag limit law, and test angular uniformity.
 
     The radial KS scores atom_radii(eigs) with the law's left limit
     (Gamma0Law.radial_cdf_left), so when gamma0 > 1 the structural zeros of
@@ -276,9 +275,7 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
     law = Gamma0Law(spec.gamma0)
     radial_ks, angular_ks = [], []
     for trial_index in range(config.trials):
-        # X and Y are temporaries, so neither outlives its use.
-        eigs = linalg.eigenvalues(build_autocov(sample_entry_matrix(spec, trial_index),
-                                                spec.k))
+        eigs = companion_eigenvalues(*sampled_companion(spec, trial_index))
         radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
                                       law.radial_cdf_left))
         angular_ks.append(rotation_invariance_test(eigs))
@@ -516,20 +513,22 @@ def stability_spec(spec: EnsembleSpec) -> EnsembleSpec:
                         master_seed=spec.master_seed + 1)
 
 
-def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
+def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport:
     """Large-lag regime (k >= n/2): ESD stability between n and 2n, resolvent
-    match against the fixed-point prediction, and the zero atom.
+    match against the fixed-point prediction at every (z, t) of z_list x
+    t_list, and the zero atom.
 
     Trial 0 of the resolvent average is also the stability check's n-sample
     and the sample whose zero atom is counted. Both it and the 2n-sample take
     their eigenvalues from sampled_companion: an (n-k) x (n-k) eigensolve
-    plus N - (n-k) exact zeros when n - k < N, summed over row blocks of X,
-    which is never held. The stability KS compares the atom_radii of both
+    plus N - (n-k) exact zeros when n - k < N - 1, summed over row blocks of
+    X, which is never held. The stability KS compares the atom_radii of both
     samples. Y has rank at most n - k, so its atom, the count of |lambda| <=
     ZERO_EIGENVALUE_TOL, is at least max(0, N - (n-k)), which N > n makes at
     least N - n (zero_required).
-    The atom passes when it is exactly the rank defect, that is when no
-    eigenvalue of the companion (of Y itself when n - k >= N) lies in it.
+    The atom passes when it is exactly the rank defect max(0, N - (n-k)), so
+    a singular companion, or a Y (decomposed itself when n - k >= N - 1) of
+    lower rank than n - k, fails it.
 
     Task 0 (the 2n-sample, then the predictions) and task 1 (the resolvent
     trials, then trial 0's companion) run through map_trials(2, ...), task 1
@@ -543,11 +542,11 @@ def large_k_experiment(config: ExperimentConfig) -> LargeKReport:
     if spec.k < spec.n / 2:
         raise ValueError(f"requires k >= n/2, got k={spec.k}, n={spec.n}")
     # An empty list would leave the resolvent check averaging nothing.
-    if not config.z_list or not config.t_list:
+    if not z_list or not t_list:
         raise ValueError("z_list and t_list must be nonempty")
     a = 1.0 - spec.gamma1
-    z_list = [complex(z) for z in config.z_list]
-    t_list = [float(t) for t in config.t_list]
+    z_list = [complex(z) for z in z_list]
+    t_list = [float(t) for t in t_list]
     big = stability_spec(spec)
 
     def stability_task():

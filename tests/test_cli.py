@@ -122,14 +122,20 @@ class TestConfigLoading:
 
 class TestParseComplex:
     def test_forms(self):
-        assert cli._parse_complex(2) == 2 + 0j
-        assert cli._parse_complex([1, -2]) == 1 - 2j
-        assert cli._parse_complex("1+1j") == 1 + 1j
-        assert cli._parse_complex("1+1i") == 1 + 1j
+        assert cli._parse_complex(2, "z") == 2 + 0j
+        assert cli._parse_complex([1, -2], "z") == 1 - 2j
+        assert cli._parse_complex("1+1j", "z") == 1 + 1j
+        assert cli._parse_complex("1+1i", "z") == 1 + 1j
 
     def test_garbage(self):
         with pytest.raises(cli.ConfigError):
-            cli._parse_complex("spam")
+            cli._parse_complex("spam", "z")
+
+    @pytest.mark.parametrize("value", [True, False, [True, 0], ["1", "2"], [1, None]])
+    def test_bools_and_non_number_pairs_rejected(self, value):
+        # complex(True) is 1 and float("1") is 1.0: neither is a JSON number.
+        with pytest.raises(cli.ConfigError, match="^z must be a finite complex number"):
+            cli._parse_complex(value, "z")
 
 
 class TestLimitLawTable:
@@ -529,6 +535,59 @@ class TestExitCodes:
         assert status == cli.EXIT_CONFIG
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand,key,value,message", [
+        ("hermitize", "h", True, "h must be a number"),
+        ("hermitize", "h", "0.5", "h must be a number"),
+        ("lsv-tail", "z", True, "z must be a finite complex number"),
+        ("linearize-check", "z", [True, 0], "z must be a finite complex number"),
+        ("fixed-point", "gamma0", "1.5", "gamma0 must be a number"),
+        ("fixed-point", "gamma1", True, "gamma1 must be a number"),
+        ("fixed-point", "t_list", [True], "t_list entry must be a number"),
+        ("fixed-point", "z_list", [False], "z_list entry must be a finite complex number"),
+        ("large-k", "t_list", ["0.5"], "t_list entry must be a number"),
+        ("large-k", "z_list", [True], "z_list entry must be a finite complex number"),
+        ("limit-law-table", "gamma0", True, "gamma0 must be a number"),
+        ("limit-law-table", "grid", {"start": False, "stop": 1.0, "step": 0.5},
+         "grid.start must be a number"),
+        ("limit-law-table", "grid", {"start": 0.0, "stop": True, "step": 0.5},
+         "grid.stop must be a number"),
+        ("limit-law-table", "grid", {"start": 0.0, "stop": 1.0, "step": "0.5"},
+         "grid.step must be a number"),
+    ])
+    def test_real_keys_take_only_numbers(self, tmp_path, capsys, subcommand, key, value,
+                                         message):
+        # float() would run true as 1.0 and "1.5" as 1.5.
+        payload = dict(TINY_CONFIGS[subcommand], **{key: value})
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {subcommand}: {message}, got ")
+
+    @pytest.mark.parametrize("subcommand", ["esd", "lsv-tail", "hermitize", "linearize-check"])
+    def test_keys_a_subcommand_never_reads_are_ignored(self, tmp_path, subcommand):
+        # z_list and t_list belong to large-k and fixed-point: junk in them
+        # changes no other subcommand's outputs.
+        outputs = {}
+        for name, payload in [("clean", TINY_CONFIGS[subcommand]),
+                              ("junk", dict(TINY_CONFIGS[subcommand], z_list="x",
+                                            t_list=[None]))]:
+            out = tmp_path / name
+            status = cli.run(subcommand, write_config(tmp_path, payload, f"{name}.json"),
+                             output_dir=str(out))
+            assert status == cli.EXIT_OK
+            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if p.name != "manifest.json"}
+        assert outputs["clean"] and outputs["clean"] == outputs["junk"]
+
+    def test_large_k_still_rejects_a_junk_grid(self, tmp_path, capsys):
+        payload = dict(TINY_CONFIGS["large-k"], z_list="x")
+        status = cli.run("large-k", write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: large-k: z_list must be a "
+                                           "nonempty array, got 'x'\n")
+
     def test_integer_override_still_runs(self, tmp_path):
         out = tmp_path / "o"
         status = cli.main(["esd", write_config(tmp_path, TINY_CONFIGS["esd"]), "--set",
@@ -658,13 +717,15 @@ class TestBlasThreads:
     @pytest.mark.parametrize("subcommand,payload", [
         ("lsv-tail", {"n": 100, "N": 100, "k": 1, "seed": 1, "trials": 20, "z": 1.0}),
         ("esd", {"n": 256, "N": 256, "k": 1, "seed": 1, "trials": 2}),
+        # gamma0 = 2: the eigenvalues come from the 127 x 127 companion.
+        ("esd", {"n": 128, "N": 256, "k": 1, "seed": 1, "trials": 2}),
         ("large-k", {"n": 120, "N": 180, "k": 60, "seed": 1, "trials": 3,
                      "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
         # N = 180 > d = n = 120: the resolvent SVDs take the QR-compressed core.
         ("fixed-point", {"gamma0": 1.5, "gamma1": 0.5, "n": 120, "seed": 1, "trials": 3,
                          "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
         ("hermitize", {"n": 256, "N": 256, "k": 1, "seed": 1, "h": 0.2}),
-    ], ids=["lsv-tail", "esd", "large-k", "fixed-point", "hermitize"])
+    ], ids=["lsv-tail", "esd", "esd-gamma0-2", "large-k", "fixed-point", "hermitize"])
     def test_outputs_independent_of_openblas_threads(self, tmp_path, subcommand, payload):
         cfg = write_config(tmp_path, payload)
         outputs = {}

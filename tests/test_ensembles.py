@@ -85,16 +85,16 @@ def row_block_companion(X, k):
 
 def one_shot_companion(X, k):
     """sampled_companion's (M, zeros) from a held X in one product: X_0* X_k
-    and N - m zeros when m = n - k < N, otherwise Y and 0."""
+    and N - m zeros when m = n - k < N - 1, otherwise Y and 0."""
     N, n = X.shape
     m = n - k
-    if m >= N:
+    if m >= N - 1:
         return one_shot_autocov(X, k), 0
     return X[:, :m].conj().T @ X[:, k:], N - m
 
 
 # (n, N, k): N and m = n - k at 0, 1 and 63 mod 64, shapes below 64,
-# k > n/2, and m both below and above N.
+# k > n/2, and m below N - 1 (the companion), at N - 1 and N, and above N.
 BLOCKED_SHAPES = [
     (40, 30, 3),     # below 64, m > N
     (50, 60, 30),    # below 64, k > n/2, m < N
@@ -102,7 +102,8 @@ BLOCKED_SHAPES = [
     (130, 129, 1),   # N, m = 1 mod 64: one-wide tails
     (192, 191, 1),   # N, m = 63 mod 64
     (257, 320, 1),   # N, m = 0 mod 64, m < N
-    (200, 193, 8),   # N = 1, m = 0 mod 64, m < N
+    (200, 193, 8),   # N = 1, m = 0 mod 64, m = N - 1: Y itself
+    (200, 193, 9),   # N = 1, m = 63 mod 64, m = N - 2: the largest companion
     (300, 257, 171),  # k > n/2, N, m = 1 mod 64, m < N
     (200, 127, 137),  # k > n/2, N, m = 63 mod 64, m < N
     (66, 191, 1),    # m = 1 mod 64 far below N = 63 mod 64
@@ -142,13 +143,13 @@ class TestBlockedBitIdentity:
 
     @pytest.mark.parametrize("n,N,k", BLOCKED_SHAPES)
     def test_sampled_companion_is_the_row_block_sum(self, blas, n, N, k):
-        # When n - k < N the oracle runs at one BLAS thread, so the
+        # When n - k < N - 1 the oracle runs at one BLAS thread, so the
         # default-thread case also checks that the sum does not depend on
         # the thread count. Otherwise M is Y, from the sampled X, which
         # build_autocov forms bit for bit as the one-shot product.
         spec = EnsembleSpec(n=n, N=N, k=k, master_seed=n * 1000 + N)
         X = sample_entry_matrix(spec, 1)
-        if n - k < N:
+        if n - k < N - 1:
             with linalg.one_blas_thread():
                 want, zeros = row_block_companion(X, k), N - (n - k)
         else:
@@ -414,11 +415,22 @@ class TestAutocovEigenvalues:
         nz_fast, nz_full = fast[fast != 0], full[~in_atom]
         assert np.max(np.min(np.abs(nz_fast[:, None] - nz_full[None, :]), axis=1)) <= 1e-10
 
-    def test_full_eigensolve_when_lag_leaves_n_minus_k_at_least_N(self):
-        spec = EnsembleSpec(n=64, N=16, k=32, master_seed=3)
+    @pytest.mark.parametrize("n,N,k", [(64, 16, 32), (40, 15, 26), (48, 48, 1)],
+                             ids=["n-k-above-N", "wide-lag-at-N-1", "square-at-N-1"])
+    def test_full_eigensolve_when_n_minus_k_is_at_least_N_minus_1(self, n, N, k,
+                                                                  monkeypatch):
+        # At n - k = N - 1 the companion would be barely smaller than Y, so,
+        # as for n - k >= N, Y itself is decomposed: its eigenvalues bit for
+        # bit, with no exact zero.
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=3)
         X = sample_entry_matrix(spec, 0)
-        assert np.array_equal(companion_eigenvalues(*sampled_companion(spec, 0)),
-                              linalg.eigenvalues(build_autocov(X, 32)))
+        solved, original = [], ensembles.eigenvalues
+        monkeypatch.setattr(ensembles, "eigenvalues",
+                            lambda M: solved.append(np.shape(M)) or original(M))
+        eigs = companion_eigenvalues(*sampled_companion(spec, 0))
+        assert solved == [(N, N)]
+        assert np.array_equal(eigs, linalg.eigenvalues(build_autocov(X, k)))
+        assert np.count_nonzero(eigs == 0) == 0
 
     @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 16, 32)],
                              ids=["companion", "full"])

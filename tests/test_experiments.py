@@ -21,6 +21,7 @@ from autocov_spectra.ensembles import (
 from autocov_spectra.experiments import (
     DEFAULT_THRESHOLDS,
     ExperimentConfig,
+    atom_radii,
     esd_experiment,
     hermitization_pipeline,
     log_potential_grid,
@@ -37,6 +38,9 @@ from autocov_spectra.fixed_point import (
     predicted_stieltjes,
 )
 from autocov_spectra.limit_law import Gamma0Law
+
+# (z_list, t_list) of a large-k run at one resolvent point.
+ONE_POINT = ([1.0 + 0j], [0.5])
 
 
 @dataclass
@@ -194,17 +198,58 @@ class TestEsdExperiment:
         assert rep.passed
         assert max(rep.radial_ks_per_trial) <= DEFAULT_THRESHOLDS["radial_ks"]
 
+    @pytest.mark.parametrize("n,N,k", [(128, 256, 1), (128, 128, 64)],
+                             ids=["gamma0-2", "half-lag"])
+    def test_eigensolves_take_the_companion(self, n, N, k, monkeypatch, tmp_path):
+        # n - k < N - 1: each trial decomposes the (n-k) x (n-k) companion
+        # once, and the CLI decomposes trial 0's once more for its CSVs.
+        solved, original = [], linalg.eigenvalues
+
+        def recording(M):
+            solved.append(np.shape(M))
+            return original(M)
+
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        monkeypatch.setattr(linalg, "eigenvalues", recording)
+        m, trials = n - k, 3
+        esd_experiment(ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=5),
+                                        trials=trials))
+        assert solved == [(m, m)] * trials
+        solved.clear()
+        cfg = tmp_path / "esd.json"
+        cfg.write_text(json.dumps({"n": n, "N": N, "k": k, "seed": 5, "trials": trials}))
+        cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
+        assert solved == [(m, m)] * (trials + 1)
+
+    @pytest.mark.parametrize("n,N,k", [(128, 256, 1), (128, 128, 64)],
+                             ids=["gamma0-2", "half-lag"])
+    def test_radial_ks_matches_the_full_eigensolve(self, n, N, k):
+        # Oracle: the eigensolve of Y itself. The companion moves the nonzero
+        # eigenvalues in the last bits and makes the atom exact zeros, which
+        # atom_radii gives the full solve's atom too; the verdicts agree (the
+        # half lag fails: gamma0 = 1 has no atom for Y's n - k zeros).
+        for seed in range(5):
+            spec = EnsembleSpec(n=n, N=N, k=k, master_seed=40 + seed)
+            law = Gamma0Law(spec.gamma0)
+            full = [ks_statistic(atom_radii(linalg.eigenvalues(
+                        build_autocov(sample_entry_matrix(spec, i), k))),
+                        law.radial_cdf, law.radial_cdf_left) for i in range(2)]
+            rep = esd_experiment(ExperimentConfig(spec=spec, trials=2))
+            assert np.max(np.abs(np.subtract(rep.radial_ks_per_trial, full))) <= 1e-12
+            assert rep.passed == (np.mean(full) <= DEFAULT_THRESHOLDS["radial_ks"])
+            assert rep.passed == (k == 1)
+
 
 class TestTrialMemory:
     """X is dropped once Y is built: at each eigensolve of Y, tracemalloc
-    (which sees numpy's buffers) finds Y held but not X, as large as Y here."""
+    (which sees numpy's buffers) finds Y held but not X, as large as Y here.
+    Where esd decomposes the companion, neither X nor Y is ever held."""
 
     N = 256
 
-    def run_esd_cli(self, tmp_path):
+    def run_esd_cli(self, tmp_path, n=N, N=N):
         cfg = tmp_path / "esd.json"
-        cfg.write_text(json.dumps({"n": self.N, "N": self.N, "k": 1, "seed": 3,
-                                   "trials": 2}))
+        cfg.write_text(json.dumps({"n": n, "N": N, "k": 1, "seed": 3, "trials": 2}))
         cli.main(["esd", str(cfg), "--output-dir", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("caller", ["esd_experiment", "hermitization_pipeline", "cli-esd"])
@@ -220,7 +265,10 @@ class TestTrialMemory:
             held.append(tracemalloc.get_traced_memory()[0] - base)
             return original(M)
 
+        # hermitize calls linalg.eigenvalues, esd companion_eigenvalues,
+        # which calls the name ensembles imported.
         monkeypatch.setattr(linalg, "eigenvalues", recording)
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -228,26 +276,58 @@ class TestTrialMemory:
         finally:
             tracemalloc.stop()
         y_bytes = self.N * self.N * 16
-        assert held and max(held) <= y_bytes * 5 // 4
+        assert len(held) == {"esd_experiment": 2, "hermitization_pipeline": 1,
+                             "cli-esd": 3}[caller]
+        assert max(held) <= y_bytes * 5 // 4
+
+    @pytest.mark.parametrize("caller", ["esd_experiment", "cli-esd"])
+    def test_esd_companion_eigensolve_holds_neither_x_nor_y(self, caller, monkeypatch,
+                                                            tmp_path):
+        # gamma0 = 2: each eigensolve holds the (n-1) x (n-1) companion, and
+        # neither X (half of Y) nor Y, which are never formed.
+        n = self.N // 2
+        config = ExperimentConfig(spec=EnsembleSpec(n=n, N=self.N, k=1, master_seed=3),
+                                  trials=2)
+        run = {"esd_experiment": lambda: esd_experiment(config),
+               "cli-esd": lambda: self.run_esd_cli(tmp_path, n=n)}[caller]
+        held, original = [], ensembles.eigenvalues
+
+        def recording(M):
+            held.append((np.shape(M), tracemalloc.get_traced_memory()[0] - base))
+            return original(M)
+
+        run()  # first-call imports and caches stay untraced
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+        finally:
+            tracemalloc.stop()
+        m = n - 1
+        bound = m * m * 16 + 64 * 1024
+        assert bound < self.N * n * 16  # below X alone
+        assert [shape for shape, _ in held] == [(m, m)] * (2 + (caller == "cli-esd"))
+        assert max(nbytes for _, nbytes in held) <= bound
 
     def test_large_k_2n_eigensolve_holds_no_trial_0_x(self, monkeypatch):
         # At the 2n-sample's eigensolve only its X and its 2m x 2m product
         # X_0* X_k are held, not trial 0's X (a quarter of the 2n X).
         n, N, k = 128, 192, 64
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         held, original = {}, linalg.eigenvalues
 
         def recording(M):
             held[np.shape(M)] = tracemalloc.get_traced_memory()[0] - base
             return original(M)
 
-        large_k_experiment(config)  # first-call imports and caches stay untraced
+        large_k_experiment(config, *ONE_POINT)  # first-call imports and caches stay untraced
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            large_k_experiment(config)
+            large_k_experiment(config, *ONE_POINT)
         finally:
             tracemalloc.stop()
         m = n - k
@@ -264,7 +344,7 @@ class TestTrialMemory:
         # sampled_companion sums the companion over row blocks, and X is
         # never sampled whole.
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         refs, freed = [], {}
         sample, original = ensembles.sample_entry_matrix, linalg.eigenvalues
 
@@ -282,7 +362,7 @@ class TestTrialMemory:
         monkeypatch.setattr(ensembles, "sample_entry_matrix", sampler)
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
-        large_k_experiment(config)
+        large_k_experiment(config, *ONE_POINT)
         size = 2 * min(n - k, N)
         assert freed[(size, size)] == ([True] if n - k >= N else [])
 
@@ -294,7 +374,7 @@ class TestTrialMemory:
         # a Y whose X is dropped once Y is built): at trial 0's eigensolve,
         # a weak reference to every X of the n-sample is dead.
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         refs, alive = [], {}
         sample, original = ensembles.sample_entry_matrix, linalg.eigenvalues
 
@@ -312,7 +392,7 @@ class TestTrialMemory:
         monkeypatch.setattr(ensembles, "sample_entry_matrix", sampler)
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
-        large_k_experiment(config)
+        large_k_experiment(config, *ONE_POINT)
         m = min(n - k, N)
         assert len(refs) == config.trials + (n - k >= N)
         assert alive[(m, m)] == [False] * len(refs)
@@ -324,7 +404,7 @@ class TestTrialMemory:
         # columns: not the 2n-sample's X, alone larger than that bound here.
         n, N, k = 128, 192, 64
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         peaks, original = {}, linalg.eigenvalues
 
         def recording(M):
@@ -332,12 +412,12 @@ class TestTrialMemory:
             return original(M)
 
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
-        large_k_experiment(config)  # first-call imports and caches stay untraced
+        large_k_experiment(config, *ONE_POINT)  # first-call imports and caches stay untraced
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            large_k_experiment(config)
+            large_k_experiment(config, *ONE_POINT)
         finally:
             tracemalloc.stop()
         m, big_n = n - k, 2 * n
@@ -350,7 +430,7 @@ class TestTrialMemory:
         # eigensolve: not its X, six times as large here.
         n, N, k = 128, 192, 64
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         held, original = {}, linalg.eigenvalues
 
         def recording(M):
@@ -358,12 +438,12 @@ class TestTrialMemory:
             return original(M)
 
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
-        large_k_experiment(config)  # first-call imports and caches stay untraced
+        large_k_experiment(config, *ONE_POINT)  # first-call imports and caches stay untraced
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            large_k_experiment(config)
+            large_k_experiment(config, *ONE_POINT)
         finally:
             tracemalloc.stop()
         m = n - k
@@ -376,7 +456,8 @@ class TestTrialMemory:
         # later trial, nor the QR factor R or a shifted copy per z.
         n, N, k = 128, 192, 64
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
-                                  trials=3, z_list=[0.5 + 0j, 1.0 + 1j], t_list=[0.5])
+                                  trials=3)
+        z_list = [0.5 + 0j, 1.0 + 1j]
         held, original = [], ensembles.singular_values
 
         def recording(M):
@@ -384,15 +465,15 @@ class TestTrialMemory:
             return original(M)
 
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
-        large_k_experiment(config)  # first-call imports and caches stay untraced
+        large_k_experiment(config, z_list, [0.5])  # first-call imports and caches stay untraced
         monkeypatch.setattr(ensembles, "singular_values", recording)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            large_k_experiment(config)
+            large_k_experiment(config, z_list, [0.5])
         finally:
             tracemalloc.stop()
-        assert len(held) == config.trials * len(config.z_list)
+        assert len(held) == config.trials * len(z_list)
         x_bytes = N * n * 16
         for d, nbytes in held:
             assert nbytes <= x_bytes + d * d * 16 + 64 * 1024
@@ -636,18 +717,18 @@ class TestLargeK:
     def test_small_scale(self):
         config = ExperimentConfig(
             spec=EnsembleSpec(n=64, N=64, k=32, master_seed=9),
-            trials=2, z_list=[1.0 + 0j], t_list=[0.5],
+            trials=2,
             thresholds={"stability_ks": 0.2, "resolvent_abs_error": 0.1})
-        rep = large_k_experiment(config)
+        rep = large_k_experiment(config, *ONE_POINT)
         assert rep.passed
         assert rep.zero_required == 0
 
     def test_atom_when_wide(self):
         config = ExperimentConfig(
             spec=EnsembleSpec(n=32, N=64, k=16, master_seed=10),
-            trials=1, z_list=[1.0 + 0j], t_list=[0.5],
+            trials=1,
             thresholds={"stability_ks": 1.0, "resolvent_abs_error": 10.0})
-        rep = large_k_experiment(config)
+        rep = large_k_experiment(config, *ONE_POINT)
         assert rep.zero_required == 32
         assert rep.zero_eigs >= 32
         assert rep.atom_ok
@@ -656,8 +737,8 @@ class TestLargeK:
         # N = n still leaves N - (n - k) = 32 zero eigenvalues; none are required.
         config = ExperimentConfig(
             spec=EnsembleSpec(n=64, N=64, k=32, master_seed=4),
-            trials=1, z_list=[1.0 + 0j], t_list=[0.5])
-        rep = large_k_experiment(config)
+            trials=1)
+        rep = large_k_experiment(config, *ONE_POINT)
         assert rep.zero_eigs == 32
         assert rep.zero_required == 0
         assert rep.atom_ok
@@ -692,9 +773,9 @@ class TestLargeK:
         monkeypatch.setattr(ensembles, "sample_row_blocks", zeroed_row_blocks)
         config = ExperimentConfig(
             spec=EnsembleSpec(n=n, N=N, k=k, master_seed=10),
-            trials=1, z_list=[1.0 + 0j], t_list=[0.5],
+            trials=1,
             thresholds={"stability_ks": 1.0, "resolvent_abs_error": 10.0})
-        rep = large_k_experiment(config)
+        rep = large_k_experiment(config, *ONE_POINT)
         assert rep.zero_eigs == max(0, N - (n - k)) + 1
         assert rep.zero_required == max(0, N - n)
         assert rep.stability_ok and rep.resolvent_ok
@@ -703,7 +784,7 @@ class TestLargeK:
     def test_small_lag_rejected(self):
         config = ExperimentConfig(spec=EnsembleSpec(n=64, N=64, k=1))
         with pytest.raises(ValueError, match="k >= n/2"):
-            large_k_experiment(config)
+            large_k_experiment(config, *ONE_POINT)
 
     @pytest.mark.parametrize("z_list,t_list", [([], [0.5]), ([1.0 + 0j], [])],
                              ids=["empty-z", "empty-t"])
@@ -713,27 +794,26 @@ class TestLargeK:
 
         monkeypatch.setattr(experiments, "sample_entry_matrix", sample)
         monkeypatch.setattr(experiments, "sampled_companion", sample)
-        config = ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=4), z_list=z_list,
-                                  t_list=t_list)
+        config = ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=4))
         with pytest.raises(ValueError, match="nonempty"):
-            large_k_experiment(config)
+            large_k_experiment(config, z_list, t_list)
 
     @pytest.mark.parametrize("N", [48, 32], ids=["compressed", "square"])
     def test_resolvent_errors_match_per_point_loop(self, N):
         spec = EnsembleSpec(n=32, N=N, k=16, master_seed=12)
-        config = ExperimentConfig(spec=spec, trials=3, z_list=[0.5 + 0j, 1.0 + 1j],
-                                  t_list=[0.3, 1.0])
+        config = ExperimentConfig(spec=spec, trials=3)
+        z_list, t_list = [0.5 + 0j, 1.0 + 1j], [0.3, 1.0]
         # Reference: X re-sampled and Y - zI decomposed for every (z, t, trial).
         errors = []
-        for z in config.z_list:
-            for t in config.t_list:
+        for z in z_list:
+            for t in t_list:
                 pred = predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0,
                                                            a=1.0 - spec.gamma1))
                 per_trial = [empirical_resolvent_trace(
                     build_autocov(sample_entry_matrix(spec, i), spec.k), z, t)
                     for i in range(config.trials)]
                 errors.append(float(abs(np.mean(per_trial) - pred)))
-        got = large_k_experiment(config).resolvent_errors
+        got = large_k_experiment(config, z_list, t_list).resolvent_errors
         if N > spec.n:
             # d = n < N: the SVD is of the d x d core, which moves the last bit.
             assert len(got) == len(errors)
@@ -747,7 +827,7 @@ class TestLargeK:
         # Oracle: the full N x N eigensolves of Y for both samples, and the
         # zero atom counted on trial 0's.
         spec = EnsembleSpec(n=n, N=N, k=k, master_seed=13)
-        config = ExperimentConfig(spec=spec, trials=1, z_list=[1.0 + 0j], t_list=[0.5])
+        config = ExperimentConfig(spec=spec, trials=1)
 
         def snapped_radii(n, N, k, seed):
             X = sample_entry_matrix(EnsembleSpec(n=n, N=N, k=k, master_seed=seed), 0)
@@ -756,7 +836,7 @@ class TestLargeK:
 
         radii = snapped_radii(n, N, k, 13)
         expected = ks_two_sample(radii, snapped_radii(2 * n, 2 * N, 2 * k, 14))
-        rep = large_k_experiment(config)
+        rep = large_k_experiment(config, *ONE_POINT)
         assert rep.stability_ks == expected
         assert rep.zero_eigs == np.count_nonzero(radii == 0.0)
         assert rep.zero_eigs >= N - (n - k)
@@ -776,13 +856,13 @@ class TestLargeK:
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(linalg, "eigenvalues", recording)
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=15),
-                                  trials=2, z_list=[1.0 + 0j], t_list=[0.5])
+                                  trials=2)
         m = min(n - k, N)
         here = os.getpid()
         for workers in (1, 2):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
             log.write_text("")
-            large_k_experiment(config)
+            large_k_experiment(config, *ONE_POINT)
             solves = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
             if workers == 1:
                 # The 2n-sample, then trial 0, each at min(n - k, N).
