@@ -19,7 +19,7 @@ import numpy as np
 from autocov_spectra import linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
-    build_autocov,
+    build_autocov,  # not called here; perfbench's tracer test patches this name
     build_linearization,
     companion_eigenvalues,
     default_c0_bound,
@@ -46,11 +46,11 @@ ROTATION_MIN_COUNT = 100
 LINEARIZATION_TOL = 1e-10
 
 # log_potential_grid takes a cell from the SVD of Y - zI when min |lambda - z|,
-# an upper bound on s_min(Y - zI), is below this times S_FLOOR. On 84 grids at
-# N = 8 to 128 the bound overshot s_min by at most a factor of 37, so every
-# cell with s_min < S_FLOOR falls back and is flagged; cells kept on the
-# eigenvalue path have s_min far above the eps ||Y|| rounding level, where the
-# log-potential identity is accurate.
+# an upper bound on s_min(Y - zI), is below this times S_FLOOR. It overshot
+# s_min by at most 37x on 84 grids at n = N = 8 to 128, k = 1, and 79x on 42 at
+# gamma0 = 1 to 3, k up to 0.625 n, so every cell with s_min < S_FLOOR falls
+# back and is flagged; cells kept on the eigenvalue path have s_min far above
+# the eps ||Y|| rounding level, where the log-potential identity is accurate.
 SVD_FALLBACK_FACTOR = 1e6
 
 # hermitization_pipeline clamps singular values of Y - zI at S_FLOOR, and
@@ -152,14 +152,16 @@ def map_trials(trials: int, per_trial) -> list:
 
     range(trials) is cut into that many contiguous chunks. This process runs
     the first chunk; every other chunk runs in an os.fork'ed child, which
-    inherits this process's memory and BLAS thread count and pickles its
-    results back through a pipe. When per_trial(i) depends on i alone, the
-    result therefore equals the serial loop's. A failing trial raises the
-    exception of the earliest failing trial, as the serial loop would; a
-    child that ends without sending a result raises TrialWorkerError. No
-    child outlives the call. Chunks left without a child, when no pipe or
-    process can be made, run in this process. A trial may be any
-    independent task: large_k_experiment maps two unlike ones.
+    inherits this process's memory and pickles its results back through a
+    pipe. When per_trial(i) depends on i alone, the result therefore equals
+    the serial loop's. A failing trial raises the exception of the earliest
+    failing trial, as the serial loop would; a child that ends without
+    sending a result raises TrialWorkerError. No child outlives the call.
+    Chunks left without a child, when no pipe or process can be made, run
+    in this process. A trial may be any independent task: large_k_experiment
+    maps two unlike ones. All chunks run under linalg.one_blas_thread, and
+    the caller's count comes back on return: at OpenBLAS's default count,
+    forked chunks stalled a library caller's large_k_experiment up to 2.3 s.
 
     fork, not spawn: a spawned worker would import numpy afresh, about a
     third of an lsv-tail run, and could not receive per_trial, a closure.
@@ -171,35 +173,36 @@ def map_trials(trials: int, per_trial) -> list:
     bounds = [(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
     children = []  # (pid, read end) of every child not yet reaped, in chunk order
     tail = trials  # trials from tail on run here, after the children's
-    try:
-        for start, stop in bounds[1:]:
-            child = _fork_chunk(per_trial, start, stop)
-            if child is None:
-                tail = start
-                break
-            children.append(child)
-        results = [per_trial(i) for i in range(*bounds[0])]
-        for (start, stop), child in zip(bounds[1:], list(children)):
-            pid, read_fd = child
-            data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.remove(child)  # reaped: the finally must not kill or wait it again
-            os.close(read_fd)
-            try:
-                ok, value = pickle.loads(data)
-            except Exception:  # no result, a truncated one, or one not rebuilt
-                raise TrialWorkerError(f"the worker for trials {start}-{stop - 1} "
-                                       f"ended with status {code} and no result") from None
-            if not ok:
-                raise value
-            results.extend(value)
-        results.extend(per_trial(i) for i in range(tail, trials))
-        return results
-    finally:
-        for pid, read_fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+    with linalg.one_blas_thread():
+        try:
+            for start, stop in bounds[1:]:
+                child = _fork_chunk(per_trial, start, stop)
+                if child is None:
+                    tail = start
+                    break
+                children.append(child)
+            results = [per_trial(i) for i in range(*bounds[0])]
+            for (start, stop), child in zip(bounds[1:], list(children)):
+                pid, read_fd = child
+                data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.remove(child)  # reaped: the finally must not kill or wait it again
+                os.close(read_fd)
+                try:
+                    ok, value = pickle.loads(data)
+                except Exception:  # no result, a truncated one, or one not rebuilt
+                    raise TrialWorkerError(f"the worker for trials {start}-{stop - 1} "
+                                           f"ended with status {code} and no result") from None
+                if not ok:
+                    raise value
+                results.extend(value)
+            results.extend(per_trial(i) for i in range(tail, trials))
+            return results
+        finally:
+            for pid, read_fd in children:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read_fd)
+                os.waitpid(pid, 0)
 
 
 def ks_statistic(sample, cdf, cdf_left=None) -> float:
@@ -391,11 +394,10 @@ class HermitizationReport:
     passed: bool
 
 
-def log_potential_grid(Y, lam, xs) -> tuple[np.ndarray, int]:
+def log_potential_grid(spec: EnsembleSpec, lam, xs) -> tuple[np.ndarray, int]:
     """L(z) = -(1/N) sum ln s_i(Y - zI) at z = xs[i] + i xs[j], as L[i, j],
-    and the number of flagged cells, where s_min(Y - zI) < S_FLOOR.
-
-    lam holds the eigenvalues of Y (linalg.eigenvalues). Since
+    and the number of flagged cells, where s_min(Y - zI) < S_FLOOR, for Y
+    of trial 0 of spec, whose N eigenvalues lam holds. Since
     sum ln s_i(Y - zI) = ln|det(Y - zI)| = sum ln|lambda_i - z|, L is
     evaluated a row of cells at a time. Near an eigenvalue that identity
     loses accuracy and the clamp at S_FLOOR changes L. An eigenpair
@@ -403,22 +405,22 @@ def log_potential_grid(Y, lam, xs) -> tuple[np.ndarray, int]:
     whose min |lambda_i - z| is below SVD_FALLBACK_FACTOR * S_FLOOR takes L
     from the singular values of Y - zI clamped at S_FLOOR instead. Y always
     has such a cell when a node sits on its structural zero eigenvalue
-    (rank <= n - k).
+    (rank <= n - k). All such cells take one resolvent_singular_values call.
     """
     guard = SVD_FALLBACK_FACTOR * S_FLOOR
     L = np.empty((xs.size, xs.size))
-    flagged = 0
+    near = np.empty(L.shape, dtype=bool)
     for i, x in enumerate(xs):
-        row = x + 1j * xs
-        dist = np.abs(lam - row[:, None])
+        dist = np.abs(lam - (x + 1j * xs)[:, None])
         with np.errstate(divide="ignore"):
             L[i] = -np.mean(np.log(dist), axis=1)
-        for j in np.flatnonzero(dist.min(axis=1) < guard):
-            s = linalg.singular_values(linalg.minus_identity(Y, row[j]))
-            if s[-1] < S_FLOOR:
-                flagged += 1
-            L[i, j] = -float(np.mean(np.log(np.maximum(s, S_FLOOR))))
-    return L, flagged
+        near[i] = dist.min(axis=1) < guard
+    if not near.any():
+        return L, 0
+    zs = (xs[:, None] + 1j * xs)[near]
+    s = resolvent_singular_values(sample_entry_matrix(spec, 0), spec.k, zs)
+    L[near] = -np.mean(np.log(np.maximum(s, S_FLOOR)), axis=1)
+    return L, int(np.count_nonzero(s[:, -1] < S_FLOOR))
 
 
 def bilinear_histogram(points, nodes, h: float) -> np.ndarray:
@@ -440,23 +442,24 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
                            h: float = 0.1) -> HermitizationReport:
     """Recover the eigenvalue density from log potentials on a z-grid.
 
-    Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from one eigensolve of Y
-    (log_potential_grid), applies the 5-point discrete Laplacian scaled by
-    -1/(2 pi), clips negatives, normalizes, and compares with the histogram
-    of those eigenvalues by total variation. The Laplacian spreads each unit
-    charge over the nodes around it, so the histogram does too
-    (bilinear_histogram): a one-cell histogram would put each eigenvalue,
-    and the whole zero atom, in a single cell, and the TV would measure
-    where the eigenvalues sit relative to the grid rather than the recovery
-    error. The comparison aggregates TV_BLOCK x TV_BLOCK cells first.
+    Evaluates L(z) = -(1/N) sum ln s_i(Y - zI) from trial 0's eigenvalues
+    (log_potential_grid), which sampled_companion takes from a companion,
+    never forming Y, when n - k < N - 1. Applies the 5-point discrete
+    Laplacian scaled by -1/(2 pi), clips negatives, normalizes, and compares
+    with the histogram of those eigenvalues by total variation. The
+    Laplacian spreads each unit charge over the nodes around it, so the
+    histogram does too (bilinear_histogram): a one-cell histogram would put
+    each eigenvalue, and the whole zero atom, in a single cell, and the TV
+    would measure where the eigenvalues sit relative to the grid rather than
+    the recovery error. The comparison aggregates TV_BLOCK x TV_BLOCK cells
+    first.
     """
     spec = config.spec
-    Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
-    eigs = linalg.eigenvalues(Y)
+    eigs = companion_eigenvalues(*sampled_companion(spec, 0))
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
-    L, flagged = log_potential_grid(Y, eigs, xs)
+    L, flagged = log_potential_grid(spec, eigs, xs)
     lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
     density = np.clip(-lap / (2.0 * np.pi), 0.0, None)

@@ -725,7 +725,10 @@ class TestBlasThreads:
         ("fixed-point", {"gamma0": 1.5, "gamma1": 0.5, "n": 120, "seed": 1, "trials": 3,
                          "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}),
         ("hermitize", {"n": 256, "N": 256, "k": 1, "seed": 1, "h": 0.2}),
-    ], ids=["lsv-tail", "esd", "esd-gamma0-2", "large-k", "fixed-point", "hermitize"])
+        # gamma0 = 2: the eigenvalues come from the 127 x 127 companion.
+        ("hermitize", {"n": 128, "N": 256, "k": 1, "seed": 1, "h": 0.2}),
+    ], ids=["lsv-tail", "esd", "esd-gamma0-2", "large-k", "fixed-point", "hermitize",
+            "hermitize-gamma0-2"])
     def test_outputs_independent_of_openblas_threads(self, tmp_path, subcommand, payload):
         cfg = write_config(tmp_path, payload)
         outputs = {}

@@ -243,7 +243,8 @@ class TestEsdExperiment:
 class TestTrialMemory:
     """X is dropped once Y is built: at each eigensolve of Y, tracemalloc
     (which sees numpy's buffers) finds Y held but not X, as large as Y here.
-    Where esd decomposes the companion, neither X nor Y is ever held."""
+    Where esd and hermitize decompose the companion, neither X nor Y is
+    ever held."""
 
     N = 256
 
@@ -259,15 +260,14 @@ class TestTrialMemory:
         run = {"esd_experiment": lambda: esd_experiment(config),
                "hermitization_pipeline": lambda: hermitization_pipeline(config, h=0.2),
                "cli-esd": lambda: self.run_esd_cli(tmp_path)}[caller]
-        held, original = [], linalg.eigenvalues
+        held, original = [], ensembles.eigenvalues
 
         def recording(M):
             held.append(tracemalloc.get_traced_memory()[0] - base)
             return original(M)
 
-        # hermitize calls linalg.eigenvalues, esd companion_eigenvalues,
-        # which calls the name ensembles imported.
-        monkeypatch.setattr(linalg, "eigenvalues", recording)
+        # Every caller eigensolves through companion_eigenvalues, which calls
+        # the name ensembles imported.
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         tracemalloc.start()
         try:
@@ -280,7 +280,7 @@ class TestTrialMemory:
                              "cli-esd": 3}[caller]
         assert max(held) <= y_bytes * 5 // 4
 
-    @pytest.mark.parametrize("caller", ["esd_experiment", "cli-esd"])
+    @pytest.mark.parametrize("caller", ["esd_experiment", "hermitization_pipeline", "cli-esd"])
     def test_esd_companion_eigensolve_holds_neither_x_nor_y(self, caller, monkeypatch,
                                                             tmp_path):
         # gamma0 = 2: each eigensolve holds the (n-1) x (n-1) companion, and
@@ -289,6 +289,7 @@ class TestTrialMemory:
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=self.N, k=1, master_seed=3),
                                   trials=2)
         run = {"esd_experiment": lambda: esd_experiment(config),
+               "hermitization_pipeline": lambda: hermitization_pipeline(config, h=0.2),
                "cli-esd": lambda: self.run_esd_cli(tmp_path, n=n)}[caller]
         held, original = [], ensembles.eigenvalues
 
@@ -307,7 +308,8 @@ class TestTrialMemory:
         m = n - 1
         bound = m * m * 16 + 64 * 1024
         assert bound < self.N * n * 16  # below X alone
-        assert [shape for shape, _ in held] == [(m, m)] * (2 + (caller == "cli-esd"))
+        calls = {"esd_experiment": 2, "hermitization_pipeline": 1, "cli-esd": 3}[caller]
+        assert [shape for shape, _ in held] == [(m, m)] * calls
         assert max(nbytes for _, nbytes in held) <= bound
 
     def test_large_k_2n_eigensolve_holds_no_trial_0_x(self, monkeypatch):
@@ -571,6 +573,27 @@ class TestMapTrials:
         assert counts[1][0] != os.getpid()
         assert [c for _, c in counts] == [{name: 1 for name in counts[0][1]}] * 2
 
+    def test_pins_one_blas_thread_for_a_caller_at_two(self, monkeypatch):
+        # A library caller left at two BLAS threads: this chunk and the
+        # forked one run at one, and the caller's count comes back.
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        original = linalg.blas_thread_counts()
+        for _, set_threads in controls.values():
+            set_threads(2)
+        try:
+            before = linalg.blas_thread_counts()
+            counts = experiments.map_trials(2, lambda i: (os.getpid(), linalg.blas_thread_counts()))
+            after = linalg.blas_thread_counts()
+        finally:
+            for name, (_, set_threads) in controls.items():
+                set_threads(original[name])
+        assert counts[1][0] != os.getpid()
+        assert [c for _, c in counts] == [{name: 1 for name in controls}] * 2
+        assert before == after == {name: 2 for name in controls}
+
     def test_lsv_tail_norm_gate_counts_operator_norms(self, monkeypatch):
         # C0 at the median norm, so the gate goes both ways.
         spec = EnsembleSpec(n=20, N=20, k=1, master_seed=3)
@@ -683,12 +706,15 @@ def reference_tv(L, eigs, xs, h, tv_block=2):
 class TestLogPotentialGrid:
     """The eigenvalue grid against the per-cell SVD reference. A node at
     half_width=1.0, h=0.1 sits within 1e-15 of the structural zero eigenvalue
-    of Y (rank <= n - k), so that grid has one flagged cell."""
+    of Y (rank <= n - k), so that grid has one flagged cell. At gamma0 = 2
+    and at the large lag, the grid takes lambda from the companion with its
+    exact zeros, and its fallback cells from resolvent_singular_values."""
 
-    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("n,N,k", [(32, 32, 1), (64, 64, 1), (32, 64, 1), (64, 64, 40)],
+                             ids=["32", "64", "gamma0-2", "large-lag"])
     @pytest.mark.parametrize("half_width,flagged", [(None, 0), (1.0, 1)])
-    def test_matches_svd_reference(self, N, half_width, flagged):
-        spec = EnsembleSpec(n=N, N=N, k=1, master_seed=3)
+    def test_matches_svd_reference(self, n, N, k, half_width, flagged):
+        spec = EnsembleSpec(n=n, N=N, k=k, master_seed=3)
         config = ExperimentConfig(spec=spec)
         h = 0.1
         if half_width is None:
@@ -697,7 +723,8 @@ class TestLogPotentialGrid:
         Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
         eigs = linalg.eigenvalues(Y)
         L_ref, flagged_ref, s_min = svd_log_potential_grid(Y, xs)
-        L, flagged_new = log_potential_grid(Y, eigs, xs)
+        lam = ensembles.companion_eigenvalues(*ensembles.sampled_companion(spec, 0))
+        L, flagged_new = log_potential_grid(spec, lam, xs)
         assert flagged_ref == flagged_new == flagged
         assert np.max(np.abs(L - L_ref)) <= 1e-10
         # The SVD fallback guard: min |lambda - z| bounds s_min(Y - zI) from
