@@ -8,12 +8,14 @@ writes files: every output goes through _write_output, which replaces the
 target atomically.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
-values). run is the one place a rejected config value becomes exit 3: a
-subcommand is a deterministic function of its config, so a ConfigError,
-TypeError, ValueError or OverflowError raised by the run (every one of them
-an argument check), a MemoryError (every array's size follows from the
-config), or an OSError from an unreadable config or unusable output
-directory, is reported as ``config error: <subcommand>: <message>``.
+values). A top-level key that no subcommand reads is a configuration error,
+so a misspelt key never runs silently at its default. run is the one place
+a rejected config value becomes exit 3: a subcommand is a deterministic
+function of its config, so a ConfigError, TypeError, ValueError or
+OverflowError raised by the run (every one of them an argument check), a
+MemoryError (every array's size follows from the config), or an OSError
+from an unreadable config or unusable output directory, is reported as
+``config error: <subcommand>: <message>``.
 A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
@@ -24,11 +26,13 @@ usable CPUs (experiments.map_trials), whose forked workers inherit the pin.
 
 A CLI process, run as a program (python -m) or through the autocov-spectra
 console script (startup.main), starts with startup.start before numpy loads:
-it loads numpy with OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads
-for the pin to idle, then puts the caller's value back, and it fixes glibc's
-mmap threshold, so a freed trial's large arrays go back to the OS. A library
-caller that imports this module keeps its own settings; the pin alone
-applies there.
+it keeps OpenSSL's _hashlib, which numpy.random would load through secrets,
+out of the process; it fixes glibc's mmap threshold, so a freed trial's large
+arrays go back to the OS, and its trim threshold, so a trial's heap top is
+not given back and faulted in again; and it loads numpy with
+OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads for the pin to idle,
+then puts the caller's value back. A library caller that imports this module
+keeps its own settings; the pin alone applies there.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ REQUIRED_KEYS = {
     "limit-law-table": ["gamma0", "grid"],
     "law-diagnostics": ["law", "n", "seed"],
 }
+# Every key some runner reads: the required ones and those with a default.
+CONFIG_KEYS = {"law", "h", "sample_count", "thresholds", "output_dir"}.union(
+    *REQUIRED_KEYS.values())
 
 
 class ConfigError(ValueError):
@@ -143,6 +150,12 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
 
 
 def validate_keys(subcommand: str, cfg: dict) -> None:
+    """Reject a key no runner reads, which would otherwise run silently at
+    its default when misspelt, then a missing required key. A key another
+    subcommand reads is allowed: one config can serve several."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     missing = [k for k in REQUIRED_KEYS[subcommand] if k not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
@@ -246,8 +259,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _environment() -> dict:
-    """Python and numpy versions, numpy's BLAS build, CPU count and the BLAS
-    thread count in force where this is called."""
+    """Python and numpy versions, numpy's BLAS build, CPU count, the CPUs
+    this process may run on (map_trials' worker count) and the BLAS thread
+    count in force where this is called."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
@@ -255,6 +269,7 @@ def _environment() -> dict:
         "numpy_blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": linalg.blas_thread_counts(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": experiments.usable_cpus(),
     }
 
 

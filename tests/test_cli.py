@@ -1,5 +1,6 @@
 import copy
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -36,6 +37,8 @@ def write_config(tmp_path, payload, name="config.json"):
 CONSOLE_SCRIPT = ["-c", "import sys; from autocov_spectra.startup import main; sys.exit(main())"]
 # A library caller of cli.main: cli imported as a module, with no start-up.
 LIBRARY_CALL = ["-c", "import sys; from autocov_spectra.cli import main; sys.exit(main())"]
+# hashlib.sha256(b"").hexdigest().
+SHA256_OF_NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def run_cli(subcommand, cfg, out_dir, entry=("-m", "autocov_spectra.cli"), **env_vars):
@@ -488,6 +491,9 @@ class TestExitCodes:
                          "n": 16}),
         ("fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5],
                          "seed": 1}),
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "half_width": 1.0}),
+        ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 2, "trails": 3,
+                      "z": 1.0}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -499,7 +505,8 @@ class TestExitCodes:
             "removed-angular-ks", "list-thresholds", "zero-z", "zero-linearize-z",
             "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
-            "mapping-z-list", "n-without-seed", "seed-without-n"])
+            "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
+            "misspelt-trials"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -579,6 +586,23 @@ class TestExitCodes:
             outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()
                              if p.name != "manifest.json"}
         assert outputs["clean"] and outputs["clean"] == outputs["junk"]
+
+    @pytest.mark.parametrize("subcommand,key,meant", [
+        ("hermitize", "half_width", None), ("esd", "trails", "trials"),
+        ("limit-law-table", "gamma", "gamma0"),
+    ])
+    def test_keys_no_subcommand_reads_are_named(self, tmp_path, capsys, subcommand, key,
+                                                meant):
+        # A misspelt key would otherwise run silently at its default. It is
+        # named, not the required key it was meant for.
+        payload = {name: value for name, value in TINY_CONFIGS[subcommand].items()
+                   if name != meant}
+        payload[key] = 1.0
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "o"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {subcommand}: unknown config "
+                                           f"keys: {key}\n")
 
     def test_large_k_still_rejects_a_junk_grid(self, tmp_path, capsys):
         payload = dict(TINY_CONFIGS["large-k"], z_list="x")
@@ -753,7 +777,9 @@ class TestBlasThreads:
         assert env["blas_threads"] == {name: 1 for name in before}
         assert env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
-        assert set(env) == {"python", "numpy", "numpy_blas", "blas_threads", "cpu_count"}
+        assert env["usable_cpus"] == experiments.usable_cpus()
+        assert set(env) == {"python", "numpy", "numpy_blas", "blas_threads", "cpu_count",
+                            "usable_cpus"}
         assert set(env["numpy_blas"]) == {"name", "version"}
 
 
@@ -977,8 +1003,8 @@ class TestStartup:
 
     def _run_entry(self, tmp_path, caller_threads, entry):
         """(exit status in (0, 2), every OpenBLAS on one thread, the
-        variable's value) after a large-k run through the code entry in a
-        fresh process."""
+        variable's value, _hashlib blocked, sha256 of b"") after a large-k
+        run through the code entry in a fresh process."""
         cfg = write_config(tmp_path, TINY_CONFIGS["large-k"])
         code = textwrap.dedent("""
             import os, sys
@@ -990,10 +1016,12 @@ class TestStartup:
                 exec(entry)
             except SystemExit as exc:
                 status = exc.code
+            import hashlib
             from autocov_spectra import linalg
             counts = linalg.blas_thread_counts()
             print(status in (0, 2), all(c == 1 for c in counts.values()),
-                  os.environ.get("OPENBLAS_NUM_THREADS"))
+                  os.environ.get("OPENBLAS_NUM_THREADS"),
+                  sys.modules.get("_hashlib") is None, hashlib.sha256(b"").hexdigest())
         """)
         return _fresh_process_output(code, cfg, tmp_path / "out", caller_threads or "unset",
                                      entry)
@@ -1002,17 +1030,51 @@ class TestStartup:
     def test_cli_process_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
         # Run as a program, the CLI loads numpy with OPENBLAS_NUM_THREADS=1:
         # cli.run's pin then restores one thread, not the caller's count. The
-        # variable itself is back to the caller's value afterwards.
+        # variable itself is back to the caller's value afterwards. OpenSSL's
+        # _hashlib is never loaded, and hashlib still hashes, in built-in code.
         out = self._run_entry(
             tmp_path, caller_threads,
             "import runpy; runpy.run_module('autocov_spectra.cli', run_name='__main__')")
-        assert out == f"True True {caller_threads}"
+        assert out == f"True True {caller_threads} True {SHA256_OF_NOTHING}"
 
     @pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "2"])
     def test_console_script_loads_openblas_at_one_thread(self, tmp_path, caller_threads):
         # The console script's entry runs the same start-up before numpy loads.
         out = self._run_entry(tmp_path, caller_threads, CONSOLE_SCRIPT[1])
-        assert out == f"True True {caller_threads}"
+        assert out == f"True True {caller_threads} True {SHA256_OF_NOTHING}"
+
+    @pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                        reason="this Python has no OpenSSL _hashlib to load")
+    def test_library_import_of_numpy_random_still_loads_openssl(self):
+        # Only start() blocks _hashlib: a process that never calls it loads
+        # OpenSSL through numpy.random's secrets, as before.
+        assert _fresh_process_output(
+            "import sys, numpy.random, autocov_spectra.cli; "
+            "print(sys.modules.get('_hashlib') is not None)") == "True"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the trim threshold is fixed through glibc's mallopt")
+    def test_lsv_tail_trials_keep_their_heap_top(self):
+        # glibc's trim threshold stays at 128 KiB once the mmap threshold is
+        # fixed, and each trial's heap top was then given back to the OS and
+        # faulted in again, about 65 minor faults per trial. A 5-trial run
+        # first grows the heap to its working size; the trials run serially,
+        # in this process, so getrusage sees them all.
+        code = textwrap.dedent("""
+            import resource
+            from autocov_spectra import startup
+            startup.start()
+            from autocov_spectra import experiments
+            from autocov_spectra.ensembles import EnsembleSpec
+
+            experiments.usable_cpus = lambda: 1
+            spec = EnsembleSpec(n=100, N=100, k=1, master_seed=1)
+            experiments.lsv_tail_experiment(experiments.ExperimentConfig(spec, trials=5), 1.0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            experiments.lsv_tail_experiment(experiments.ExperimentConfig(spec, trials=50), 1.0)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+        """)
+        assert float(_fresh_process_output(code)) <= 5
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap threshold is pinned through glibc's mallopt")
