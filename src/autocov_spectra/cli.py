@@ -377,8 +377,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     solutions = [solve_s(params) for params in points]
     means = [None] * len(points)
     if spec is not None:
-        means = experiments.resolvent_trace_means(
-            (sample_entry_matrix(spec, i) for i in range(trials)), spec.k, z_list, t_list)
+        means = experiments.resolvent_trace_means(spec, trials, z_list, t_list)
         manifest.seeds = trial_seeds(spec.master_seed, trials)
     rows = []
     for params, sol, mean in zip(points, solutions, means):

@@ -58,6 +58,9 @@ SVD_FALLBACK_FACTOR = 1e6
 # TV_BLOCK x TV_BLOCK blocks of grid cells.
 S_FLOOR = 1e-12
 TV_BLOCK = 2
+# Fewest TV blocks per side of the grid's interior. At 2 a point mass at 0
+# is within TV 0.02 of the eigenvalues at n = N = 16 and 64, h = 3 (gamma0 = 1).
+TV_MIN_BLOCKS = 3
 
 DEFAULT_THRESHOLDS = {
     "radial_ks": 0.08,
@@ -452,13 +455,18 @@ def hermitization_pipeline(config: ExperimentConfig, half_width: float | None = 
     each eigenvalue, and the whole zero atom, in a single cell, and the TV
     would measure where the eigenvalues sit relative to the grid rather than
     the recovery error. The comparison aggregates TV_BLOCK x TV_BLOCK cells
-    first.
+    first. An h that leaves fewer than TV_MIN_BLOCKS blocks per side of the
+    grid's interior is a ValueError: so coarse a comparison passes a wrong
+    density, and with one block the TV is about 0 by construction.
     """
     spec = config.spec
-    eigs = companion_eigenvalues(*sampled_companion(spec, 0))
     if half_width is None:
         half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
+    if (xs.size - 2) // TV_BLOCK < TV_MIN_BLOCKS:
+        raise ValueError(f"h={h} leaves fewer than {TV_MIN_BLOCKS} TV blocks per side "
+                         "of the z-grid")
+    eigs = companion_eigenvalues(*sampled_companion(spec, 0))
     L, flagged = log_potential_grid(spec, eigs, xs)
     lap = (L[:-2, 1:-1] + L[2:, 1:-1] + L[1:-1, :-2] + L[1:-1, 2:]
            - 4.0 * L[1:-1, 1:-1]) / (h * h)
@@ -496,17 +504,16 @@ class LargeKReport:
     passed: bool
 
 
-def resolvent_trace_means(Xs, k: int, z_list, t_list) -> list:
-    """Mean over the entry matrices Xs of empirical_resolvent_trace(Y, z, t),
-    Y = build_autocov(X, k), at every (z, t), z-major. The singular values of
-    Y - zI for each (X, z) come from resolvent_singular_values and serve
-    every t; Xs may be a generator, so only one X need be held at a time."""
-    per_point = [[] for _ in range(len(z_list) * len(t_list))]
-    for X in Xs:
-        for i, s in enumerate(resolvent_singular_values(X, k, z_list)):
-            for j, t in enumerate(t_list):
-                per_point[i * len(t_list) + j].append(resolvent_trace(s, t))
-    return [np.mean(values) for values in per_point]
+def resolvent_trace_means(spec: EnsembleSpec, trials: int, z_list, t_list) -> np.ndarray:
+    """Mean over trials 0 .. trials-1 of spec of empirical_resolvent_trace(Y,
+    z, t), Y = build_autocov(X, spec.k), at every (z, t), z-major. Each trial
+    holds its X only for resolvent_singular_values, whose rows serve every t.
+    The mean over a contiguous trial axis rounds as np.mean of 1-d trials."""
+    per_trial = np.empty((len(z_list), len(t_list), trials), dtype=complex)
+    for i in range(trials):
+        s = resolvent_singular_values(sample_entry_matrix(spec, i), spec.k, z_list)
+        per_trial[..., i] = resolvent_trace(s, t_list)
+    return per_trial.mean(axis=-1).ravel()
 
 
 def stability_spec(spec: EnsembleSpec) -> EnsembleSpec:
@@ -563,8 +570,7 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
     def trial_task():
         # The resolvent trials run before trial 0's companion is built, so
         # its small blocks do not stay resident under the trials' arrays.
-        Xs = (sample_entry_matrix(spec, i) for i in range(config.trials))
-        means = resolvent_trace_means(Xs, spec.k, z_list, t_list)
+        means = resolvent_trace_means(spec, config.trials, z_list, t_list)
         return companion_eigenvalues(*sampled_companion(spec, 0)), means
 
     tasks = (stability_task, trial_task)

@@ -6,18 +6,18 @@ the limit s solves the scalar master relation
 
     (t + a s/(1+s^2)) (t s + a s^2/(1+s^2) - gamma0) + s |z|^2 = 0,
 
-with a = lim (n-k)/n. The relation is polynomial after clearing (1+s^2)^2;
+with a = lim (n-k)/n. The relation is a quintic after clearing (1+s^2)^2;
 roots are tracked by continuation from the large-t asymptote
 s ~ gamma0 t / (t^2 + |z|^2), which selects the resolvent branch when more
-than one positive root exists.
+than one positive root exists. One stacked companion eigensolve gives the
+roots at every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from autocov_spectra.linalg import _as_matrix, singular_values
 
@@ -68,19 +68,18 @@ def master_relation(s: float, params: ResolventParams) -> float:
 def _master_poly(params: ResolventParams) -> np.ndarray:
     """Ascending coefficients of master_relation * (1+s^2)^2."""
     t, a, g0 = params.t, params.a, params.gamma0
-    z2 = abs(params.z) ** 2
-    p1 = np.array([t, a, t])
-    p2 = np.array([-g0, t, a - g0, t])
-    p3 = z2 * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
-    poly = P.polyadd(P.polymul(p1, p2), p3)
-    return poly
+    p3 = abs(params.z) ** 2 * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
+    return np.convolve([t, a, t], [-g0, t, a - g0, t]) + p3
 
 
-def _positive_roots(params: ResolventParams) -> np.ndarray:
-    roots = P.polyroots(_master_poly(params))
-    real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
-    pos = np.unique(real[real > 0.0])
-    return pos
+def _path_roots(params: ResolventParams, path) -> np.ndarray:
+    """Roots of the master quintic at each t of path, one row each: the
+    eigenvalues of numpy.polynomial's polycompanion matrices, stacked."""
+    c = np.array([_master_poly(replace(params, t=t)) for t in path])
+    companion = np.zeros((len(path), 5, 5))
+    companion[:, 1:, :-1] = np.eye(4)
+    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    return np.linalg.eigvals(companion)
 
 
 def _refine(s: float, params: ResolventParams) -> float:
@@ -132,16 +131,16 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
     else:
         decades = np.log10(t_start / t_target)
         count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
-        path = list(np.geomspace(t_start, t_target, count))
-    s_prev = large_t_asymptote(ResolventParams(params.z, path[0], params.gamma0, params.a))
-    for t in path:
-        p_t = ResolventParams(params.z, float(t), params.gamma0, params.a)
-        roots = _positive_roots(p_t)
-        if roots.size == 0:
+        path = np.geomspace(t_start, t_target, count).tolist()
+    s_prev = large_t_asymptote(replace(params, t=path[0]))
+    for t, roots in zip(path, _path_roots(params, path)):
+        real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+        positive = np.unique(real[real > 0.0])
+        if positive.size == 0:
             raise np.linalg.LinAlgError(
-                f"no positive root of the master relation at t={t} "
-                f"(previous s={s_prev}); relation at 0 is {master_relation(0.0, p_t)}")
-        s_prev = float(roots[np.argmin(np.abs(roots - s_prev))])
+                f"no positive root of the master relation at t={t} (previous s={s_prev}); "
+                f"relation at 0 is {master_relation(0.0, replace(params, t=t))}")
+        s_prev = float(positive[np.argmin(np.abs(positive - s_prev))])
     s = _refine(s_prev, params)
     g12 = -params.z * s / (params.t + params.a * s / (1.0 + s * s))
     return FixedPointSolution(s=s, g12=g12, residual=abs(master_relation(s, params)))
@@ -167,10 +166,13 @@ def empirical_resolvent_trace(M, z: complex, t: float) -> complex:
         raise ValueError("requires a square matrix")
     if t <= 0:
         raise ValueError("t must be positive")
-    return resolvent_trace(singular_values(M - z * np.eye(M.shape[0])), t)
+    return complex(resolvent_trace(singular_values(M - z * np.eye(M.shape[0])), [t])[0])
 
 
-def resolvent_trace(s, t: float) -> complex:
-    """(i t / N) sum_i 1 / (s_i^2 + t^2) for the N singular values s of
-    M - zI: the dilation resolvent trace at i t. One SVD serves every t."""
-    return 1j * t / s.size * float(np.sum(1.0 / (s**2 + t * t)))
+def resolvent_trace(s, t) -> np.ndarray:
+    """(i t / N) sum_i 1 / (s_i^2 + t^2), the dilation resolvent trace at i t,
+    for each row s of N singular values of M - zI (axis -2) and each t of the
+    array t (axis -1). One SVD serves every t."""
+    t = np.asarray(t, dtype=float)
+    sums = np.sum(1.0 / (s[..., None, :] ** 2 + (t * t)[:, None]), axis=-1)
+    return 1j * (t / s.shape[-1] * sums)

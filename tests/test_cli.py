@@ -494,6 +494,8 @@ class TestExitCodes:
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "half_width": 1.0}),
         ("lsv-tail", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 2, "trails": 3,
                       "z": 1.0}),
+        # 2 TV blocks per side, where a point mass at 0 passes: it exited 0.
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 3.0}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -506,7 +508,7 @@ class TestExitCodes:
             "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
             "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
-            "misspelt-trials"])
+            "misspelt-trials", "coarse-h"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -678,7 +680,9 @@ class TestExitCodes:
         assert "radial_ks" in capsys.readouterr().err
 
     def test_fixed_point_solver_failure_exits_four(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(fixed_point, "_positive_roots", lambda params: np.empty(0))
+        # Every root of every continuation step is negative.
+        monkeypatch.setattr(fixed_point, "_path_roots",
+                            lambda params, path: -np.ones((len(path), 5)))
         cfg = write_config(tmp_path, {
             "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
@@ -687,10 +691,10 @@ class TestExitCodes:
     def test_raw_linalg_error_exits_four(self, tmp_path, monkeypatch, capsys):
         # LinAlgError is a ValueError: run must test for it before the
         # config-error clause.
-        def roots(params):
+        def roots(params, path):
             raise np.linalg.LinAlgError("roots did not converge")
 
-        monkeypatch.setattr(fixed_point, "_positive_roots", roots)
+        monkeypatch.setattr(fixed_point, "_path_roots", roots)
         cfg = write_config(tmp_path, {
             "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
@@ -980,20 +984,21 @@ def _fresh_process_output(code, *args):
 
 class TestStartup:
     def test_modules_and_runs_load_no_scipy(self, tmp_path):
-        # numpy is the only runtime dependency; scipy serves the tests alone.
-        lsv = write_config(tmp_path, TINY_CONFIGS["lsv-tail"], "lsv.json")
-        large_k = write_config(tmp_path, TINY_CONFIGS["large-k"], "large_k.json")
-        hermitize = write_config(tmp_path, TINY_CONFIGS["hermitize"], "hermitize.json")
+        # numpy is the only runtime dependency; scipy serves the tests alone,
+        # and so does numpy.polynomial: solve_s builds its companion matrices.
+        runs = [[sub, write_config(tmp_path, cfg, f"{sub}.json")]
+                for sub, cfg in TINY_CONFIGS.items()]
         out = _fresh_process_output(
-            "import importlib, pkgutil, sys, autocov_spectra; "
+            "import importlib, json, pkgutil, sys, autocov_spectra; "
             "names = [m.name for m in pkgutil.iter_modules(autocov_spectra.__path__)]; "
             "[importlib.import_module('autocov_spectra.' + name) for name in names]; "
             "from autocov_spectra import cli; "
-            "codes = [cli.main([sub, cfg, '--output-dir', sys.argv[4]]) for sub, cfg in "
-            "(('lsv-tail', sys.argv[1]), ('large-k', sys.argv[2]), ('hermitize', sys.argv[3]))]; "
+            "codes = [cli.main([sub, cfg, '--output-dir', sys.argv[2]]) "
+            "for sub, cfg in json.loads(sys.argv[1])]; "
             "print(sorted(names), all(c in (0, 2) for c in codes), "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-            lsv, large_k, hermitize, tmp_path / "out")
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))",
+            json.dumps(runs), tmp_path / "out")
         assert out == ("['cli', 'ensembles', 'experiments', 'fixed_point', 'geometry', "
                        "'limit_law', 'linalg', 'startup'] True []")
 

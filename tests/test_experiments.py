@@ -16,6 +16,7 @@ from autocov_spectra.ensembles import (
     EnsembleSpec,
     build_autocov,
     build_circular,
+    resolvent_singular_values,
     sample_entry_matrix,
 )
 from autocov_spectra.experiments import (
@@ -30,6 +31,7 @@ from autocov_spectra.experiments import (
     large_k_experiment,
     linearization_check,
     lsv_tail_experiment,
+    resolvent_trace_means,
     rotation_invariance_test,
 )
 from autocov_spectra.fixed_point import (
@@ -824,6 +826,28 @@ class TestLargeK:
         config = ExperimentConfig(spec=EnsembleSpec(n=8, N=8, k=4))
         with pytest.raises(ValueError, match="nonempty"):
             large_k_experiment(config, z_list, t_list)
+
+    @pytest.mark.parametrize("trials", [1, 2, 11])
+    @pytest.mark.parametrize("N", [48, 32], ids=["compressed", "square"])
+    def test_resolvent_trace_means_match_per_point_loop(self, N, trials):
+        # Reference: one scalar trace per (X, z, t), and np.mean over each
+        # point's list of trials. At 11 trials numpy sums pairwise, and a
+        # mean over a non-contiguous trial axis rounds 5-7 of these 36 points
+        # differently.
+        spec = EnsembleSpec(n=16, N=N // 2, k=8, master_seed=14)
+        z_list, t_list = [0.5 + 0j, 1.0 + 1j, 2.0j], np.geomspace(0.05, 5.0, 12).tolist()
+        per_point = [[] for _ in range(len(z_list) * len(t_list))]
+        for i in range(trials):
+            X = sample_entry_matrix(spec, i)
+            for i_z, s in enumerate(resolvent_singular_values(X, spec.k, z_list)):
+                for j, t in enumerate(t_list):
+                    trace = 1j * t / s.size * float(np.sum(1.0 / (s**2 + t * t)))
+                    per_point[i_z * len(t_list) + j].append(trace)
+        expected = [np.mean(values) for values in per_point]
+        got = resolvent_trace_means(spec, trials, z_list, t_list)
+        assert got.shape == (len(expected),)
+        assert got.tolist() == expected
+        assert np.array_equal(np.signbit(got.real), np.signbit(np.real(expected)))
 
     @pytest.mark.parametrize("N", [48, 32], ids=["compressed", "square"])
     def test_resolvent_errors_match_per_point_loop(self, N):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from autocov_spectra import fixed_point
@@ -160,6 +161,73 @@ class TestRefine:
         s = fixed_point._refine(start, params)
         assert abs(master_relation(s, params)) <= SOLVER_TOL
         assert s == pytest.approx(root, rel=1e-10)
+
+
+# Wider than REFINE_GRID: small and large |z|, t, gamma0 and a.
+ROOT_SWEEP = list(itertools.product(
+    (0.05, 0.5 + 0.5j, 2.0j, 5.0 + 5.0j),
+    (0.01, 0.2, 2.0, 50.0),
+    (0.25, 1.5, 3.0),
+    (0.05, 0.25, 0.5)))
+
+
+def _polyroots(z, t, gamma0, a):
+    """Roots of master_relation * (1+s^2)^2 as numpy.polynomial finds them."""
+    poly = P.polyadd(P.polymul([t, a, t], [-gamma0, t, a - gamma0, t]),
+                     abs(z) ** 2 * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]))
+    return P.polyroots(poly)
+
+
+def _continuation_path(params):
+    t_start = max(10.0, 10.0 * abs(params.z))
+    if params.t >= t_start:
+        return [params.t]
+    count = max(2, int(np.ceil(np.log10(t_start / params.t) * fixed_point.STEPS_PER_DECADE)) + 1)
+    return np.geomspace(t_start, params.t, count).tolist()
+
+
+class TestPathRoots:
+    """solve_s's one stacked companion eigensolve against numpy.polynomial's
+    per-step polyroots, the slow path it replaced."""
+
+    @pytest.mark.parametrize("grid", [REFINE_GRID, ROOT_SWEEP], ids=["refine-grid", "sweep"])
+    def test_rows_are_polyroots_bit_for_bit(self, grid):
+        for z, t, gamma0, a in grid:
+            params = ResolventParams(z=z, t=t, gamma0=gamma0, a=a)
+            path = _continuation_path(params)
+            rows = fixed_point._path_roots(params, path)
+            assert rows.shape == (len(path), 5)
+            for t_step, row in zip(path, rows):
+                oracle = _polyroots(z, t_step, gamma0, a).astype(complex)
+                np.testing.assert_array_equal(np.sort(row), oracle)
+
+    @pytest.mark.parametrize("grid", [REFINE_GRID, ROOT_SWEEP], ids=["refine-grid", "sweep"])
+    def test_solve_s_matches_per_step_polyroots(self, grid):
+        # Reference: the continuation with one polyroots call per step.
+        for z, t, gamma0, a in grid:
+            params = ResolventParams(z=z, t=t, gamma0=gamma0, a=a)
+            path = _continuation_path(params)
+            s_prev = large_t_asymptote(ResolventParams(z, path[0], gamma0, a))
+            for t_step in path:
+                roots = _polyroots(z, t_step, gamma0, a)
+                real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+                positive = np.unique(real[real > 0.0])
+                s_prev = float(positive[np.argmin(np.abs(positive - s_prev))])
+            assert solve_s(params).s == fixed_point._refine(s_prev, params)
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 20.0], ids=["long-path", "path", "no-path"])
+    def test_one_eigensolve_per_solve(self, monkeypatch, t):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        params = ResolventParams(z=1.0 + 0.5j, t=t, gamma0=1.5, a=0.4)
+        solve_s(params)
+        assert calls == [(len(_continuation_path(params)), 5, 5)]
 
 
 class TestG12:
