@@ -366,10 +366,7 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
         raise ConfigError("n and seed go together: give both to simulate, or neither")
     if "n" in cfg:
         n = _integer(cfg, "n")
-        spec = EnsembleSpec(
-            n=n, N=int(round(gamma0 * n)), k=int(round(gamma1 * n)),
-            law=EntryLaw(kind=cfg.get("law", "complex-gaussian")),
-            master_seed=_integer(cfg, "seed"))
+        spec = _spec_from({**cfg, "N": round(gamma0 * n), "k": round(gamma1 * n)})
         trials = ExperimentConfig(spec, _integer(cfg, "trials", 1)).trials
     z_list, t_list = _resolvent_grid(cfg)
     points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)

@@ -80,14 +80,12 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
 class EntryLaw:
     """A complex scalar entry distribution with 1/n variance scaling.
 
-    declared_c0 is the declared margin 1 - |n E[X11^2]| keeping the law off
-    a line through the origin; moment_diagnostics flags a (C2) violation when
-    the estimated |n E[X11^2]| exceeds 1 - declared_c0. With the default 1,
-    real-gaussian (|n E[X11^2]| = 1) is flagged.
+    moment_diagnostics flags a (C2) violation, a law on a line through the
+    origin, when the estimated |n E[X11^2]| is above 0: real-gaussian
+    (|n E[X11^2]| = 1) is flagged.
     """
 
     kind: str = "complex-gaussian"
-    declared_c0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ENTRY_LAW_KINDS:
@@ -174,18 +172,17 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [mix_seed(master_seed, i) for i in range(trials)]
 
 
-def _trial_rng(spec: EnsembleSpec, trial: SeededTrial | int) -> np.random.Generator:
-    if not isinstance(trial, SeededTrial):
-        trial = SeededTrial.from_master(spec.master_seed, trial)
-    return np.random.Generator(np.random.PCG64(trial.derived_seed))
+def _trial_rng(spec: EnsembleSpec, trial: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(mix_seed(spec.master_seed, trial)))
 
 
-def sample_entry_matrix(spec: EnsembleSpec, trial: SeededTrial | int) -> np.ndarray:
-    """The N x n matrix X for one trial, bit-reproducible per (spec, trial)."""
+def sample_entry_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """The N x n matrix X of trial index trial, drawn from
+    mix_seed(spec.master_seed, trial): bit-reproducible per (spec, trial)."""
     return spec.law.sample(_trial_rng(spec, trial), (spec.N, spec.n), spec.n)
 
 
-def sample_row_blocks(spec: EnsembleSpec, trial: SeededTrial | int):
+def sample_row_blocks(spec: EnsembleSpec, trial: int):
     """Yield the rows of sample_entry_matrix(spec, trial), BLOCK at a time
     (the last block may be shorter), bit for bit, without holding X.
 
@@ -228,7 +225,7 @@ def build_autocov(X, k: int) -> np.ndarray:
     return Y
 
 
-def sampled_companion(spec: EnsembleSpec, trial: SeededTrial | int) -> tuple[np.ndarray, int]:
+def sampled_companion(spec: EnsembleSpec, trial: int) -> tuple[np.ndarray, int]:
     """(M, zeros): the N eigenvalues of Y = build_autocov(X, spec.k), X =
     sample_entry_matrix(spec, trial), are those of the square matrix M
     followed by zeros exact zeros (companion_eigenvalues).
@@ -340,11 +337,7 @@ def build_linearization(X, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
         return H_prime, H_prime
     # Block-column permutation: columns m-k..m-1 of the block first, then
     # 0..m-k-1.
-    H = np.empty_like(H_prime)
-    H[:, :N] = H_prime[:, :N]
-    H[:, N:N + k] = H_prime[:, N + m - k:]
-    H[:, N + k:] = H_prime[:, N:N + m - k]
-    return H_prime, H
+    return H_prime, H_prime[:, np.r_[:N, N + m - k:N + m, N:N + m - k]]
 
 
 def hermitize(M, z: complex) -> np.ndarray:
@@ -380,7 +373,7 @@ def moment_diagnostics(law: EntryLaw, n: int, sample_count: int = 100_000,
     """Estimate the (C1)/(C2) moments of a law by direct sampling.
 
     Flags a (C2) violation when the |n E[X^2]| estimate minus three standard
-    errors still exceeds 1 - declared_c0.
+    errors is still above 0.
     """
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10^4")
@@ -393,7 +386,7 @@ def moment_diagnostics(law: EntryLaw, n: int, sample_count: int = 100_000,
     second = n * np.mean(x**2)
     se = float(n * np.sqrt(np.mean(np.abs(x**2 - np.mean(x**2)) ** 2) / sample_count))
     fourth = float(n**2 * np.mean(np.abs(x) ** 4))
-    violates = abs(second) - 3.0 * se > 1.0 - law.declared_c0
+    violates = abs(second) - 3.0 * se > 0.0
     return MomentReport(
         mean=mean,
         n_var=n_var,

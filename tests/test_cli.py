@@ -496,6 +496,10 @@ class TestExitCodes:
                       "z": 1.0}),
         # 2 TV blocks per side, where a point mass at 0 passes: it exited 0.
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 3.0}),
+        # 3 TV blocks per side, where a uniform disk of half the support
+        # radius passes: both exited 0, with TV 0.131 and 0.035.
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 0.7}),
+        ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 1.0}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -508,7 +512,7 @@ class TestExitCodes:
             "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
             "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
-            "misspelt-trials", "coarse-h"])
+            "misspelt-trials", "coarse-h", "three-block-h-0.7", "three-block-h-1"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.

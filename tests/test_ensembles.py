@@ -276,10 +276,14 @@ class TestPeakMemory:
 
 class TestSampling:
     def test_determinism(self):
+        # X of trial 3 is drawn from the spec's seed alone: a SeededTrial,
+        # which could carry another master seed, is not a trial index.
         spec = EnsembleSpec(n=16, N=12, k=2, master_seed=42)
         X1 = sample_entry_matrix(spec, 3)
-        X2 = sample_entry_matrix(spec, SeededTrial.from_master(42, 3))
-        assert np.array_equal(X1, X2)
+        rng = np.random.Generator(np.random.PCG64(SeededTrial.from_master(42, 3).derived_seed))
+        assert np.array_equal(X1, spec.law.sample(rng, (12, 16), 16))
+        with pytest.raises(TypeError):
+            sample_entry_matrix(spec, SeededTrial.from_master(42, 3))
 
     def test_trial_seeds_are_the_sampled_seeds(self):
         assert trial_seeds(42, 3) == [SeededTrial.from_master(42, i).derived_seed
@@ -601,7 +605,7 @@ class TestMomentDiagnostics:
         assert not report.violates_c2
 
     def test_real_gaussian_flagged(self):
-        report = moment_diagnostics(EntryLaw("real-gaussian", declared_c0=0.5), n=50, seed=4)
+        report = moment_diagnostics(EntryLaw("real-gaussian"), n=50, seed=4)
         assert report.abs_n_second_moment == pytest.approx(1.0, abs=0.05)
         assert report.violates_c2
 

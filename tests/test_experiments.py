@@ -706,21 +706,23 @@ def reference_tv(L, eigs, xs, h, tv_block=2):
 
 
 class TestLogPotentialGrid:
-    """The eigenvalue grid against the per-cell SVD reference. A node at
-    half_width=1.0, h=0.1 sits within 1e-15 of the structural zero eigenvalue
-    of Y (rank <= n - k), so that grid has one flagged cell. At gamma0 = 2
-    and at the large lag, the grid takes lambda from the companion with its
-    exact zeros, and its fallback cells from resolvent_singular_values."""
+    """The eigenvalue grid against the per-cell SVD reference. The grid
+    spans the support radius plus 2h on each side, so at h = support radius
+    / 14 its 17th node sits within 4e-15 of the structural zero eigenvalue of
+    Y (rank <= n - k), and that grid has one flagged cell. At gamma0 = 2 and
+    at the large lag, the grid takes lambda from the companion with its exact
+    zeros, and its fallback cells from resolvent_singular_values."""
 
     @pytest.mark.parametrize("n,N,k", [(32, 32, 1), (64, 64, 1), (32, 64, 1), (64, 64, 40)],
                              ids=["32", "64", "gamma0-2", "large-lag"])
-    @pytest.mark.parametrize("half_width,flagged", [(None, 0), (1.0, 1)])
-    def test_matches_svd_reference(self, n, N, k, half_width, flagged):
+    @pytest.mark.parametrize("radius_steps,flagged", [(None, 0), (14, 1)],
+                             ids=["h-0.1", "node-at-0"])
+    def test_matches_svd_reference(self, n, N, k, radius_steps, flagged):
         spec = EnsembleSpec(n=n, N=N, k=k, master_seed=3)
         config = ExperimentConfig(spec=spec)
-        h = 0.1
-        if half_width is None:
-            half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
+        radius = Gamma0Law(spec.gamma0).support_radius
+        h = 0.1 if radius_steps is None else radius / radius_steps
+        half_width = radius + 2 * h
         xs = np.arange(-half_width, half_width + h / 2, h)
         Y = build_autocov(sample_entry_matrix(spec, 0), spec.k)
         eigs = linalg.eigenvalues(Y)
@@ -736,7 +738,7 @@ class TestLogPotentialGrid:
         dist = np.min(np.abs(eigs - z[..., None]), axis=-1)
         assert np.all(s_min <= dist + 1e-13 * linalg.operator_norm(Y))
         assert np.max(dist / s_min) <= 1e3
-        rep = hermitization_pipeline(config, half_width=half_width, h=h)
+        rep = hermitization_pipeline(config, h=h)
         assert rep.flagged_cells == flagged
         tv_ref = reference_tv(L_ref, eigs, xs, h)
         assert abs(rep.tv_distance - tv_ref) <= 1e-9

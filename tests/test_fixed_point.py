@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -171,11 +172,16 @@ ROOT_SWEEP = list(itertools.product(
     (0.05, 0.25, 0.5)))
 
 
+@functools.cache
 def _polyroots(z, t, gamma0, a):
-    """Roots of master_relation * (1+s^2)^2 as numpy.polynomial finds them."""
+    """Roots of master_relation * (1+s^2)^2 as numpy.polynomial finds them.
+    Cached, so TestPathRoots' two oracle tests share each step's roots; the
+    shared array is read-only."""
     poly = P.polyadd(P.polymul([t, a, t], [-gamma0, t, a - gamma0, t]),
                      abs(z) ** 2 * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]))
-    return P.polyroots(poly)
+    roots = P.polyroots(poly)
+    roots.flags.writeable = False
+    return roots
 
 
 def _continuation_path(params):
