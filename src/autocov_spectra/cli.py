@@ -15,13 +15,15 @@ function of its config, so a ConfigError, TypeError, ValueError or
 OverflowError raised by the run (every one of them an argument check), a
 MemoryError (every array's size follows from the config), or an OSError
 from an unreadable config or unusable output directory, is reported as
-``config error: <subcommand>: <message>``.
+``config error: <subcommand>: <message>``. So is a config nested too
+deeply for json to parse or for the manifest to render, which is checked
+before anything is written.
 A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
 count together with the numpy version and its BLAS build. lsv-tail spreads
-its trials, and large-k its 2n sample and its resolvent trials, over the
+its trials, and large-k its spectra and its resolvent trials, over the
 usable CPUs (experiments.map_trials), whose forked workers inherit the pin.
 
 A CLI process, run as a program (python -m) or through the autocov-spectra
@@ -135,6 +137,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests too deeply to parse")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for item in overrides or []:
@@ -145,6 +149,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError:
+            raise ConfigError(f"override {dotted!r} nests too deeply to parse")
         _set_nested(cfg, dotted, value)
     return cfg
 
@@ -243,11 +249,14 @@ def _plain(value):
     return value
 
 
-def _write_json(path: str, payload) -> None:
+def _json_text(payload) -> str:
     """A report dataclass or a dict as sorted, indented, strict JSON: a
     non-finite float is written as null, never as NaN or Infinity."""
-    _write_output(path, json.dumps(_plain(payload), indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_json(path: str, payload) -> None:
+    _write_output(path, _json_text(payload) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -274,11 +283,17 @@ def _environment() -> dict:
 
 
 class RunManifest:
-    """Records everything needed to reproduce a run."""
+    """Records everything needed to reproduce a run. The config is rendered
+    on construction, before any output: one too deep to render is a
+    ConfigError, not a run left without a manifest. write splices that text
+    in at "config", the one key that follows a raw newline at indent two."""
 
     def __init__(self, subcommand: str, cfg: dict, out_dir: str):
         self.subcommand = subcommand
-        self.cfg = cfg
+        try:
+            self.config = _json_text(cfg)
+        except RecursionError:
+            raise ConfigError("config nests too deeply to record in the manifest") from None
         self.out_dir = out_dir
         self.outputs: list[str] = []
         self.seeds: list[int] = []
@@ -294,7 +309,7 @@ class RunManifest:
         payload = {
             "artifact_version": autocov_spectra.__version__,
             "subcommand": self.subcommand,
-            "config": self.cfg,
+            "config": None,
             "resolved_seeds": self.seeds,
             "thresholds": self.thresholds,
             "outputs": sorted(self.outputs),
@@ -302,7 +317,10 @@ class RunManifest:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "environment": _environment(),
         }
-        _write_json(os.path.join(self.out_dir, "manifest.json"), payload)
+        head, tail = _json_text(payload).split('\n  "config": null,')
+        config = self.config.replace("\n", "\n  ")
+        _write_output(os.path.join(self.out_dir, "manifest.json"),
+                      f'{head}\n  "config": {config},{tail}\n')
 
 
 def _run_esd(cfg: dict, manifest: RunManifest) -> int:
@@ -349,10 +367,7 @@ def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
 def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
     spec = _spec_from(cfg)
     config = _experiment_config(cfg, spec, manifest, ("hermitization_tv",))
-    h = _real(cfg.get("h", 0.1), "h")
-    if not 0 < h < math.inf:
-        raise ConfigError(f"grid spacing h must be positive and finite, got {h}")
-    report = experiments.hermitization_pipeline(config, h=h)
+    report = experiments.hermitization_pipeline(config, h=_real(cfg.get("h", 0.1), "h"))
     manifest.seeds = trial_seeds(spec.master_seed, 1)
     _write_json(manifest.path("hermitization_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
@@ -460,8 +475,8 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
             raise ConfigError("unknown subcommand")
         validate_keys(subcommand, cfg)
         out_dir = output_dir or cfg.get("output_dir", ".")
-        os.makedirs(out_dir, exist_ok=True)
         manifest = RunManifest(subcommand, cfg, out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         with linalg.one_blas_thread():
             status = RUNNERS[subcommand](cfg, manifest)
             manifest.write()

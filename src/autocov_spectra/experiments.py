@@ -459,10 +459,13 @@ def hermitization_pipeline(config: ExperimentConfig, h: float = 0.1) -> Hermitiz
     each eigenvalue, and the whole zero atom, in a single cell, and the TV
     would measure where the eigenvalues sit relative to the grid rather than
     the recovery error. The comparison aggregates TV_BLOCK x TV_BLOCK cells
-    first. An h that leaves fewer than TV_MIN_BLOCKS blocks per side of the
-    grid's interior is a ValueError: so coarse a comparison passes a wrong
-    density, and with one block the TV is about 0 by construction.
+    first. An h that is not positive and finite, or that leaves fewer than
+    TV_MIN_BLOCKS blocks per side of the grid's interior, is a ValueError:
+    so coarse a comparison passes a wrong density, and with one block the TV
+    is about 0 by construction.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"grid spacing h must be positive and finite, got {h}")
     spec = config.spec
     half_width = Gamma0Law(spec.gamma0).support_radius + 2 * h
     xs = np.arange(-half_width, half_width + h / 2, h)
@@ -543,13 +546,11 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
     a singular companion, or a Y (decomposed itself when n - k >= N - 1) of
     lower rank than n - k, fails it.
 
-    Task 0 (the 2n-sample, then the predictions) and task 1 (the resolvent
-    trials, then trial 0's companion) run through map_trials(2, ...), task 1
-    in a forked child on two CPUs, and in that order on one. The 2n-sample
-    comes first, so its peak, the companion, one m x m product and one row
-    block of X, falls before the fixed-point solves and before any trial's X
-    exists. Trial 0's X is drawn twice, whole for its resolvent trial and
-    streamed for its companion.
+    Task 0 takes both spectra, the 2n-sample's first, and task 1 the
+    resolvent means, then their predictions: on two CPUs map_trials(2, ...)
+    forks task 1, so every eigensolve is in this process and every resolvent
+    SVD in the child; on one they run in that order. Trial 0's X is drawn
+    twice, streamed for its companion and whole for its resolvent trial.
     """
     spec = config.spec
     if spec.k < spec.n / 2:
@@ -560,24 +561,18 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
     a = 1.0 - spec.gamma1
     z_list = [complex(z) for z in z_list]
     t_list = [float(t) for t in t_list]
-    big = stability_spec(spec)
 
-    def stability_task():
-        # The companion is summed over row blocks of the 2n-sample's X, so
-        # that X, the run's largest array, is never held.
-        big_eigs = companion_eigenvalues(*sampled_companion(big, 0))
-        predictions = [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
-                       for z in z_list for t in t_list]
-        return predictions, big_eigs
+    def spectra():
+        return [companion_eigenvalues(*sampled_companion(s, 0))
+                for s in (stability_spec(spec), spec)]
 
-    def trial_task():
-        # The resolvent trials run before trial 0's companion is built, so
-        # its small blocks do not stay resident under the trials' arrays.
+    def resolvent():
         means = resolvent_trace_means(spec, config.trials, z_list, t_list)
-        return companion_eigenvalues(*sampled_companion(spec, 0)), means
+        return means, [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
+                       for z in z_list for t in t_list]
 
-    tasks = (stability_task, trial_task)
-    (predictions, big_eigs), (eigs, means) = map_trials(2, lambda i: tasks[i]())
+    tasks = (spectra, resolvent)
+    (big_eigs, eigs), (means, predictions) = map_trials(2, lambda i: tasks[i]())
     stability = ks_two_sample(atom_radii(eigs), atom_radii(big_eigs))
     stability_ok = stability <= config.thresholds["stability_ks"]
     errors = [float(abs(emp - pred)) for emp, pred in zip(means, predictions)]

@@ -28,8 +28,10 @@ from autocov_spectra.fixed_point import ResolventParams
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """payload as JSON, or as is when it is already JSON text: json.dumps
+    recurses, so a deeply nested config has to be written as text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -500,6 +502,12 @@ class TestExitCodes:
         # radius passes: both exited 0, with TV 0.131 and 0.035.
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 0.7}),
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 1.0}),
+        # Too deep for json to parse; parsed, but too deep for the manifest to
+        # render, which is found before the runner writes its outputs.
+        ("esd", '{"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": '
+                + "[" * 100_000 + "]" * 100_000 + "}"),
+        ("limit-law-table", '{"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, '
+                            '"step": 0.5, "note": ' + "[" * 600 + "]" * 600 + "}}"),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -512,7 +520,8 @@ class TestExitCodes:
             "zero-large-k-z", "zero-large-k-t", "empty-large-k-t", "zero-fixed-point-z",
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
             "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
-            "misspelt-trials", "coarse-h", "three-block-h-0.7", "three-block-h-1"])
+            "misspelt-trials", "coarse-h", "three-block-h-0.7", "three-block-h-1",
+            "deeply-nested-law", "deeply-nested-grid-value"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -522,6 +531,24 @@ class TestExitCodes:
         assert status == cli.EXIT_CONFIG, err
         assert err.startswith(f"config error: {subcommand}: ")
         assert err.count(subcommand) == 1
+        assert err.count("\n") == 1
+        assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("depth,message", [
+        (5000, "override 'h' nests too deeply to parse"),
+        # Parsed, but too deep for the manifest: esd never reads h, so only
+        # the manifest's rendering of the config can find it.
+        (600, "config nests too deeply to record in the manifest"),
+    ], ids=["unparsable", "unrecordable"])
+    def test_deeply_nested_override_exits_three_before_any_output(self, tmp_path, capsys,
+                                                                  depth, message):
+        cfg = write_config(tmp_path, TINY_CONFIGS["esd"])
+        out = tmp_path / "out"
+        status = cli.main(["esd", cfg, "--set", "h=" + "[" * depth + "]" * depth,
+                           "--output-dir", str(out)])
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: esd: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("seed", 1.5), ("seed", "7"), ("trials", 2.9), ("k", True), ("n", 16.0), ("N", False),
@@ -796,8 +823,8 @@ class TestTrialWorkers:
     experiments.map_trials; experiments.usable_cpus sets the worker count."""
 
     CONFIG = {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]}
-    # Task 0 decomposes the 2n-sample (X of 32 columns) here; task 1, trial 0
-    # (X of 16 columns) and the resolvent trials, in the worker.
+    # Task 0 decomposes the 2n-sample (X of 32 columns) and trial 0 (X of 16
+    # columns) here; task 1 runs the resolvent trials in the worker.
     LARGE_K = {"n": 16, "N": 24, "k": 8, "seed": 4, "trials": 3,
                "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}
 
@@ -870,23 +897,31 @@ class TestTrialWorkers:
         assert outputs[1] == outputs[2] == outputs[3]
 
     def _fail_large_k_solve(self, monkeypatch, samples, failure):
-        # Both companions come from sampled_companion: the 2n-sample's has
-        # n = 32, trial 0's n = 16.
-        sampled = experiments.sampled_companion
+        # Task 0 takes both spectra from sampled_companion: the 2n-sample's
+        # has n = 32, trial 0's n = 16. Task 1 takes every resolvent trial's
+        # singular values from ensembles.singular_values.
+        sampled, svd = experiments.sampled_companion, ensembles.singular_values
 
         def failing(spec, trial):
             sample = "2n" if spec.n == 2 * self.LARGE_K["n"] else "trial 0"
             if sample in samples:
-                failure(sample)
+                failure(f"eigenvalues of the {sample} sample")
             return sampled(spec, trial)
 
-        monkeypatch.setattr(experiments, "sampled_companion", failing)
+        def failing_svd(M):
+            if "resolvent" in samples:
+                failure("singular values of a resolvent trial")
+            return svd(M)
 
-    @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"}])
+        monkeypatch.setattr(experiments, "sampled_companion", failing)
+        monkeypatch.setattr(ensembles, "singular_values", failing_svd)
+
+    @pytest.mark.parametrize("failing", [{"2n"}, {"trial 0"}, {"2n", "trial 0"},
+                                         {"resolvent"}, {"trial 0", "resolvent"}])
     def test_large_k_linalg_error_in_either_task_exits_four_as_serially(
             self, tmp_path, monkeypatch, capsys, failing):
-        def fail(sample):
-            raise np.linalg.LinAlgError(f"eigenvalues of the {sample} sample did not converge")
+        def fail(what):
+            raise np.linalg.LinAlgError(f"{what} did not converge")
 
         self._fail_large_k_solve(monkeypatch, failing, fail)
         cfg = write_config(tmp_path, self.LARGE_K)
@@ -895,19 +930,23 @@ class TestTrialWorkers:
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
             assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
             errors.add(capsys.readouterr().err)
-        # Serially the 2n-sample is decomposed first.
-        first = "2n" if "2n" in failing else "trial 0"
-        assert errors == {f"numeric backend failure: eigenvalues of the {first} sample "
-                          "did not converge\n"}
+        # Serially the 2n-sample is decomposed first, then trial 0, then the
+        # resolvent trials: the spectra task's error wins over the worker's.
+        if failing & {"2n", "trial 0"}:
+            first = "2n" if "2n" in failing else "trial 0"
+            what = f"eigenvalues of the {first} sample"
+        else:
+            what = "singular values of a resolvent trial"
+        assert errors == {f"numeric backend failure: {what} did not converge\n"}
 
     def test_large_k_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
 
-        def die(sample):
+        def die(what):
             if os.getpid() != parent:
                 os._exit(1)
 
-        self._fail_large_k_solve(monkeypatch, {"trial 0"}, die)
+        self._fail_large_k_solve(monkeypatch, {"resolvent"}, die)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         cfg = write_config(tmp_path, self.LARGE_K)
         assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
@@ -925,9 +964,10 @@ class TestTrialWorkers:
         large_k = write_config(tmp_path, self.LARGE_K, "large_k.json")
         code = textwrap.dedent("""
             import os, sys, numpy as np
-            from autocov_spectra import cli, experiments
+            from autocov_spectra import cli, ensembles, experiments
             experiments.usable_cpus = lambda: 3
             sample, sampled = experiments.sample_entry_matrix, experiments.sampled_companion
+            svd = ensembles.singular_values
 
             def failing_at(trial, failure):
                 def sampler(spec, i):
@@ -936,12 +976,16 @@ class TestTrialWorkers:
                     return sample(spec, i)
                 return sampler
 
-            def failing_companion(n, failure):
-                def companion(spec, trial):
-                    if spec.n == n:
-                        failure()
-                    return sampled(spec, trial)
-                return companion
+            def failing_2n_companion(spec, trial):
+                if spec.n == 32:
+                    raise_linalg_error()
+                return sampled(spec, trial)
+
+            def failing_svd(failure):
+                def singular_values(M):
+                    failure()
+                    return svd(M)
+                return singular_values
 
             def raise_linalg_error():
                 raise np.linalg.LinAlgError("x")
@@ -961,12 +1005,14 @@ class TestTrialWorkers:
                 experiments.sample_entry_matrix = sampler
                 check("lsv-tail", sys.argv[1])
             experiments.sample_entry_matrix = sample
-            # Both companions come from sampled_companion: the 2n-sample's
-            # has n = 32, trial 0's n = 16.
-            for companion in (sampled, failing_companion(32, raise_linalg_error),
-                              failing_companion(16, raise_linalg_error),
-                              failing_companion(16, lambda: os._exit(1))):
+            # Task 0 takes both spectra here, the 2n-sample's (n = 32) first;
+            # the worker's task 1 takes every resolvent trial's SVDs.
+            for companion, singular_values in (
+                    (sampled, svd), (failing_2n_companion, svd),
+                    (sampled, failing_svd(raise_linalg_error)),
+                    (sampled, failing_svd(lambda: os._exit(1)))):
                 experiments.sampled_companion = companion
+                ensembles.singular_values = singular_values
                 check("large-k", sys.argv[2])
             print(codes)
         """)

@@ -373,10 +373,10 @@ class TestTrialMemory:
     @pytest.mark.parametrize("n,N,k", [(128, 192, 64), (64, 16, 32)],
                              ids=["companion", "full"])
     def test_large_k_trial_0_eigensolve_holds_no_x(self, n, N, k, monkeypatch):
-        # Task 1 runs the resolvent trials before it builds trial 0's
-        # companion, which streams X's rows (or, when n - k >= N, decomposes
-        # a Y whose X is dropped once Y is built): at trial 0's eigensolve,
-        # a weak reference to every X of the n-sample is dead.
+        # Trial 0's companion streams X's rows (or, when n - k >= N,
+        # decomposes a Y whose X is dropped once Y is built): at trial 0's
+        # eigensolve, a weak reference to every X of the n-sample sampled so
+        # far is dead. The resolvent trials sample one X each after it.
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=3),
                                   trials=2)
         refs, alive = [], {}
@@ -399,7 +399,7 @@ class TestTrialMemory:
         large_k_experiment(config, *ONE_POINT)
         m = min(n - k, N)
         assert len(refs) == config.trials + (n - k >= N)
-        assert alive[(m, m)] == [False] * len(refs)
+        assert alive[(m, m)] == [False] * (n - k >= N)
 
     def test_large_k_2n_sample_peaks_without_its_x(self, monkeypatch):
         # Up to the 2n-sample's eigensolve, which task 0 reaches first on one
@@ -455,7 +455,7 @@ class TestTrialMemory:
         assert held[(2 * m, 2 * m)] <= big_product_bytes + 32 * 1024
 
     def test_large_k_resolvent_svds_hold_one_x(self, monkeypatch):
-        # At each resolvent SVD of the trial task, the current trial's X and
+        # At each resolvent SVD of the resolvent task, the current trial's X and
         # the d x d matrix being decomposed are held: not trial 0's X in a
         # later trial, nor the QR factor R or a shifted copy per z.
         n, N, k = 128, 192, 64
@@ -654,6 +654,13 @@ class TestHermitization:
         rep = hermitization_pipeline(ExperimentConfig(spec=self.SPEC))
         assert rep.tv_distance > DEFAULT_THRESHOLDS["hermitization_tv"]
         assert not rep.passed
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_grid_spacing_must_be_positive_and_finite(self, h):
+        # Unchecked, h = 0 raised ZeroDivisionError, and nan or inf an error
+        # from np.arange.
+        with pytest.raises(ValueError, match="grid spacing h must be positive and finite"):
+            hermitization_pipeline(ExperimentConfig(spec=self.SPEC), h=h)
 
     def test_bilinear_histogram_keeps_mass_and_mean(self):
         # Points inside the grid keep their total weight and their mean: the
@@ -897,17 +904,22 @@ class TestLargeK:
     @pytest.mark.parametrize("n,N,k", [(32, 48, 16), (64, 64, 32), (48, 96, 40),
                                        (64, 16, 32)])
     def test_eigensolves_take_the_smallest_exact_size(self, n, N, k, monkeypatch, tmp_path):
-        # Each solve appends "pid rows cols" to a file, so a forked task's
-        # solve is recorded as well as this process's.
-        log, original = tmp_path / "eigensolves", linalg.eigenvalues
+        # Each solve appends "name pid rows cols" to a file, so a forked
+        # task's solve is recorded as well as this process's.
+        log = tmp_path / "solves"
 
-        def recording(M):
-            with open(log, "a") as fh:
-                fh.write("%d %d %d\n" % (os.getpid(), *np.shape(M)))
-            return original(M)
+        def recording(name, original):
+            def solve(M):
+                with open(log, "a") as fh:
+                    fh.write("%s %d %d %d\n" % (name, os.getpid(), *np.shape(M)))
+                return original(M)
+            return solve
 
-        monkeypatch.setattr(ensembles, "eigenvalues", recording)
-        monkeypatch.setattr(linalg, "eigenvalues", recording)
+        eigensolve = recording("eig", linalg.eigenvalues)
+        monkeypatch.setattr(ensembles, "eigenvalues", eigensolve)
+        monkeypatch.setattr(linalg, "eigenvalues", eigensolve)
+        monkeypatch.setattr(ensembles, "singular_values",
+                            recording("svd", linalg.singular_values))
         config = ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=15),
                                   trials=2)
         m = min(n - k, N)
@@ -916,16 +928,15 @@ class TestLargeK:
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
             log.write_text("")
             large_k_experiment(config, *ONE_POINT)
-            solves = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-            if workers == 1:
-                # The 2n-sample, then trial 0, each at min(n - k, N).
-                assert solves == [(here, 2 * m, 2 * m), (here, m, m)]
-            else:
-                # The 2n-sample here, trial 0 in the forked task.
-                assert len(solves) == 2
-                assert (here, 2 * m, 2 * m) in solves
-                (pid, rows, cols), = [s for s in solves if s != (here, 2 * m, 2 * m)]
-                assert (rows, cols) == (m, m) and pid != here
+            solves = [line.split() for line in log.read_text().splitlines()]
+            # The 2n-sample, then trial 0, each at min(n - k, N), in this
+            # process whatever the worker count.
+            assert [(int(p), int(r), int(c)) for name, p, r, c in solves
+                    if name == "eig"] == [(here, 2 * m, 2 * m), (here, m, m)]
+            # One SVD per trial and z, in the forked task on two CPUs.
+            svd_pids = [int(p) for name, p, r, c in solves if name == "svd"]
+            assert len(svd_pids) == config.trials * len(ONE_POINT[0])
+            assert all((pid == here) == (workers == 1) for pid in svd_pids)
 
 
 class TestConfig:
