@@ -23,8 +23,12 @@ A usage error, which argparse rejects, exits 3 as well.
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
 count together with the numpy version and its BLAS build. lsv-tail spreads
-its trials, and large-k its spectra and its resolvent trials, over the
-usable CPUs (experiments.map_trials), whose forked workers inherit the pin.
+its trials, large-k its spectra and its resolvent trials, and esd its
+trials when each eigensolves a matrix of side at least
+experiments.ESD_FORK_MIN_SIDE, over the usable CPUs
+(experiments.map_trials), whose forked workers inherit the pin. A run that
+exits 3 or 4 removes the output directory if it created it and left it
+empty.
 
 A CLI process, run as a program (python -m) or through the autocov-spectra
 console script (startup.main), starts with startup.start before numpy loads:
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import datetime
 import json
@@ -468,7 +473,11 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
     """Run one subcommand and return its exit status. The numeric clause comes
     first: np.linalg.LinAlgError, which the decompositions and solve_s raise,
     is a ValueError. A trial worker that ended without a result
-    (experiments.TrialWorkerError) exits 4 as well."""
+    (experiments.TrialWorkerError) exits 4 as well. On exit 3 or 4 the
+    output directory is removed if this run created it and it is still
+    empty: a runner parses some keys, and meets numeric failures, only after
+    the directory is made."""
+    made_dir = None
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
@@ -476,17 +485,23 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         validate_keys(subcommand, cfg)
         out_dir = output_dir or cfg.get("output_dir", ".")
         manifest = RunManifest(subcommand, cfg, out_dir)
-        os.makedirs(out_dir, exist_ok=True)
+        if not os.path.isdir(out_dir):
+            os.makedirs(out_dir)
+            made_dir = out_dir
         with linalg.one_blas_thread():
             status = RUNNERS[subcommand](cfg, manifest)
             manifest.write()
         return status
     except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        status = EXIT_NUMERIC
     except (ConfigError, TypeError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"config error: {subcommand}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        status = EXIT_CONFIG
+    if made_dir is not None:
+        with contextlib.suppress(OSError):  # not empty, or already gone
+            os.rmdir(made_dir)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

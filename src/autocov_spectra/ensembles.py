@@ -225,6 +225,13 @@ def build_autocov(X, k: int) -> np.ndarray:
     return Y
 
 
+def companion_side(spec: EnsembleSpec) -> int:
+    """The side of the matrix M that sampled_companion(spec, i) returns:
+    n - k when n - k < N - 1, else N."""
+    m = spec.n - spec.k
+    return m if m < spec.N - 1 else spec.N
+
+
 def sampled_companion(spec: EnsembleSpec, trial: int) -> tuple[np.ndarray, int]:
     """(M, zeros): the N eigenvalues of Y = build_autocov(X, spec.k), X =
     sample_entry_matrix(spec, trial), are those of the square matrix M
@@ -237,10 +244,11 @@ def sampled_companion(spec: EnsembleSpec, trial: int) -> tuple[np.ndarray, int]:
     X_b[:, :m]* X_b[:, k:], so X is never held: only M, one m x m product,
     one block of X and its conjugated first m columns. Otherwise M is Y and
     zeros is 0: at m = N - 1 the companion saves less than its stream costs.
+    M's side is companion_side(spec).
     """
     n, N, k = spec.n, spec.N, spec.k
     m = n - k
-    if m >= N - 1:
+    if companion_side(spec) == N:
         return build_autocov(sample_entry_matrix(spec, trial), k), 0
     M = np.zeros((m, m), dtype=complex)
     product = np.empty_like(M)

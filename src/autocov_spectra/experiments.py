@@ -22,6 +22,7 @@ from autocov_spectra.ensembles import (
     build_autocov,  # not called here; perfbench's tracer test patches this name
     build_linearization,
     companion_eigenvalues,
+    companion_side,
     default_c0_bound,
     resolvent_singular_values,
     sample_entry_matrix,
@@ -65,6 +66,16 @@ TV_BLOCK = 2
 # tell that disk apart either (TV 0.07 at h = 0.62), but h = 0.5 at n = N = 8
 # and 16, which the tests run, has exactly 4 (README).
 TV_MIN_BLOCKS = 4
+
+# esd_experiment runs its trials through map_trials when the matrix each
+# trial eigensolves (companion_side) has at least this side; smaller trials
+# run in this process. Scanned as forked against serial CLI runs at n = N =
+# side, k = 1, 2 and 5 trials, 10 alternating pairs each, in two scans (2
+# vCPU, one BLAS thread). Forked wins of 10 at (2, 5) trials: side 256 (1, 4)
+# and (3, 4); 320 (1, 3) and (2, 10); 384 (3, 9) and (10, 10); 448 and 512
+# (10, 10) in both, at -22 % to -31 % wall time. 448 is the smallest side
+# that won 9 of 10 at both counts in both scans.
+ESD_FORK_MIN_SIDE = 448
 
 DEFAULT_THRESHOLDS = {
     "radial_ks": 0.08,
@@ -280,15 +291,25 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
     The radial KS scores atom_radii(eigs) with the law's left limit
     (Gamma0Law.radial_cdf_left), so when gamma0 > 1 the structural zeros of
     Y (rank <= n - k) fall in the law's atom at 0 instead of each scoring
-    the atom's whole mass as a deviation."""
+    the atom's whole mass as a deviation.
+
+    The trials are independent and run through map_trials when each
+    eigensolves a matrix of side at least ESD_FORK_MIN_SIDE
+    (companion_side); below it a forked worker costs more than it saves, and
+    they run in this process. The report is the same either way."""
     spec = config.spec
     law = Gamma0Law(spec.gamma0)
-    radial_ks, angular_ks = [], []
-    for trial_index in range(config.trials):
-        eigs = companion_eigenvalues(*sampled_companion(spec, trial_index))
-        radial_ks.append(ks_statistic(atom_radii(eigs), law.radial_cdf,
-                                      law.radial_cdf_left))
-        angular_ks.append(rotation_invariance_test(eigs))
+
+    def trial(index: int) -> tuple[float, float]:
+        eigs = companion_eigenvalues(*sampled_companion(spec, index))
+        return (ks_statistic(atom_radii(eigs), law.radial_cdf, law.radial_cdf_left),
+                rotation_invariance_test(eigs))
+
+    if companion_side(spec) >= ESD_FORK_MIN_SIDE:
+        results = map_trials(config.trials, trial)
+    else:
+        results = [trial(i) for i in range(config.trials)]
+    radial_ks, angular_ks = map(list, zip(*results))
     mean_radial = float(np.mean(radial_ks))
     finite_ang = [a for a in angular_ks if np.isfinite(a)]
     mean_angular = float(np.mean(finite_ang)) if finite_ang else float("nan")

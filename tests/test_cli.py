@@ -532,7 +532,7 @@ class TestExitCodes:
         assert err.startswith(f"config error: {subcommand}: ")
         assert err.count(subcommand) == 1
         assert err.count("\n") == 1
-        assert not any((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depth,message", [
         (5000, "override 'h' nests too deeply to parse"),
@@ -754,6 +754,42 @@ class TestExitCodes:
         assert cli.main(["limit-law-table", *argv]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: limit-law-table: ")
 
+    @pytest.mark.parametrize("h", [0, math.nan, True], ids=["zero", "nan", "true"])
+    def test_runner_config_error_leaves_no_output_dir(self, tmp_path, capsys, h):
+        # hermitize parses h after the output directory is made.
+        cfg = write_config(tmp_path, dict(TINY_CONFIGS["hermitize"], h=h))
+        out = tmp_path / "out"
+        assert cli.run("hermitize", cfg, output_dir=str(out)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: hermitize: ")
+        assert not out.exists() and os.listdir(tmp_path) == ["config.json"]
+
+    def test_esd_worker_error_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys):
+        sampled = experiments.sampled_companion
+
+        def failing(spec, i):
+            if i == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return sampled(spec, i)
+
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "sampled_companion", failing)
+        cfg = write_config(tmp_path, TINY_CONFIGS["esd"])
+        out = tmp_path / "out"
+        assert cli.run("esd", cfg, output_dir=str(out)) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric backend failure: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [[], ["keep.txt"]], ids=["empty", "with-a-file"])
+    def test_failed_run_keeps_an_existing_output_dir(self, tmp_path, content):
+        cfg = write_config(tmp_path, dict(TINY_CONFIGS["hermitize"], h=0))
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in content:
+            (out / name).write_text("kept")
+        assert cli.run("hermitize", cfg, output_dir=str(out)) == cli.EXIT_CONFIG
+        assert sorted(os.listdir(out)) == content
+
     @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["esd"], []],
                              ids=["unknown-subcommand", "missing-config", "no-arguments"])
     def test_usage_errors_exit_three(self, capsys, argv):
@@ -819,7 +855,8 @@ class TestBlasThreads:
 
 
 class TestTrialWorkers:
-    """lsv-tail runs its trials, and large-k its two tasks, through
+    """lsv-tail runs its trials, large-k its two tasks, and esd its trials
+    when they are large enough (experiments.ESD_FORK_MIN_SIDE), through
     experiments.map_trials; experiments.usable_cpus sets the worker count."""
 
     CONFIG = {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7, "z": [1.0, 0.5]}
@@ -828,28 +865,77 @@ class TestTrialWorkers:
     LARGE_K = {"n": 16, "N": 24, "k": 8, "seed": 4, "trials": 3,
                "z_list": [1.0, [0.5, 0.5]], "t_list": [0.5, 1.0]}
 
-    def _fail_at(self, monkeypatch, trials, failure):
-        sample = experiments.sample_entry_matrix
+    # esd at n = N (Y itself), on the companion at gamma0 = 1.5 and 2, and
+    # at the half lag (the companion of side n - k = n/2).
+    ESD_SHAPES = {"full": (24, 24, 1), "gamma0-1.5": (16, 24, 1),
+                  "gamma0-2": (16, 32, 1), "half-lag": (24, 24, 12)}
 
-        def sampler(spec, i):
+    def _fail_at(self, monkeypatch, trials, failure, sampler="sample_entry_matrix"):
+        # sampler: the experiments name each trial draws through, called
+        # as sampler(spec, trial index).
+        sample = getattr(experiments, sampler)
+
+        def failing(spec, i):
             if i in trials:
                 failure(i)
             return sample(spec, i)
 
-        monkeypatch.setattr(experiments, "sample_entry_matrix", sampler)
+        monkeypatch.setattr(experiments, sampler, failing)
+
+    def _outputs(self, monkeypatch, tmp_path, subcommand, cfg, workers=(1, 2, 3)):
+        """{worker count: {file name: bytes}} of one run per worker count,
+        the manifest left out."""
+        outputs = {}
+        for count in workers:
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: count)
+            out = tmp_path / f"workers{count}"
+            assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK,
+                                                                     cli.EXIT_ASSERTION)
+            outputs[count] = {p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name != "manifest.json"}
+        return outputs
 
     @pytest.mark.parametrize("trials", [7, 2])
     def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch, trials):
         cfg = write_config(tmp_path, dict(self.CONFIG, trials=trials))
-        outputs = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
-            out = tmp_path / f"workers{workers}"
-            assert cli.run("lsv-tail", cfg, output_dir=str(out)) in (cli.EXIT_OK,
-                                                                     cli.EXIT_ASSERTION)
-            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
-                                if p.name != "manifest.json"}
+        outputs = self._outputs(monkeypatch, tmp_path, "lsv-tail", cfg)
         assert outputs[1] and outputs[1] == outputs[2] == outputs[3]
+
+    @pytest.mark.parametrize("trials", [2, 5, 7])
+    @pytest.mark.parametrize("shape", ESD_SHAPES)
+    def test_esd_outputs_independent_of_worker_count(self, tmp_path, monkeypatch, shape,
+                                                     trials):
+        # The gate lowered to 1: every esd run goes through map_trials.
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        n, N, k = self.ESD_SHAPES[shape]
+        cfg = write_config(tmp_path, {"n": n, "N": N, "k": k, "seed": 4, "trials": trials})
+        outputs = self._outputs(monkeypatch, tmp_path, "esd", cfg)
+        assert sorted(outputs[1]) == ["eigenvalues.csv", "esd_report.json", "radial_cdf.csv"]
+        assert outputs[1] == outputs[2] == outputs[3]
+
+    def test_esd_outputs_at_the_fork_gate(self, tmp_path, monkeypatch):
+        # Trials of side ESD_FORK_MIN_SIDE fork at its real value.
+        side = experiments.ESD_FORK_MIN_SIDE
+        cfg = write_config(tmp_path, {"n": side, "N": side, "k": 1, "seed": 4, "trials": 2})
+        outputs = self._outputs(monkeypatch, tmp_path, "esd", cfg, workers=(1, 2))
+        assert len(outputs[1]) == 3 and outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["right-law", "wrong-gamma0"])
+    @pytest.mark.parametrize("N", [192, 256], ids=["gamma0-1.5", "gamma0-2"])
+    def test_forked_esd_verdicts(self, tmp_path, monkeypatch, N, wrong):
+        # TestEsdRun::test_wide_runs_pass on two workers; scored against the
+        # law of gamma0 + 0.5 instead, whose atom at 0 holds 0.17 (gamma0 =
+        # 1.5) or 0.1 (gamma0 = 2) more mass, the run fails.
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        if wrong:
+            law = experiments.Gamma0Law
+            monkeypatch.setattr(experiments, "Gamma0Law", lambda gamma0: law(gamma0 + 0.5))
+        cfg = write_config(tmp_path, {"n": 128, "N": N, "k": 1, "seed": 22, "trials": 2})
+        status = cli.run("esd", cfg, output_dir=str(tmp_path / "out"))
+        assert status == (cli.EXIT_ASSERTION if wrong else cli.EXIT_OK)
+        report = json.loads((tmp_path / "out" / "esd_report.json").read_text())
+        assert (report["mean_radial_ks"] > experiments.DEFAULT_THRESHOLDS["radial_ks"]) is wrong
 
     @pytest.mark.parametrize("failing", [{1, 5}, {4, 6}, {6}])
     def test_linalg_error_in_a_worker_exits_four_as_serially(self, tmp_path, monkeypatch,
@@ -883,16 +969,42 @@ class TestTrialWorkers:
         assert err == ("numeric backend failure: the worker for trials 3-6 ended with "
                        "status 1 and no result\n")
 
-    def test_large_k_report_independent_of_worker_count(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, self.LARGE_K)
-        outputs = {}
+    @pytest.mark.parametrize("failing", [{0}, {1, 5}, {4, 6}, {6}])
+    def test_esd_linalg_error_in_a_worker_exits_four_as_serially(self, tmp_path, monkeypatch,
+                                                                 capsys, failing):
+        def fail(i):
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge at trial {i}")
+
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        self._fail_at(monkeypatch, failing, fail, "sampled_companion")
+        cfg = write_config(tmp_path, {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7})
+        errors = set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
-            out = tmp_path / f"workers{workers}"
-            assert cli.run("large-k", cfg, output_dir=str(out)) in (cli.EXIT_OK,
-                                                                    cli.EXIT_ASSERTION)
-            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()
-                                if p.name != "manifest.json"}
+            assert cli.run("esd", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+            errors.add(capsys.readouterr().err)
+        assert errors == {"numeric backend failure: Eigenvalues did not converge at trial "
+                          f"{min(failing)}\n"}
+
+    def test_esd_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys):
+        # 7 trials on 2 workers: trials 3-6 run in the child, which dies.
+        parent = os.getpid()
+
+        def die(i):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        self._fail_at(monkeypatch, {5}, die, "sampled_companion")
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7})
+        assert cli.run("esd", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == ("numeric backend failure: the worker for trials "
+                                           "3-6 ended with status 1 and no result\n")
+
+    def test_large_k_report_independent_of_worker_count(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, self.LARGE_K)
+        outputs = self._outputs(monkeypatch, tmp_path, "large-k", cfg)
         assert list(outputs[1]) == ["large_k_report.json"]
         assert outputs[1] == outputs[2] == outputs[3]
 
@@ -954,26 +1066,30 @@ class TestTrialWorkers:
                                            "1-1 ended with status 1 and no result\n")
 
     def test_no_worker_outlives_the_run(self, tmp_path):
-        # A fresh interpreter has no other children. lsv-tail runs on 3
-        # workers (trials 0-1 here, 2-3 and 4-6 in children), large-k on 2
-        # (task 0 here, task 1 in a child): one run that passes, one where
-        # this process's own chunk raises, one where a worker raises and one
+        # A fresh interpreter has no other children. lsv-tail and esd (its
+        # fork gate lowered, a threshold every run passes) run on 3 workers
+        # (trials 0-1 here, 2-3 and 4-6 in children), large-k on 2 (task 0
+        # here, task 1 in a child): one run that passes, one where this
+        # process's own chunk raises, one where a worker raises and one
         # where a worker dies. After each, os.waitpid(-1, WNOHANG) finds no
         # child.
         cfg = write_config(tmp_path, self.CONFIG)
         large_k = write_config(tmp_path, self.LARGE_K, "large_k.json")
+        esd = write_config(tmp_path, {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7,
+                                      "thresholds": {"radial_ks": 1.0}}, "esd.json")
         code = textwrap.dedent("""
             import os, sys, numpy as np
             from autocov_spectra import cli, ensembles, experiments
             experiments.usable_cpus = lambda: 3
+            experiments.ESD_FORK_MIN_SIDE = 1
             sample, sampled = experiments.sample_entry_matrix, experiments.sampled_companion
             svd = ensembles.singular_values
 
-            def failing_at(trial, failure):
+            def failing_at(trial, failure, draw=sample):
                 def sampler(spec, i):
                     if i == trial:
                         failure()
-                    return sample(spec, i)
+                    return draw(spec, i)
                 return sampler
 
             def failing_2n_companion(spec, trial):
@@ -1014,11 +1130,19 @@ class TestTrialWorkers:
                 experiments.sampled_companion = companion
                 ensembles.singular_values = singular_values
                 check("large-k", sys.argv[2])
+            ensembles.singular_values = svd
+            for companion in (sampled, failing_at(0, raise_linalg_error, sampled),
+                              failing_at(5, raise_linalg_error, sampled),
+                              failing_at(3, lambda: os._exit(1), sampled)):
+                experiments.sampled_companion = companion
+                check("esd", sys.argv[4])
             print(codes)
         """)
-        out = _fresh_process_output(code, cfg, large_k, tmp_path / "out")
-        assert out in ("[0, 4, 4, 4, 0, 4, 4, 4]", "[2, 4, 4, 4, 0, 4, 4, 4]",
-                       "[0, 4, 4, 4, 2, 4, 4, 4]", "[2, 4, 4, 4, 2, 4, 4, 4]")
+        out = _fresh_process_output(code, cfg, large_k, tmp_path / "out", esd)
+        assert out in ("[0, 4, 4, 4, 0, 4, 4, 4, 0, 4, 4, 4]",
+                       "[2, 4, 4, 4, 0, 4, 4, 4, 0, 4, 4, 4]",
+                       "[0, 4, 4, 4, 2, 4, 4, 4, 0, 4, 4, 4]",
+                       "[2, 4, 4, 4, 2, 4, 4, 4, 0, 4, 4, 4]")
 
 
 def _fresh_process_output(code, *args):

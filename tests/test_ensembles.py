@@ -15,6 +15,7 @@ from autocov_spectra.ensembles import (
     build_circular,
     build_linearization,
     companion_eigenvalues,
+    companion_side,
     hermitize,
     mix_seed,
     moment_diagnostics,
@@ -155,7 +156,7 @@ class TestBlockedBitIdentity:
         else:
             want, zeros = one_shot_companion(X, k)
         M, got_zeros = sampled_companion(spec, 1)
-        assert got_zeros == zeros
+        assert got_zeros == zeros and M.shape == (companion_side(spec),) * 2
         assert np.array_equal(M.view(np.uint64), want.view(np.uint64))
 
 

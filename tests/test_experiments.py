@@ -223,6 +223,37 @@ class TestEsdExperiment:
         cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
         assert solved == [(m, m)] * (trials + 1)
 
+    @pytest.mark.parametrize("side", [0, -1], ids=["at-the-gate", "below-the-gate"])
+    def test_cli_eigensolves_fork_only_at_the_gate(self, side, monkeypatch, tmp_path):
+        # Each solve appends "pid side" to a file, so a forked trial's solve
+        # is recorded as well as this process's. On 2 workers, 3 trials of
+        # side ESD_FORK_MIN_SIDE run trial 0 here and trials 1-2 in the
+        # worker; the CLI's re-solve of trial 0 comes last, here. One side
+        # less, every solve is here, as perfbench's small esd run sees it.
+        side += experiments.ESD_FORK_MIN_SIDE
+        log, original = tmp_path / "solves", linalg.eigenvalues
+
+        def recording(M):
+            with open(log, "a") as fh:
+                fh.write("%d %d\n" % (os.getpid(), len(M)))
+            return original(M)
+
+        monkeypatch.setattr(ensembles, "eigenvalues", recording)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        trials = 3
+        cfg = tmp_path / "esd.json"
+        cfg.write_text(json.dumps({"n": side, "N": side, "k": 1, "seed": 6, "trials": trials}))
+        cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
+        solves = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        pids = [pid for pid, _ in solves]
+        here = os.getpid()
+        assert [size for _, size in solves] == [side] * (trials + 1)
+        if side < experiments.ESD_FORK_MIN_SIDE:
+            assert pids == [here] * (trials + 1)
+        else:
+            assert pids[-1] == here and pids.count(here) == 2
+            assert len(set(pids)) == 2
+
     @pytest.mark.parametrize("n,N,k", [(128, 256, 1), (128, 128, 64)],
                              ids=["gamma0-2", "half-lag"])
     def test_radial_ks_matches_the_full_eigensolve(self, n, N, k):
