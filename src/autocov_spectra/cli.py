@@ -8,17 +8,16 @@ writes files: every output goes through _write_output, which replaces the
 target atomically.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
-values). A top-level key that no subcommand reads is a configuration error,
-so a misspelt key never runs silently at its default. run is the one place
-a rejected config value becomes exit 3: a subcommand is a deterministic
-function of its config, so a ConfigError, TypeError, ValueError or
-OverflowError raised by the run (every one of them an argument check), a
-MemoryError (every array's size follows from the config), or an OSError
-from an unreadable config or unusable output directory, is reported as
-``config error: <subcommand>: <message>``. So is a config nested too
-deeply for json to parse or for the manifest to render, which is checked
-before anything is written.
-A usage error, which argparse rejects, exits 3 as well.
+values). Every key is parsed by its PARSERS entry, read or not, before the
+output directory is made (validate_keys); SCHEMAS gives the keys each
+subcommand reads, and the manifest records the config with their defaults
+and lists the others as ignored_keys. run is the one place a rejected config
+value becomes exit 3: a subcommand is a deterministic function of its
+config, so a ConfigError, TypeError, ValueError or OverflowError raised by
+the run (every one of them an argument check), a MemoryError (every array's
+size follows from the config), or an OSError from an unreadable config or
+unusable output directory, is reported as ``config error: <subcommand>:
+<message>``. A usage error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
@@ -26,19 +25,12 @@ count together with the numpy version and its BLAS build. lsv-tail spreads
 its trials, large-k its spectra and its resolvent trials, and esd its
 trials when each eigensolves a matrix of side at least
 experiments.ESD_FORK_MIN_SIDE, over the usable CPUs
-(experiments.map_trials), whose forked workers inherit the pin. A run that
-exits 3 or 4 removes the output directory if it created it and left it
-empty.
+(experiments.map_trials), whose forked workers inherit the pin.
 
 A CLI process, run as a program (python -m) or through the autocov-spectra
-console script (startup.main), starts with startup.start before numpy loads:
-it keeps OpenSSL's _hashlib, which numpy.random would load through secrets,
-out of the process; it fixes glibc's mmap threshold, so a freed trial's large
-arrays go back to the OS, and its trim threshold, so a trial's heap top is
-not given back and faulted in again; and it loads numpy with
-OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no threads for the pin to idle,
-then puts the caller's value back. A library caller that imports this module
-keeps its own settings; the pin alone applies there.
+console script (startup.main), starts with startup.start before numpy loads,
+which loads OpenBLAS at one thread, among other settings. A library caller
+that imports this module keeps its own settings; the pin alone applies there.
 """
 
 from __future__ import annotations
@@ -81,20 +73,6 @@ EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-REQUIRED_KEYS = {
-    "esd": ["n", "N", "k", "seed", "trials"],
-    "lsv-tail": ["n", "N", "k", "seed", "trials", "z"],
-    "linearize-check": ["n", "N", "k", "seed", "trials", "z"],
-    "hermitize": ["n", "N", "k", "seed"],
-    "fixed-point": ["gamma0", "gamma1", "z_list", "t_list"],
-    "large-k": ["n", "N", "k", "seed", "trials", "z_list", "t_list"],
-    "limit-law-table": ["gamma0", "grid"],
-    "law-diagnostics": ["law", "n", "seed"],
-}
-# Every key some runner reads: the required ones and those with a default.
-CONFIG_KEYS = {"law", "h", "sample_count", "thresholds", "output_dir"}.union(
-    *REQUIRED_KEYS.values())
-
 
 class ConfigError(ValueError):
     pass
@@ -105,10 +83,25 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _integer(value, key: str) -> int:
+    """value, the config value named key, which must be a JSON integer: int()
+    would run 1.5 as 1 and accept true and "7"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    """value, the config value named key, which must be a JSON number:
+    float() would run true as 1.0 and "1.5" as 1.5."""
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_complex(v, key: str) -> complex:
     """v, the config value named key, as a finite complex number: a JSON
-    number, a [re, im] pair of numbers, or a string such as "1+1j" or
-    "1+1i"."""
+    number, a [re, im] pair of numbers, or a string such as "1+1j" or "1+1i"."""
     z = None
     try:
         if _is_number(v):
@@ -124,6 +117,76 @@ def _parse_complex(v, key: str) -> complex:
     return z
 
 
+def _nonempty_array(parse_entry):
+    """A parser of nonempty JSON arrays of values parse_entry parses. Iterating
+    would run "5" as ["5"] and {"1": 0} as ["1"]; an empty list compares nothing."""
+    def parse(value, key: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a nonempty array, got {value!r}")
+        return [parse_entry(entry, f"{key} entry") for entry in value]
+    return parse
+
+
+def _grid(value, key: str) -> tuple[float, float, float]:
+    """(start, stop, step) of a mapping: finite 0 <= start <= stop, step > 0."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    for name in ("start", "stop", "step"):
+        if name not in value:
+            raise ConfigError(f"{key} missing key {name!r}")
+    start, stop, step = (_real(value[name], f"{key}.{name}") for name in ("start", "stop", "step"))
+    if not step > 0:
+        raise ConfigError(f"{key} step must be positive, got {step}")
+    if not 0 <= start <= stop < math.inf:
+        raise ConfigError(f"{key} needs finite 0 <= start <= stop, got {start}, {stop}")
+    return start, stop, step
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+# Every config key, and what it means wherever it is read: parser(value, key)
+# returns the parsed value or raises. A key outside this table is unknown.
+PARSERS = {
+    **dict.fromkeys(("n", "N", "k", "seed", "trials", "sample_count"), _integer),
+    **dict.fromkeys(("h", "gamma0", "gamma1"), _real),
+    "z": _parse_complex,
+    "z_list": _nonempty_array(_parse_complex),
+    "t_list": _nonempty_array(_real),
+    "grid": _grid,
+    "law": lambda value, key: EntryLaw(kind=value),
+    "thresholds": lambda value, key: experiments.merged_thresholds(value),
+    "output_dir": _string,
+}
+
+# The keys each subcommand reads: key -> REQUIRED, OPTIONAL (absent means
+# unset) or its default in input form, which the manifest records.
+REQUIRED, OPTIONAL = object(), object()
+_SPEC = {"n": REQUIRED, "N": REQUIRED, "k": REQUIRED, "seed": REQUIRED,
+         "law": "complex-gaussian", "output_dir": OPTIONAL}
+_TRIALS = {**_SPEC, "trials": REQUIRED, "thresholds": {}}
+SCHEMAS = {
+    "esd": _TRIALS,
+    "lsv-tail": {**_TRIALS, "z": REQUIRED},
+    "linearize-check": {**_SPEC, "trials": REQUIRED, "z": REQUIRED},
+    "hermitize": {**_SPEC, "h": 0.1, "thresholds": {}},  # trial 0 only
+    # N and k follow from gamma0 and gamma1; n and seed together add a simulation.
+    "fixed-point": {"gamma0": REQUIRED, "gamma1": REQUIRED, "z_list": REQUIRED,
+                    "t_list": REQUIRED, "n": OPTIONAL, "seed": OPTIONAL, "trials": 1,
+                    "law": "complex-gaussian", "output_dir": OPTIONAL},
+    "large-k": {**_TRIALS, "z_list": REQUIRED, "t_list": REQUIRED},
+    "limit-law-table": {"gamma0": REQUIRED, "grid": REQUIRED, "output_dir": OPTIONAL},
+    "law-diagnostics": {"law": REQUIRED, "n": REQUIRED, "seed": REQUIRED,
+                        "sample_count": 100_000, "output_dir": OPTIONAL},
+}
+DEFAULTS = {name: {key: default for key, default in schema.items()
+                   if default is not REQUIRED and default is not OPTIONAL}
+            for name, schema in SCHEMAS.items()}
+
+
 def _set_nested(cfg: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = cfg
@@ -135,6 +198,8 @@ def _set_nested(cfg: dict, dotted: str, value) -> None:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
+    """The config at path with overrides applied. One nested too deeply for
+    json to parse, or for the manifest to render, is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -157,65 +222,39 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         except RecursionError:
             raise ConfigError(f"override {dotted!r} nests too deeply to parse")
         _set_nested(cfg, dotted, value)
+    try:
+        _json_text(cfg)
+    except RecursionError:
+        raise ConfigError("config nests too deeply to record in the manifest") from None
     return cfg
 
 
-def validate_keys(subcommand: str, cfg: dict) -> None:
-    """Reject a key no runner reads, which would otherwise run silently at
-    its default when misspelt, then a missing required key. A key another
-    subcommand reads is allowed: one config can serve several."""
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+def validate_keys(subcommand: str, cfg: dict) -> dict:
+    """The parsed value of every key the subcommand reads, defaults filled in.
+    Rejects a key no subcommand reads (misspelt, it would run silently at its
+    default), then a missing required key, then any value that does not
+    parse: one config can serve several subcommands, but a key only others
+    read is parsed too (the manifest lists it in ignored_keys)."""
+    unknown = sorted(set(cfg) - set(PARSERS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in REQUIRED_KEYS[subcommand] if k not in cfg]
+    schema = SCHEMAS[subcommand]
+    missing = [key for key, default in schema.items() if default is REQUIRED and key not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+    parsed = {key: PARSERS[key](value, key)
+              for key, value in {**DEFAULTS[subcommand], **cfg}.items()}
+    return {key: value for key, value in parsed.items() if key in schema}
 
 
-def _integer(cfg: dict, key: str, default: int | None = None) -> int:
-    """cfg[key], or default when given and key is absent, which must be a
-    JSON integer: int() would run 1.5 as 1 and accept true and "7"."""
-    value = cfg[key] if default is None else cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _real(value, key: str) -> float:
-    """value, the config value named key, which must be a JSON number:
-    float() would run true as 1.0 and "1.5" as 1.5."""
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _resolvent_grid(cfg: dict) -> tuple[list[complex], list[float]]:
-    """(z_list, t_list) of large-k and fixed-point: nonempty JSON arrays, of
-    complex values and of numbers. Iterating would run "5" as ["5"] and
-    {"1": 0} as ["1"], and an empty list would leave no point to compare."""
-    for key in ("z_list", "t_list"):
-        if not isinstance(cfg[key], list) or not cfg[key]:
-            raise ConfigError(f"{key} must be a nonempty array, got {cfg[key]!r}")
-    return ([_parse_complex(z, "z_list entry") for z in cfg["z_list"]],
-            [_real(t, "t_list entry") for t in cfg["t_list"]])
-
-
-def _spec_from(cfg: dict) -> EnsembleSpec:
-    law = EntryLaw(kind=cfg.get("law", "complex-gaussian"))
-    return EnsembleSpec(n=_integer(cfg, "n"), N=_integer(cfg, "N"), k=_integer(cfg, "k"),
-                        law=law, master_seed=_integer(cfg, "seed"))
-
-
-def _experiment_config(cfg: dict, spec: EnsembleSpec, manifest: RunManifest,
-                       gated: tuple[str, ...] = ()) -> ExperimentConfig:
-    """The run's ExperimentConfig; the manifest records the thresholds named
-    in gated, those the subcommand's verdict compares against, with cfg's
-    overrides applied."""
-    config = ExperimentConfig(
-        spec=spec,
-        trials=_integer(cfg, "trials", 1),
-        thresholds=cfg.get("thresholds", {}),
-    )
+def _experiment_config(p: dict, manifest: RunManifest, *gated: str) -> ExperimentConfig:
+    """The run's ExperimentConfig from the parsed values p; the manifest
+    records its trials' seeds and the thresholds named in gated, those the
+    subcommand's verdict compares against."""
+    spec = EnsembleSpec(n=p["n"], N=p["N"], k=p["k"], law=p["law"], master_seed=p["seed"])
+    config = ExperimentConfig(spec, **{key: p[key] for key in ("trials", "thresholds")
+                                       if key in p})
+    manifest.seeds = trial_seeds(spec.master_seed, config.trials)
     manifest.thresholds = {key: config.thresholds[key] for key in gated}
     return config
 
@@ -288,17 +327,15 @@ def _environment() -> dict:
 
 
 class RunManifest:
-    """Records everything needed to reproduce a run. The config is rendered
-    on construction, before any output: one too deep to render is a
-    ConfigError, not a run left without a manifest. write splices that text
-    in at "config", the one key that follows a raw newline at indent two."""
+    """Records everything needed to reproduce a run. The config, with the
+    subcommand's defaults, is rendered on construction, before any output,
+    and write splices that text in at "config", the one key that follows a
+    raw newline at indent two."""
 
     def __init__(self, subcommand: str, cfg: dict, out_dir: str):
         self.subcommand = subcommand
-        try:
-            self.config = _json_text(cfg)
-        except RecursionError:
-            raise ConfigError("config nests too deeply to record in the manifest") from None
+        self.config = _json_text({**DEFAULTS[subcommand], **cfg})
+        self.ignored_keys = sorted(set(cfg) - set(SCHEMAS[subcommand]))
         self.out_dir = out_dir
         self.outputs: list[str] = []
         self.seeds: list[int] = []
@@ -315,6 +352,7 @@ class RunManifest:
             "artifact_version": autocov_spectra.__version__,
             "subcommand": self.subcommand,
             "config": None,
+            "ignored_keys": self.ignored_keys,
             "resolved_seeds": self.seeds,
             "thresholds": self.thresholds,
             "outputs": sorted(self.outputs),
@@ -328,13 +366,11 @@ class RunManifest:
                       f'{head}\n  "config": {config},{tail}\n')
 
 
-def _run_esd(cfg: dict, manifest: RunManifest) -> int:
-    spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest, ("radial_ks",))
+def _run_esd(p: dict, manifest: RunManifest) -> int:
+    config = _experiment_config(p, manifest, "radial_ks")
     report = experiments.esd_experiment(config)
-    manifest.seeds = report.seeds
     _write_json(manifest.path("esd_report.json"), report)
-    eigs = companion_eigenvalues(*sampled_companion(spec, 0))
+    eigs = companion_eigenvalues(*sampled_companion(config.spec, 0))
     _write_csv(manifest.path("eigenvalues.csv"), ["re_lambda", "im_lambda"],
                [(lam.real, lam.imag) for lam in eigs.tolist()])
     radii = np.sort(np.abs(eigs)).tolist()
@@ -343,66 +379,52 @@ def _run_esd(cfg: dict, manifest: RunManifest) -> int:
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
-def _run_lsv_tail(cfg: dict, manifest: RunManifest) -> int:
-    spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest, ("lsv_tail_freq",))
-    report = experiments.lsv_tail_experiment(config, _parse_complex(cfg["z"], "z"))
-    manifest.seeds = trial_seeds(spec.master_seed, config.trials)
+def _run_lsv_tail(p: dict, manifest: RunManifest) -> int:
+    config = _experiment_config(p, manifest, "lsv_tail_freq")
+    report = experiments.lsv_tail_experiment(config, p["z"])
     _write_json(manifest.path("lsv_tail_report.json"), report)
     _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
                enumerate(report.lsv_values))
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
-def _run_linearize_check(cfg: dict, manifest: RunManifest) -> int:
-    spec = _spec_from(cfg)
-    z = _parse_complex(cfg["z"], "z")
-    trials = _experiment_config(cfg, spec, manifest).trials
+def _run_linearize_check(p: dict, manifest: RunManifest) -> int:
+    config = _experiment_config(p, manifest)
     # Serial: a forked worker costs about 0.1 s of CPU, and at (n, N, k) =
     # (64, 48, 40) with 2-20 trials it added wall time (README).
-    reports = [experiments.linearization_check(sample_entry_matrix(spec, i), z, spec.k)
-               for i in range(trials)]
+    reports = [experiments.linearization_check(sample_entry_matrix(config.spec, i), p["z"],
+                                               config.spec.k) for i in range(config.trials)]
     all_ok = all(rep.passed for rep in reports)
-    manifest.seeds = trial_seeds(spec.master_seed, trials)
     _write_json(manifest.path("linearization_report.json"),
                 {"trials": reports, "passed": all_ok})
     return EXIT_OK if all_ok else EXIT_ASSERTION
 
 
-def _run_hermitize(cfg: dict, manifest: RunManifest) -> int:
-    spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest, ("hermitization_tv",))
-    report = experiments.hermitization_pipeline(config, h=_real(cfg.get("h", 0.1), "h"))
-    manifest.seeds = trial_seeds(spec.master_seed, 1)
+def _run_hermitize(p: dict, manifest: RunManifest) -> int:
+    config = _experiment_config(p, manifest, "hermitization_tv")
+    report = experiments.hermitization_pipeline(config, h=p["h"])
     _write_json(manifest.path("hermitization_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
-def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
-    gamma0 = _real(cfg["gamma0"], "gamma0")
-    gamma1 = _real(cfg["gamma1"], "gamma1")
-    spec = None
-    if ("n" in cfg) != ("seed" in cfg):
+def _run_fixed_point(p: dict, manifest: RunManifest) -> int:
+    if ("n" in p) != ("seed" in p):
         raise ConfigError("n and seed go together: give both to simulate, or neither")
-    if "n" in cfg:
-        n = _integer(cfg, "n")
-        spec = _spec_from({**cfg, "N": round(gamma0 * n), "k": round(gamma1 * n)})
-        trials = ExperimentConfig(spec, _integer(cfg, "trials", 1)).trials
-    z_list, t_list = _resolvent_grid(cfg)
-    points = [ResolventParams(z=z, t=t, gamma0=gamma0, a=1.0 - gamma1)
-              for z in z_list for t in t_list]
+    config = None
+    if "n" in p:
+        config = _experiment_config(
+            {**p, "N": round(p["gamma0"] * p["n"]), "k": round(p["gamma1"] * p["n"])}, manifest)
+    points = [ResolventParams(z=z, t=t, gamma0=p["gamma0"], a=1.0 - p["gamma1"])
+              for z in p["z_list"] for t in p["t_list"]]
     solutions = [solve_s(params) for params in points]
     means = [None] * len(points)
-    if spec is not None:
-        means = experiments.resolvent_trace_means(spec, trials, z_list, t_list)
-        manifest.seeds = trial_seeds(spec.master_seed, trials)
+    if config is not None:
+        means = experiments.resolvent_trace_means(config.spec, config.trials,
+                                                  p["z_list"], p["t_list"])
     rows = []
     for params, sol, mean in zip(points, solutions, means):
-        emp = 0j
-        err = float("nan")
-        if mean is not None:
-            emp = complex(mean)
-            err = abs(emp - predicted_stieltjes(params, sol))
+        emp = 0j if mean is None else complex(mean)
+        err = math.nan if mean is None else abs(emp - predicted_stieltjes(params, sol))
         rows.append((params.z.real, params.z.imag, params.t, sol.s,
                      sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
     _write_csv(manifest.path("fixed_point.csv"),
@@ -411,30 +433,17 @@ def _run_fixed_point(cfg: dict, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _run_large_k(cfg: dict, manifest: RunManifest) -> int:
-    spec = _spec_from(cfg)
-    config = _experiment_config(cfg, spec, manifest,
-                                ("resolvent_abs_error", "stability_ks"))
-    report = experiments.large_k_experiment(config, *_resolvent_grid(cfg))
-    manifest.seeds = (trial_seeds(spec.master_seed, config.trials)
-                      + trial_seeds(experiments.stability_spec(spec).master_seed, 1))
+def _run_large_k(p: dict, manifest: RunManifest) -> int:
+    config = _experiment_config(p, manifest, "resolvent_abs_error", "stability_ks")
+    report = experiments.large_k_experiment(config, p["z_list"], p["t_list"])
+    manifest.seeds += trial_seeds(experiments.stability_spec(config.spec).master_seed, 1)
     _write_json(manifest.path("large_k_report.json"), report)
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
-def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
-    grid = cfg["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError(f"grid must be a mapping, got {grid!r}")
-    for key in ("start", "stop", "step"):
-        if key not in grid:
-            raise ConfigError(f"grid missing key {key!r}")
-    law = Gamma0Law(_real(cfg["gamma0"], "gamma0"))
-    start, stop, step = (_real(grid[k], f"grid.{k}") for k in ("start", "stop", "step"))
-    if not step > 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
-    if not 0 <= start <= stop < math.inf:
-        raise ConfigError(f"grid needs finite 0 <= start <= stop, got {start}, {stop}")
+def _run_limit_law_table(p: dict, manifest: RunManifest) -> int:
+    law = Gamma0Law(p["gamma0"])
+    start, stop, step = p["grid"]
     r_grid = np.arange(start, stop, step)
     # Snap the final point to the exact stop value so the table closes at the
     # CDF endpoint.
@@ -445,27 +454,15 @@ def _run_limit_law_table(cfg: dict, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _run_law_diagnostics(cfg: dict, manifest: RunManifest) -> int:
-    law = EntryLaw(kind=cfg["law"])
-    seed = _integer(cfg, "seed")
-    report = moment_diagnostics(law, n=_integer(cfg, "n"),
-                                sample_count=_integer(cfg, "sample_count", 100_000),
-                                seed=seed)
-    manifest.seeds = trial_seeds(seed, 1)
+def _run_law_diagnostics(p: dict, manifest: RunManifest) -> int:
+    report = moment_diagnostics(p["law"], p["n"], p["sample_count"], p["seed"])
+    manifest.seeds = trial_seeds(p["seed"], 1)
     _write_json(manifest.path("law_diagnostics.json"), report)
     return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
 
 
-RUNNERS = {
-    "esd": _run_esd,
-    "lsv-tail": _run_lsv_tail,
-    "linearize-check": _run_linearize_check,
-    "hermitize": _run_hermitize,
-    "fixed-point": _run_fixed_point,
-    "large-k": _run_large_k,
-    "limit-law-table": _run_limit_law_table,
-    "law-diagnostics": _run_law_diagnostics,
-}
+# Subcommand "a-b" runs _run_a_b on its parsed values.
+RUNNERS = {name: globals()["_run_" + name.replace("-", "_")] for name in SCHEMAS}
 
 
 def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
@@ -475,21 +472,20 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
     is a ValueError. A trial worker that ended without a result
     (experiments.TrialWorkerError) exits 4 as well. On exit 3 or 4 the
     output directory is removed if this run created it and it is still
-    empty: a runner parses some keys, and meets numeric failures, only after
-    the directory is made."""
+    empty: range checks and numeric failures come after it is made."""
     made_dir = None
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
             raise ConfigError("unknown subcommand")
-        validate_keys(subcommand, cfg)
-        out_dir = output_dir or cfg.get("output_dir", ".")
+        values = validate_keys(subcommand, cfg)
+        out_dir = output_dir or values.get("output_dir", ".")
         manifest = RunManifest(subcommand, cfg, out_dir)
         if not os.path.isdir(out_dir):
             os.makedirs(out_dir)
             made_dir = out_dir
         with linalg.one_blas_thread():
-            status = RUNNERS[subcommand](cfg, manifest)
+            status = RUNNERS[subcommand](values, manifest)
             manifest.write()
         return status
     except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:

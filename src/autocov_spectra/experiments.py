@@ -86,6 +86,23 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+def merged_thresholds(overrides: dict) -> dict:
+    """DEFAULT_THRESHOLDS with overrides applied, checked: a non-numeric one
+    would otherwise fail only at its comparison, after the experiment ran."""
+    if not isinstance(overrides, dict):
+        raise TypeError(f"thresholds must be a mapping, got {overrides!r}")
+    for key, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"threshold {key!r} must be a number, got {value!r}")
+        # A NaN threshold fails every run and an infinite one passes it.
+        if not math.isfinite(value):
+            raise ValueError(f"threshold {key!r} must be finite, got {value!r}")
+    unknown = sorted(set(overrides) - set(DEFAULT_THRESHOLDS))
+    if unknown:
+        raise ValueError(f"unknown thresholds {unknown}; known: {sorted(DEFAULT_THRESHOLDS)}")
+    return {**DEFAULT_THRESHOLDS, **overrides}
+
+
 @dataclass
 class ExperimentConfig:
     spec: EnsembleSpec
@@ -95,21 +112,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # Checked here: a non-numeric threshold would otherwise fail only at
-        # its comparison, after the whole experiment has run.
-        if not isinstance(self.thresholds, dict):
-            raise TypeError(f"thresholds must be a mapping, got {self.thresholds!r}")
-        for key, value in self.thresholds.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"threshold {key!r} must be a number, got {value!r}")
-            # A NaN threshold fails every run and an infinite one passes it.
-            if not math.isfinite(value):
-                raise ValueError(f"threshold {key!r} must be finite, got {value!r}")
-        unknown = sorted(set(self.thresholds) - set(DEFAULT_THRESHOLDS))
-        if unknown:
-            raise ValueError(f"unknown thresholds {unknown}; "
-                             f"known: {sorted(DEFAULT_THRESHOLDS)}")
-        self.thresholds = {**DEFAULT_THRESHOLDS, **self.thresholds}
+        self.thresholds = merged_thresholds(self.thresholds)
 
 
 class TrialWorkerError(RuntimeError):

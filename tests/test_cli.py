@@ -88,9 +88,23 @@ def _key_paths(node, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
-FUZZ_KEYS = [(sub, path) for sub, cfg in TINY_CONFIGS.items() for path in _key_paths(cfg)]
+# Every key of every subcommand's schema, in every subcommand's config (a
+# key only others read is parsed too), and every nested value of its config.
+FUZZ_KEYS = [(sub, path) for sub, cfg in TINY_CONFIGS.items()
+             for path in sorted({(key,) for schema in cli.SCHEMAS.values() for key in schema}
+                                | set(_key_paths(cfg)), key=repr)]
 # Large and tiny positive numbers are left out: they would request huge arrays.
 FUZZ_VALUES = [None, "x", [], {}, True, -1, 0, math.nan, math.inf, -math.inf]
+
+
+def run_outputs(subcommand, payload, tmp_path, name):
+    """(exit status, {file name: bytes} without the manifest, manifest) of one
+    run of payload in tmp_path / name."""
+    out = tmp_path / name
+    status = cli.run(subcommand, write_config(tmp_path, payload, f"{name}.json"),
+                     output_dir=str(out))
+    outputs = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    return status, outputs, json.loads((out / "manifest.json").read_text())
 
 
 class TestConfigLoading:
@@ -283,6 +297,30 @@ class TestManifestSeeds:
         out = tmp_path / "out"
         assert cli.run(subcommand, cfg, output_dir=str(out)) in (cli.EXIT_OK, cli.EXIT_ASSERTION)
         assert json.loads((out / "manifest.json").read_text())["resolved_seeds"] == expected
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("subcommand", TINY_CONFIGS)
+    def test_manifest_config_reproduces_the_run(self, tmp_path, subcommand):
+        first = run_outputs(subcommand, TINY_CONFIGS[subcommand], tmp_path, "first")
+        again = run_outputs(subcommand, first[2]["config"], tmp_path, "again")
+        assert first[0] == again[0] in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        assert first[1] and first[1] == again[1]
+        assert first[2]["ignored_keys"] == again[2]["ignored_keys"] == []
+        assert again[2]["config"] == first[2]["config"]
+
+    @pytest.mark.parametrize("subcommand,key,default", [
+        ("fixed-point", "trials", 1), ("esd", "law", "complex-gaussian"),
+        ("hermitize", "h", 0.1), ("law-diagnostics", "sample_count", 100_000),
+        ("lsv-tail", "thresholds", {}),
+    ])
+    def test_absent_keys_recorded_at_their_defaults(self, tmp_path, subcommand, key, default):
+        payload = {name: value for name, value in TINY_CONFIGS[subcommand].items()
+                   if name != key}
+        status, _, manifest = run_outputs(subcommand, payload, tmp_path, "out")
+        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        assert manifest["config"][key] == default
+        assert manifest["config"].items() >= payload.items()
 
 
 class TestManifestThresholds:
@@ -605,20 +643,57 @@ class TestExitCodes:
             f"config error: {subcommand}: {message}, got ")
 
     @pytest.mark.parametrize("subcommand", ["esd", "lsv-tail", "hermitize", "linearize-check"])
-    def test_keys_a_subcommand_never_reads_are_ignored(self, tmp_path, subcommand):
-        # z_list and t_list belong to large-k and fixed-point: junk in them
-        # changes no other subcommand's outputs.
-        outputs = {}
-        for name, payload in [("clean", TINY_CONFIGS[subcommand]),
-                              ("junk", dict(TINY_CONFIGS[subcommand], z_list="x",
-                                            t_list=[None]))]:
+    def test_keys_a_subcommand_never_reads_are_ignored(self, tmp_path, capsys, subcommand):
+        # z_list and t_list belong to large-k and fixed-point: valid values
+        # change no other subcommand's outputs and are listed as ignored;
+        # junk in either exits 3 before any output.
+        clean = run_outputs(subcommand, TINY_CONFIGS[subcommand], tmp_path, "clean")
+        valid = run_outputs(subcommand, dict(TINY_CONFIGS[subcommand], z_list=[1.0, "1+1j"],
+                                             t_list=[0.5]), tmp_path, "valid")
+        assert clean[0] == valid[0] == cli.EXIT_OK
+        assert clean[1] and clean[1] == valid[1]
+        assert (clean[2]["ignored_keys"], valid[2]["ignored_keys"]) == ([], ["t_list", "z_list"])
+        for name, junk in [("junk-z", {"z_list": "x"}), ("junk-t", {"t_list": [None]}),
+                           ("junk-both", {"z_list": "x", "t_list": [None]})]:
             out = tmp_path / name
-            status = cli.run(subcommand, write_config(tmp_path, payload, f"{name}.json"),
+            status = cli.run(subcommand, write_config(tmp_path, dict(TINY_CONFIGS[subcommand],
+                                                                     **junk), f"{name}.json"),
                              output_dir=str(out))
-            assert status == cli.EXIT_OK
-            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()
-                             if p.name != "manifest.json"}
-        assert outputs["clean"] and outputs["clean"] == outputs["junk"]
+            assert status == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: {subcommand}: ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        # fixed-point derives N = round(gamma0 n) and k = round(gamma1 n).
+        ("fixed-point", "N", 99), ("fixed-point", "k", 3),
+        # hermitize runs trial 0 only.
+        ("hermitize", "trials", 7), ("hermitize", "trials", 0),
+    ])
+    def test_keys_a_subcommand_derives_or_never_uses_are_ignored(self, tmp_path, subcommand,
+                                                                 key, value):
+        clean = run_outputs(subcommand, TINY_CONFIGS[subcommand], tmp_path, "clean")
+        given = run_outputs(subcommand, dict(TINY_CONFIGS[subcommand], **{key: value}),
+                            tmp_path, "given")
+        assert clean[0] == given[0] == cli.EXIT_OK
+        assert clean[1] and clean[1] == given[1]
+        assert given[2]["ignored_keys"] == [key]
+        assert given[2]["config"][key] == value
+
+    @pytest.mark.parametrize("key", sorted(cli.PARSERS))
+    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+    def test_a_wrong_type_in_any_key_exits_three_before_any_output(self, tmp_path, capsys,
+                                                                   monkeypatch, subcommand,
+                                                                   key):
+        # true parses as no key's value; read by the subcommand or not.
+        def makedirs(*args, **kwargs):
+            raise AssertionError("output directory made")
+
+        monkeypatch.setattr(cli.os, "makedirs", makedirs)
+        payload = dict(TINY_CONFIGS[subcommand], **{key: True})
+        status = cli.run(subcommand, write_config(tmp_path, payload),
+                         output_dir=str(tmp_path / "out"))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {subcommand}: ")
 
     @pytest.mark.parametrize("subcommand,key,meant", [
         ("hermitize", "half_width", None), ("esd", "trails", "trials"),
@@ -697,8 +772,11 @@ class TestExitCodes:
             config_file = os.path.join(tmp, "config.json")
             with open(config_file, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
-            status = cli.run(subcommand, config_file, output_dir=os.path.join(tmp, "out"))
-        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+            out = os.path.join(tmp, "out")
+            status = cli.run(subcommand, config_file, output_dir=out)
+            assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+            if status in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC):
+                assert not os.path.exists(out)
 
     def test_threshold_checked_before_the_experiment(self, tmp_path, monkeypatch, capsys):
         def experiment(*args):
@@ -756,7 +834,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("h", [0, math.nan, True], ids=["zero", "nan", "true"])
     def test_runner_config_error_leaves_no_output_dir(self, tmp_path, capsys, h):
-        # hermitize parses h after the output directory is made.
+        # true fails its parse; 0 and nan fail hermitization_pipeline's range
+        # check, after the output directory is made.
         cfg = write_config(tmp_path, dict(TINY_CONFIGS["hermitize"], h=h))
         out = tmp_path / "out"
         assert cli.run("hermitize", cfg, output_dir=str(out)) == cli.EXIT_CONFIG
