@@ -3,21 +3,24 @@
 Runs one subcommand per invocation against a JSON config file, writes CSV and
 JSON outputs plus a manifest sufficient to reproduce the run, and reports
 through the exit status: 0 success, 2 scientific-assertion failure, 3
-configuration error, 4 numeric backend failure. This is the only module that
-writes files: every output goes through _write_output, which replaces the
-target atomically.
+configuration error, 4 numeric backend failure. A subcommand's runner
+computes its outputs as text and writes nothing; run makes the output
+directory and writes them only once the runner has returned, the manifest
+last, each through _write_output, which replaces the target atomically. So a
+run that fails creates no file or directory, and an unusable output
+directory is reported after the computation.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values). Every key is parsed by its PARSERS entry, read or not, before the
-output directory is made (validate_keys); SCHEMAS gives the keys each
-subcommand reads, and the manifest records the config with their defaults
-and lists the others as ignored_keys. run is the one place a rejected config
-value becomes exit 3: a subcommand is a deterministic function of its
-config, so a ConfigError, TypeError, ValueError or OverflowError raised by
-the run (every one of them an argument check), a MemoryError (every array's
-size follows from the config), or an OSError from an unreadable config or
-unusable output directory, is reported as ``config error: <subcommand>:
-<message>``. A usage error, which argparse rejects, exits 3 as well.
+runner starts (validate_keys); SCHEMAS gives the keys each subcommand reads,
+and the manifest records the config with their defaults and lists the others
+as ignored_keys. run is the one place a rejected config value becomes exit
+3: a subcommand is a deterministic function of its config, so a
+ConfigError, TypeError, ValueError or OverflowError raised by the run (every
+one of them an argument check), a MemoryError (every array's size follows
+from the config), or an OSError from an unreadable config or unusable output
+directory, is reported as ``config error: <subcommand>: <message>``. A usage
+error, which argparse rejects, exits 3 as well.
 
 Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
 import dataclasses
 import datetime
 import json
@@ -128,9 +130,13 @@ def _nonempty_array(parse_entry):
 
 
 def _grid(value, key: str) -> tuple[float, float, float]:
-    """(start, stop, step) of a mapping: finite 0 <= start <= stop, step > 0."""
+    """(start, stop, step) of a mapping with those keys only: finite
+    0 <= start <= stop, step > 0."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    unknown = sorted(set(value) - {"start", "stop", "step"})
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {', '.join(unknown)}")
     for name in ("start", "stop", "step"):
         if name not in value:
             raise ConfigError(f"{key} missing key {name!r}")
@@ -299,16 +305,16 @@ def _json_text(payload) -> str:
     return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_json(path: str, payload) -> None:
-    _write_output(path, _json_text(payload) + "\n")
+def _json_file(payload) -> str:
+    return _json_text(payload) + "\n"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _csv_file(header: list[str], rows) -> str:
     """One line per row, fields as repr() and CRLF line ends, as csv.writer
     writes them. Fields must be Python numbers: numpy 2 reprs a numpy
     scalar as np.float64(...)."""
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    _write_output(path, "\r\n".join(lines) + "\r\n")
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _environment() -> dict:
@@ -328,26 +334,20 @@ def _environment() -> dict:
 
 class RunManifest:
     """Records everything needed to reproduce a run. The config, with the
-    subcommand's defaults, is rendered on construction, before any output,
-    and write splices that text in at "config", the one key that follows a
+    subcommand's defaults, is rendered on construction, before the runner
+    starts, and text splices it in at "config", the one key that follows a
     raw newline at indent two."""
 
-    def __init__(self, subcommand: str, cfg: dict, out_dir: str):
+    def __init__(self, subcommand: str, cfg: dict):
         self.subcommand = subcommand
         self.config = _json_text({**DEFAULTS[subcommand], **cfg})
         self.ignored_keys = sorted(set(cfg) - set(SCHEMAS[subcommand]))
-        self.out_dir = out_dir
-        self.outputs: list[str] = []
         self.seeds: list[int] = []
         self.thresholds: dict = {}
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def path(self, name: str) -> str:
-        """Register the output file name and return its path."""
-        self.outputs.append(name)
-        return os.path.join(self.out_dir, name)
-
-    def write(self) -> None:
+    def text(self, outputs) -> str:
+        """The manifest of a run that wrote the files named in outputs."""
         payload = {
             "artifact_version": autocov_spectra.__version__,
             "subcommand": self.subcommand,
@@ -355,59 +355,61 @@ class RunManifest:
             "ignored_keys": self.ignored_keys,
             "resolved_seeds": self.seeds,
             "thresholds": self.thresholds,
-            "outputs": sorted(self.outputs),
+            "outputs": sorted(outputs),
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "environment": _environment(),
         }
         head, tail = _json_text(payload).split('\n  "config": null,')
         config = self.config.replace("\n", "\n  ")
-        _write_output(os.path.join(self.out_dir, "manifest.json"),
-                      f'{head}\n  "config": {config},{tail}\n')
+        return f'{head}\n  "config": {config},{tail}\n'
 
 
-def _run_esd(p: dict, manifest: RunManifest) -> int:
+# A runner returns its exit status and its outputs, {file name: text}, and
+# writes nothing: run writes them once the runner has returned.
+def _run_esd(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     config = _experiment_config(p, manifest, "radial_ks")
     report = experiments.esd_experiment(config)
-    _write_json(manifest.path("esd_report.json"), report)
     eigs = companion_eigenvalues(*sampled_companion(config.spec, 0))
-    _write_csv(manifest.path("eigenvalues.csv"), ["re_lambda", "im_lambda"],
-               [(lam.real, lam.imag) for lam in eigs.tolist()])
     radii = np.sort(np.abs(eigs)).tolist()
-    _write_csv(manifest.path("radial_cdf.csv"), ["r", "empirical_cdf"],
-               [(r, (i + 1) / len(radii)) for i, r in enumerate(radii)])
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+        "esd_report.json": _json_file(report),
+        "eigenvalues.csv": _csv_file(["re_lambda", "im_lambda"],
+                                     [(lam.real, lam.imag) for lam in eigs.tolist()]),
+        "radial_cdf.csv": _csv_file(["r", "empirical_cdf"],
+                                    [(r, (i + 1) / len(radii)) for i, r in enumerate(radii)]),
+    }
 
 
-def _run_lsv_tail(p: dict, manifest: RunManifest) -> int:
+def _run_lsv_tail(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     config = _experiment_config(p, manifest, "lsv_tail_freq")
     report = experiments.lsv_tail_experiment(config, p["z"])
-    _write_json(manifest.path("lsv_tail_report.json"), report)
-    _write_csv(manifest.path("lsv_values.csv"), ["trial", "least_singular_value"],
-               enumerate(report.lsv_values))
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+        "lsv_tail_report.json": _json_file(report),
+        "lsv_values.csv": _csv_file(["trial", "least_singular_value"],
+                                    enumerate(report.lsv_values)),
+    }
 
 
-def _run_linearize_check(p: dict, manifest: RunManifest) -> int:
+def _run_linearize_check(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     config = _experiment_config(p, manifest)
     # Serial: a forked worker costs about 0.1 s of CPU, and at (n, N, k) =
     # (64, 48, 40) with 2-20 trials it added wall time (README).
     reports = [experiments.linearization_check(sample_entry_matrix(config.spec, i), p["z"],
                                                config.spec.k) for i in range(config.trials)]
     all_ok = all(rep.passed for rep in reports)
-    _write_json(manifest.path("linearization_report.json"),
-                {"trials": reports, "passed": all_ok})
-    return EXIT_OK if all_ok else EXIT_ASSERTION
+    return EXIT_OK if all_ok else EXIT_ASSERTION, {
+        "linearization_report.json": _json_file({"trials": reports, "passed": all_ok})}
 
 
-def _run_hermitize(p: dict, manifest: RunManifest) -> int:
+def _run_hermitize(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     config = _experiment_config(p, manifest, "hermitization_tv")
     report = experiments.hermitization_pipeline(config, h=p["h"])
-    _write_json(manifest.path("hermitization_report.json"), report)
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+        "hermitization_report.json": _json_file(report)}
 
 
-def _run_fixed_point(p: dict, manifest: RunManifest) -> int:
+def _run_fixed_point(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     if ("n" in p) != ("seed" in p):
         raise ConfigError("n and seed go together: give both to simulate, or neither")
     config = None
@@ -427,21 +429,20 @@ def _run_fixed_point(p: dict, manifest: RunManifest) -> int:
         err = math.nan if mean is None else abs(emp - predicted_stieltjes(params, sol))
         rows.append((params.z.real, params.z.imag, params.t, sol.s,
                      sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
-    _write_csv(manifest.path("fixed_point.csv"),
-               ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
-                "empirical_re", "empirical_im", "abs_error"], rows)
-    return EXIT_OK
+    return EXIT_OK, {"fixed_point.csv": _csv_file(
+        ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
+         "empirical_re", "empirical_im", "abs_error"], rows)}
 
 
-def _run_large_k(p: dict, manifest: RunManifest) -> int:
+def _run_large_k(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     config = _experiment_config(p, manifest, "resolvent_abs_error", "stability_ks")
     report = experiments.large_k_experiment(config, p["z_list"], p["t_list"])
     manifest.seeds += trial_seeds(experiments.stability_spec(config.spec).master_seed, 1)
-    _write_json(manifest.path("large_k_report.json"), report)
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+        "large_k_report.json": _json_file(report)}
 
 
-def _run_limit_law_table(p: dict, manifest: RunManifest) -> int:
+def _run_limit_law_table(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     law = Gamma0Law(p["gamma0"])
     start, stop, step = p["grid"]
     r_grid = np.arange(start, stop, step)
@@ -450,15 +451,14 @@ def _run_limit_law_table(p: dict, manifest: RunManifest) -> int:
     if r_grid.size and stop - r_grid[-1] < step / 2:
         r_grid = r_grid[:-1]
     r_grid = np.append(r_grid, stop)
-    _write_csv(manifest.path("limit_law_cdf.csv"), ["r", "cdf"], law.cdf_table(r_grid))
-    return EXIT_OK
+    return EXIT_OK, {"limit_law_cdf.csv": _csv_file(["r", "cdf"], law.cdf_table(r_grid))}
 
 
-def _run_law_diagnostics(p: dict, manifest: RunManifest) -> int:
+def _run_law_diagnostics(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     report = moment_diagnostics(p["law"], p["n"], p["sample_count"], p["seed"])
     manifest.seeds = trial_seeds(p["seed"], 1)
-    _write_json(manifest.path("law_diagnostics.json"), report)
-    return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION
+    return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION, {
+        "law_diagnostics.json": _json_file(report)}
 
 
 # Subcommand "a-b" runs _run_a_b on its parsed values.
@@ -467,37 +467,34 @@ RUNNERS = {name: globals()["_run_" + name.replace("-", "_")] for name in SCHEMAS
 
 def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         output_dir: str | None = None) -> int:
-    """Run one subcommand and return its exit status. The numeric clause comes
-    first: np.linalg.LinAlgError, which the decompositions and solve_s raise,
-    is a ValueError. A trial worker that ended without a result
-    (experiments.TrialWorkerError) exits 4 as well. On exit 3 or 4 the
-    output directory is removed if this run created it and it is still
-    empty: range checks and numeric failures come after it is made."""
-    made_dir = None
+    """Run one subcommand and return its exit status. The runner computes
+    every output first; only then is the output directory made and each
+    output written, the manifest last, so a run that exits 3 or 4 before
+    that creates no file or directory, and an unusable output directory is
+    reported after the computation. The numeric clause comes first:
+    np.linalg.LinAlgError, which the decompositions and solve_s raise, is a
+    ValueError. A trial worker that ended without a result
+    (experiments.TrialWorkerError) exits 4 as well."""
     try:
         cfg = load_config(config_file, overrides)
         if subcommand not in RUNNERS:
             raise ConfigError("unknown subcommand")
         values = validate_keys(subcommand, cfg)
         out_dir = output_dir or values.get("output_dir", ".")
-        manifest = RunManifest(subcommand, cfg, out_dir)
-        if not os.path.isdir(out_dir):
-            os.makedirs(out_dir)
-            made_dir = out_dir
+        manifest = RunManifest(subcommand, cfg)
         with linalg.one_blas_thread():
-            status = RUNNERS[subcommand](values, manifest)
-            manifest.write()
+            status, outputs = RUNNERS[subcommand](values, manifest)
+            outputs["manifest.json"] = manifest.text(outputs)
+            os.makedirs(out_dir, exist_ok=True)
+            for name, text in outputs.items():
+                _write_output(os.path.join(out_dir, name), text)
         return status
     except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
-        status = EXIT_NUMERIC
+        return EXIT_NUMERIC
     except (ConfigError, TypeError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"config error: {subcommand}: {exc}", file=sys.stderr)
-        status = EXIT_CONFIG
-    if made_dir is not None:
-        with contextlib.suppress(OSError):  # not empty, or already gone
-            os.rmdir(made_dir)
-    return status
+        return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -255,11 +255,9 @@ class TestFixedPointRun:
                         for i in range(3)]))
                     rows.append((z.real, z.imag, t, sol.s, sol.g12.real, sol.g12.imag,
                                  emp.real, emp.imag, abs(emp - 1j * sol.s / gamma0)))
-        cli._write_csv(tmp_path / "reference.csv",
-                       ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
-                        "empirical_re", "empirical_im", "abs_error"], rows)
+        expected = cli._csv_file(["re_z", "im_z", "t", "s", "re_g12", "im_g12",
+                                  "empirical_re", "empirical_im", "abs_error"], rows).encode()
         got = (out / "fixed_point.csv").read_bytes()
-        expected = (tmp_path / "reference.csv").read_bytes()
         if N == 24:
             # d = n = N: Y - zI itself is decomposed, as in the reference.
             assert got == expected
@@ -357,35 +355,39 @@ class TestManifestThresholds:
 
 
 class TestWriters:
-    def test_json_cleans_complex_and_numpy_values(self, tmp_path):
-        path = tmp_path / "report.json"
-        cli._write_json(path, {"z": 1 - 2j, "a": np.array([1.5, 2.5]),
+    def test_json_cleans_complex_and_numpy_values(self):
+        text = cli._json_file({"z": 1 - 2j, "a": np.array([1.5, 2.5]),
                                "nested": [{"x": np.float64(0.25), "k": np.int64(3)}]})
-        assert json.loads(path.read_text()) == {
+        assert json.loads(text) == {
             "z": {"re": 1.0, "im": -2.0}, "a": [1.5, 2.5],
             "nested": [{"x": 0.25, "k": 3}]}
-        assert path.read_text().endswith("}\n")
+        assert text.endswith("}\n")
 
-    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
-        path = tmp_path / "report.json"
-        cli._write_json(path, {"x": math.nan, "a": np.array([1.5, -np.inf]),
+    def test_json_writes_non_finite_floats_as_null(self):
+        text = cli._json_file({"x": math.nan, "a": np.array([1.5, -np.inf]),
                                "z": complex(math.inf, 2.0), "s": np.float64(math.nan)})
-        assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        assert json.loads(text, parse_constant=_reject_constant) == {
             "x": None, "a": [1.5, None], "z": {"re": None, "im": 2.0}, "s": None}
 
     def test_csv_fields_are_reprs_with_crlf_line_ends(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        cli._write_csv(path, ["i", "x"], [(0, 0.1), (1, -2.5e-300)])
-        assert path.read_bytes() == b"i,x\r\n0,0.1\r\n1,-2.5e-300\r\n"
+        text = cli._csv_file(["i", "x"], [(0, 0.1), (1, -2.5e-300)])
+        assert text == "i,x\r\n0,0.1\r\n1,-2.5e-300\r\n"
+        # Written as is: no newline translation.
+        cli._write_output(tmp_path / "rows.csv", text)
+        assert (tmp_path / "rows.csv").read_bytes() == b"i,x\r\n0,0.1\r\n1,-2.5e-300\r\n"
 
-    def test_failing_row_leaves_no_file(self, tmp_path):
-        def rows():
-            yield (0, 1.0)
-            raise RuntimeError("row failed")
+    def test_failing_row_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def rows(law, r_grid):
+            yield (0.0, 0.0)
+            raise ValueError("row failed")
 
-        with pytest.raises(RuntimeError, match="row failed"):
-            cli._write_csv(tmp_path / "rows.csv", ["i", "x"], rows())
-        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli.Gamma0Law, "cdf_table", rows)
+        out = tmp_path / "out"
+        status = cli.run("limit-law-table", write_config(tmp_path, TINY_CONFIGS["limit-law-table"]),
+                         output_dir=str(out))
+        assert status == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: limit-law-table: row failed\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_failed_write_keeps_the_old_file_and_removes_the_temporary(self, tmp_path):
         path = tmp_path / "out.json"
@@ -546,6 +548,9 @@ class TestExitCodes:
                 + "[" * 100_000 + "]" * 100_000 + "}"),
         ("limit-law-table", '{"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, '
                             '"step": 0.5, "note": ' + "[" * 600 + "]" * 600 + "}}"),
+        # A misspelt grid key: it exited 0 and the manifest recorded "stpe".
+        ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5,
+                                                     "stpe": 0.1}}),
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -559,7 +564,7 @@ class TestExitCodes:
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
             "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
             "misspelt-trials", "coarse-h", "three-block-h-0.7", "three-block-h-1",
-            "deeply-nested-law", "deeply-nested-grid-value"])
+            "deeply-nested-law", "deeply-nested-grid-value", "misspelt-grid-step"])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -826,23 +831,29 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {
             "gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}})
         afile = tmp_path / "afile"
-        afile.write_text("")
+        afile.write_text("kept")
         argv = ([str(tmp_path), "--output-dir", str(tmp_path / "o")] if config_is_dir
                 else [cfg, "--output-dir", str(afile)])
         assert cli.main(["limit-law-table", *argv]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: limit-law-table: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: limit-law-table: ") and err.count("\n") == 1
+        assert afile.read_text() == "kept"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
 
+    @pytest.mark.parametrize("out_name", ["out", "out/a/b"], ids=["flat", "nested"])
     @pytest.mark.parametrize("h", [0, math.nan, True], ids=["zero", "nan", "true"])
-    def test_runner_config_error_leaves_no_output_dir(self, tmp_path, capsys, h):
+    def test_runner_config_error_leaves_no_output_dir(self, tmp_path, capsys, h, out_name):
         # true fails its parse; 0 and nan fail hermitization_pipeline's range
-        # check, after the output directory is made.
+        # check, which the runner makes.
         cfg = write_config(tmp_path, dict(TINY_CONFIGS["hermitize"], h=h))
-        out = tmp_path / "out"
+        out = tmp_path / out_name
         assert cli.run("hermitize", cfg, output_dir=str(out)) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: hermitize: ")
-        assert not out.exists() and os.listdir(tmp_path) == ["config.json"]
+        assert os.listdir(tmp_path) == ["config.json"]
 
-    def test_esd_worker_error_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("out_name", ["out", "out/a/b"], ids=["flat", "nested"])
+    def test_esd_worker_error_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys,
+                                                   out_name):
         sampled = experiments.sampled_companion
 
         def failing(spec, i):
@@ -854,9 +865,22 @@ class TestExitCodes:
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "sampled_companion", failing)
         cfg = write_config(tmp_path, TINY_CONFIGS["esd"])
-        out = tmp_path / "out"
-        assert cli.run("esd", cfg, output_dir=str(out)) == cli.EXIT_NUMERIC
+        assert cli.run("esd", cfg, output_dir=str(tmp_path / out_name)) == cli.EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric backend failure: ")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_esd_trial_zero_spectrum_failure_writes_nothing(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # The report is computed before trial 0's spectrum, which then fails:
+        # it used to leave esd_report.json without a manifest.
+        def failing(spec, i):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "sampled_companion", failing)
+        out = tmp_path / "out"
+        status = cli.run("esd", write_config(tmp_path, TINY_CONFIGS["esd"]), output_dir=str(out))
+        assert status == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric backend failure: Eigenvalues did not converge\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [[], ["keep.txt"]], ids=["empty", "with-a-file"])

@@ -1001,10 +1001,9 @@ class TestConfig:
 
 
 class TestOutputs:
-    def test_eigenvalue_csv(self, tmp_path):
-        path = tmp_path / "eigs.csv"
-        cli._write_csv(path, ["re_lambda", "im_lambda"], [(1.0, 2.0), (-0.5, 0.0)])
-        lines = path.read_text().strip().splitlines()
+    def test_eigenvalue_csv(self):
+        text = cli._csv_file(["re_lambda", "im_lambda"], [(1.0, 2.0), (-0.5, 0.0)])
+        lines = text.strip().splitlines()
         assert lines[0] == "re_lambda,im_lambda"
         assert len(lines) == 3
 
@@ -1021,17 +1020,14 @@ class TestOutputs:
         parsed = np.array([complex(float(re), float(im)) for re, im in rows])
         assert np.array_equal(parsed, eigs)
 
-    def test_radial_cdf_csv(self, tmp_path):
-        path = tmp_path / "cdf.csv"
-        cli._write_csv(path, ["r", "empirical_cdf"], [(0.0, 0.0), (1.0, 1.0)])
-        assert path.read_text().splitlines()[0] == "r,empirical_cdf"
+    def test_radial_cdf_csv(self):
+        text = cli._csv_file(["r", "empirical_cdf"], [(0.0, 0.0), (1.0, 1.0)])
+        assert text.splitlines()[0] == "r,empirical_cdf"
 
-    def test_report_json_roundtrip(self, tmp_path):
+    def test_report_json_roundtrip(self):
         spec = EnsembleSpec(n=32, N=32, k=1, master_seed=11)
         X = sample_entry_matrix(spec, 0)
         rep = linearization_check(X, 1.0 + 0j, 1)
-        path = tmp_path / "report.json"
-        cli._write_json(path, rep)
-        data = json.loads(path.read_text())
+        data = json.loads(cli._json_file(rep))
         assert data["passed"] is True
         assert set(data) == set(rep.__dataclass_fields__)

@@ -244,11 +244,10 @@ def test_radial_cdf_left_differs_only_at_zero(gamma0):
     assert left[1:].tolist() == F[1:].tolist()
 
 
-def test_cdf_csv_export(tmp_path):
+def test_cdf_csv_export():
     law = Gamma0Law(1.0)
-    path = tmp_path / "cdf.csv"
-    cli._write_csv(path, ["r", "cdf"], law.cdf_table(np.linspace(0, law.support_radius, 10)))
-    lines = path.read_text().strip().splitlines()
+    text = cli._csv_file(["r", "cdf"], law.cdf_table(np.linspace(0, law.support_radius, 10)))
+    lines = text.strip().splitlines()
     assert lines[0] == "r,cdf"
     assert len(lines) == 11
     assert float(lines[-1].split(",")[1]) == pytest.approx(1.0)
