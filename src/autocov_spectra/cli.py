@@ -3,12 +3,14 @@
 Runs one subcommand per invocation against a JSON config file, writes CSV and
 JSON outputs plus a manifest sufficient to reproduce the run, and reports
 through the exit status: 0 success, 2 scientific-assertion failure, 3
-configuration error, 4 numeric backend failure. A subcommand's runner
-computes its outputs as text and writes nothing; run makes the output
-directory and writes them only once the runner has returned, the manifest
-last, each through _write_output, which replaces the target atomically. So a
-run that fails creates no file or directory, and an unusable output
-directory is reported after the computation.
+configuration error, 4 numeric backend failure. A subcommand's runner is a
+function of the parsed config values: it returns its verdict, its outputs as
+text and the seeds and thresholds the manifest records, and writes nothing.
+run alone turns the verdict into exit 0 or 2, renders the manifest and, once
+the runner has returned, makes the output directory and writes the outputs,
+the manifest last, each through _write_output, which replaces the target
+atomically. So a run that fails creates no file or directory, and an
+unusable output directory is reported after the computation.
 
 Config values can be overridden by ``--set key=value`` (dotted keys, JSON
 values). Every key is parsed by its PARSERS entry, read or not, before the
@@ -205,7 +207,10 @@ def _set_nested(cfg: dict, dotted: str, value) -> None:
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
     """The config at path with overrides applied. One nested too deeply for
-    json to parse, or for the manifest to render, is a ConfigError."""
+    json to parse, or to render, is a ConfigError: the render check rejects a
+    deep config before any key is parsed, and every config that validate_keys
+    accepts is at most 3 levels deep, so the manifest can render it one level
+    down."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -229,7 +234,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
             raise ConfigError(f"override {dotted!r} nests too deeply to parse")
         _set_nested(cfg, dotted, value)
     try:
-        _json_text(cfg)
+        _json_file(cfg)
     except RecursionError:
         raise ConfigError("config nests too deeply to record in the manifest") from None
     return cfg
@@ -253,16 +258,15 @@ def validate_keys(subcommand: str, cfg: dict) -> dict:
     return {key: value for key, value in parsed.items() if key in schema}
 
 
-def _experiment_config(p: dict, manifest: RunManifest, *gated: str) -> ExperimentConfig:
-    """The run's ExperimentConfig from the parsed values p; the manifest
-    records its trials' seeds and the thresholds named in gated, those the
+def _experiment_config(p: dict, *gated: str) -> tuple[ExperimentConfig, dict]:
+    """The run's ExperimentConfig from the parsed values p, and its manifest
+    record: its trials' seeds and the thresholds named in gated, those the
     subcommand's verdict compares against."""
     spec = EnsembleSpec(n=p["n"], N=p["N"], k=p["k"], law=p["law"], master_seed=p["seed"])
     config = ExperimentConfig(spec, **{key: p[key] for key in ("trials", "thresholds")
                                        if key in p})
-    manifest.seeds = trial_seeds(spec.master_seed, config.trials)
-    manifest.thresholds = {key: config.thresholds[key] for key in gated}
-    return config
+    return config, {"resolved_seeds": trial_seeds(spec.master_seed, config.trials),
+                    "thresholds": {key: config.thresholds[key] for key in gated}}
 
 
 def _write_output(path: str, text: str) -> None:
@@ -299,14 +303,10 @@ def _plain(value):
     return value
 
 
-def _json_text(payload) -> str:
-    """A report dataclass or a dict as sorted, indented, strict JSON: a
-    non-finite float is written as null, never as NaN or Infinity."""
-    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
-
-
 def _json_file(payload) -> str:
-    return _json_text(payload) + "\n"
+    """A report dataclass or a dict as sorted, indented, strict JSON text: a
+    non-finite float is written as null, never as NaN or Infinity."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_file(header: list[str], rows) -> str:
@@ -332,90 +332,58 @@ def _environment() -> dict:
     }
 
 
-class RunManifest:
-    """Records everything needed to reproduce a run. The config, with the
-    subcommand's defaults, is rendered on construction, before the runner
-    starts, and text splices it in at "config", the one key that follows a
-    raw newline at indent two."""
-
-    def __init__(self, subcommand: str, cfg: dict):
-        self.subcommand = subcommand
-        self.config = _json_text({**DEFAULTS[subcommand], **cfg})
-        self.ignored_keys = sorted(set(cfg) - set(SCHEMAS[subcommand]))
-        self.seeds: list[int] = []
-        self.thresholds: dict = {}
-        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-    def text(self, outputs) -> str:
-        """The manifest of a run that wrote the files named in outputs."""
-        payload = {
-            "artifact_version": autocov_spectra.__version__,
-            "subcommand": self.subcommand,
-            "config": None,
-            "ignored_keys": self.ignored_keys,
-            "resolved_seeds": self.seeds,
-            "thresholds": self.thresholds,
-            "outputs": sorted(outputs),
-            "started": self.started,
-            "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "environment": _environment(),
-        }
-        head, tail = _json_text(payload).split('\n  "config": null,')
-        config = self.config.replace("\n", "\n  ")
-        return f'{head}\n  "config": {config},{tail}\n'
-
-
-# A runner returns its exit status and its outputs, {file name: text}, and
-# writes nothing: run writes them once the runner has returned.
-def _run_esd(p: dict, manifest: RunManifest) -> tuple[int, dict]:
-    config = _experiment_config(p, manifest, "radial_ks")
+# A runner takes the parsed values and returns (passed, outputs, record):
+# its verdict, its outputs as {file name: text}, and the manifest's
+# resolved_seeds and thresholds, where it has any. It writes nothing; run
+# decides the exit status and writes the outputs and the manifest.
+def _run_esd(p: dict) -> tuple[bool, dict, dict]:
+    config, record = _experiment_config(p, "radial_ks")
     report = experiments.esd_experiment(config)
     eigs = companion_eigenvalues(*sampled_companion(config.spec, 0))
     radii = np.sort(np.abs(eigs)).tolist()
-    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+    return report.passed, {
         "esd_report.json": _json_file(report),
         "eigenvalues.csv": _csv_file(["re_lambda", "im_lambda"],
                                      [(lam.real, lam.imag) for lam in eigs.tolist()]),
         "radial_cdf.csv": _csv_file(["r", "empirical_cdf"],
                                     [(r, (i + 1) / len(radii)) for i, r in enumerate(radii)]),
-    }
+    }, record
 
 
-def _run_lsv_tail(p: dict, manifest: RunManifest) -> tuple[int, dict]:
-    config = _experiment_config(p, manifest, "lsv_tail_freq")
+def _run_lsv_tail(p: dict) -> tuple[bool, dict, dict]:
+    config, record = _experiment_config(p, "lsv_tail_freq")
     report = experiments.lsv_tail_experiment(config, p["z"])
-    return EXIT_OK if report.passed else EXIT_ASSERTION, {
+    return report.passed, {
         "lsv_tail_report.json": _json_file(report),
         "lsv_values.csv": _csv_file(["trial", "least_singular_value"],
                                     enumerate(report.lsv_values)),
-    }
+    }, record
 
 
-def _run_linearize_check(p: dict, manifest: RunManifest) -> tuple[int, dict]:
-    config = _experiment_config(p, manifest)
+def _run_linearize_check(p: dict) -> tuple[bool, dict, dict]:
+    config, record = _experiment_config(p)
     # Serial: a forked worker costs about 0.1 s of CPU, and at (n, N, k) =
     # (64, 48, 40) with 2-20 trials it added wall time (README).
     reports = [experiments.linearization_check(sample_entry_matrix(config.spec, i), p["z"],
                                                config.spec.k) for i in range(config.trials)]
     all_ok = all(rep.passed for rep in reports)
-    return EXIT_OK if all_ok else EXIT_ASSERTION, {
-        "linearization_report.json": _json_file({"trials": reports, "passed": all_ok})}
+    return all_ok, {
+        "linearization_report.json": _json_file({"trials": reports, "passed": all_ok})}, record
 
 
-def _run_hermitize(p: dict, manifest: RunManifest) -> tuple[int, dict]:
-    config = _experiment_config(p, manifest, "hermitization_tv")
+def _run_hermitize(p: dict) -> tuple[bool, dict, dict]:
+    config, record = _experiment_config(p, "hermitization_tv")
     report = experiments.hermitization_pipeline(config, h=p["h"])
-    return EXIT_OK if report.passed else EXIT_ASSERTION, {
-        "hermitization_report.json": _json_file(report)}
+    return report.passed, {"hermitization_report.json": _json_file(report)}, record
 
 
-def _run_fixed_point(p: dict, manifest: RunManifest) -> tuple[int, dict]:
+def _run_fixed_point(p: dict) -> tuple[bool, dict, dict]:
     if ("n" in p) != ("seed" in p):
         raise ConfigError("n and seed go together: give both to simulate, or neither")
-    config = None
+    config, record = None, {}
     if "n" in p:
-        config = _experiment_config(
-            {**p, "N": round(p["gamma0"] * p["n"]), "k": round(p["gamma1"] * p["n"])}, manifest)
+        config, record = _experiment_config(
+            {**p, "N": round(p["gamma0"] * p["n"]), "k": round(p["gamma1"] * p["n"])})
     points = [ResolventParams(z=z, t=t, gamma0=p["gamma0"], a=1.0 - p["gamma1"])
               for z in p["z_list"] for t in p["t_list"]]
     solutions = [solve_s(params) for params in points]
@@ -429,20 +397,19 @@ def _run_fixed_point(p: dict, manifest: RunManifest) -> tuple[int, dict]:
         err = math.nan if mean is None else abs(emp - predicted_stieltjes(params, sol))
         rows.append((params.z.real, params.z.imag, params.t, sol.s,
                      sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
-    return EXIT_OK, {"fixed_point.csv": _csv_file(
+    return True, {"fixed_point.csv": _csv_file(
         ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
-         "empirical_re", "empirical_im", "abs_error"], rows)}
+         "empirical_re", "empirical_im", "abs_error"], rows)}, record
 
 
-def _run_large_k(p: dict, manifest: RunManifest) -> tuple[int, dict]:
-    config = _experiment_config(p, manifest, "resolvent_abs_error", "stability_ks")
+def _run_large_k(p: dict) -> tuple[bool, dict, dict]:
+    config, record = _experiment_config(p, "resolvent_abs_error", "stability_ks")
     report = experiments.large_k_experiment(config, p["z_list"], p["t_list"])
-    manifest.seeds += trial_seeds(experiments.stability_spec(config.spec).master_seed, 1)
-    return EXIT_OK if report.passed else EXIT_ASSERTION, {
-        "large_k_report.json": _json_file(report)}
+    record["resolved_seeds"] += trial_seeds(experiments.stability_spec(config.spec).master_seed, 1)
+    return report.passed, {"large_k_report.json": _json_file(report)}, record
 
 
-def _run_limit_law_table(p: dict, manifest: RunManifest) -> tuple[int, dict]:
+def _run_limit_law_table(p: dict) -> tuple[bool, dict, dict]:
     law = Gamma0Law(p["gamma0"])
     start, stop, step = p["grid"]
     r_grid = np.arange(start, stop, step)
@@ -451,14 +418,13 @@ def _run_limit_law_table(p: dict, manifest: RunManifest) -> tuple[int, dict]:
     if r_grid.size and stop - r_grid[-1] < step / 2:
         r_grid = r_grid[:-1]
     r_grid = np.append(r_grid, stop)
-    return EXIT_OK, {"limit_law_cdf.csv": _csv_file(["r", "cdf"], law.cdf_table(r_grid))}
+    return True, {"limit_law_cdf.csv": _csv_file(["r", "cdf"], law.cdf_table(r_grid))}, {}
 
 
-def _run_law_diagnostics(p: dict, manifest: RunManifest) -> tuple[int, dict]:
+def _run_law_diagnostics(p: dict) -> tuple[bool, dict, dict]:
     report = moment_diagnostics(p["law"], p["n"], p["sample_count"], p["seed"])
-    manifest.seeds = trial_seeds(p["seed"], 1)
-    return EXIT_OK if not report.violates_c2 else EXIT_ASSERTION, {
-        "law_diagnostics.json": _json_file(report)}
+    return not report.violates_c2, {"law_diagnostics.json": _json_file(report)}, {
+        "resolved_seeds": trial_seeds(p["seed"], 1)}
 
 
 # Subcommand "a-b" runs _run_a_b on its parsed values.
@@ -467,10 +433,11 @@ RUNNERS = {name: globals()["_run_" + name.replace("-", "_")] for name in SCHEMAS
 
 def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
         output_dir: str | None = None) -> int:
-    """Run one subcommand and return its exit status. The runner computes
-    every output first; only then is the output directory made and each
-    output written, the manifest last, so a run that exits 3 or 4 before
-    that creates no file or directory, and an unusable output directory is
+    """Run one subcommand and return its exit status: 0 if the runner's
+    verdict passed, 2 if not. The runner computes every output first; only
+    then is the manifest rendered, the output directory made and each output
+    written, the manifest last, so a run that exits 3 or 4 before that
+    creates no file or directory, and an unusable output directory is
     reported after the computation. The numeric clause comes first:
     np.linalg.LinAlgError, which the decompositions and solve_s raise, is a
     ValueError. A trial worker that ended without a result
@@ -481,14 +448,24 @@ def run(subcommand: str, config_file: str, overrides: list[str] | None = None,
             raise ConfigError("unknown subcommand")
         values = validate_keys(subcommand, cfg)
         out_dir = output_dir or values.get("output_dir", ".")
-        manifest = RunManifest(subcommand, cfg)
+        started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         with linalg.one_blas_thread():
-            status, outputs = RUNNERS[subcommand](values, manifest)
-            outputs["manifest.json"] = manifest.text(outputs)
+            passed, outputs, record = RUNNERS[subcommand](values)
+            outputs["manifest.json"] = _json_file({
+                "artifact_version": autocov_spectra.__version__,
+                "subcommand": subcommand,
+                "config": {**DEFAULTS[subcommand], **cfg},
+                "ignored_keys": sorted(set(cfg) - set(SCHEMAS[subcommand])),
+                "resolved_seeds": [], "thresholds": {}, **record,
+                "outputs": sorted(outputs),
+                "started": started,
+                "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "environment": _environment(),
+            })
             os.makedirs(out_dir, exist_ok=True)
             for name, text in outputs.items():
                 _write_output(os.path.join(out_dir, name), text)
-        return status
+        return EXIT_OK if passed else EXIT_ASSERTION
     except (np.linalg.LinAlgError, experiments.TrialWorkerError) as exc:
         print(f"numeric backend failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

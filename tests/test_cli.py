@@ -321,6 +321,21 @@ class TestManifestConfig:
         assert manifest["config"].items() >= payload.items()
 
 
+class TestManifestText:
+    @pytest.mark.parametrize("subcommand", TINY_CONFIGS)
+    def test_rendered_like_every_json_output(self, tmp_path, subcommand):
+        out = tmp_path / "out"
+        status = cli.run(subcommand, write_config(tmp_path, TINY_CONFIGS[subcommand]),
+                         output_dir=str(out))
+        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert set(manifest) == {"artifact_version", "subcommand", "config", "ignored_keys",
+                                 "resolved_seeds", "thresholds", "outputs", "started",
+                                 "finished", "environment"}
+
+
 class TestManifestThresholds:
     def test_overrides_merged_with_defaults(self, tmp_path):
         # Only the key lsv-tail gates is recorded, with its override; the
@@ -542,8 +557,8 @@ class TestExitCodes:
         # radius passes: both exited 0, with TV 0.131 and 0.035.
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 0.7}),
         ("hermitize", {"n": 16, "N": 16, "k": 1, "seed": 1, "h": 1.0}),
-        # Too deep for json to parse; parsed, but too deep for the manifest to
-        # render, which is found before the runner writes its outputs.
+        # Too deep for json to parse; parsed, but too deep to render, which
+        # load_config finds before any key is parsed.
         ("esd", '{"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": '
                 + "[" * 100_000 + "]" * 100_000 + "}"),
         ("limit-law-table", '{"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, '
@@ -579,8 +594,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("depth,message", [
         (5000, "override 'h' nests too deeply to parse"),
-        # Parsed, but too deep for the manifest: esd never reads h, so only
-        # the manifest's rendering of the config can find it.
+        # Parsed, but too deep to render: validate_keys parses h for esd too
+        # and would reject it, but load_config's render check runs first.
         (600, "config nests too deeply to record in the manifest"),
     ], ids=["unparsable", "unrecordable"])
     def test_deeply_nested_override_exits_three_before_any_output(self, tmp_path, capsys,
