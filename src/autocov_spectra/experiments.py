@@ -128,23 +128,12 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _send_chunk(per_trial, start: int, stop: int, fd: int) -> None:
-    """Worker side of map_trials: pickle (True, results) of trials start ..
-    stop-1, or (False, exception) of the first that raised, into fd. A
-    payload that cannot be pickled raises here, so the child sends nothing."""
-    try:
-        payload = (True, [per_trial(i) for i in range(start, stop)])
-    except BaseException as exc:  # sent to map_trials, which raises it
-        payload = (False, exc)
-    data = pickle.dumps(payload)
-    with open(fd, "wb") as fh:
-        fh.write(data)
-
-
 def _fork_chunk(per_trial, start: int, stop: int) -> tuple[int, int] | None:
-    """(pid, read end of its pipe) of a forked child that sends trials start
-    .. stop-1 (_send_chunk) and ends with os._exit; None if no pipe or child
-    can be made."""
+    """(pid, read end of its pipe) of a forked child that pickles (True,
+    results) of trials start .. stop-1, or (False, exception) of the first
+    that raised, into the pipe and ends with os._exit; None if no pipe or
+    child can be made. A payload that cannot be pickled raises in the child,
+    which then sends nothing and exits with status 1."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -159,7 +148,12 @@ def _fork_chunk(per_trial, start: int, stop: int) -> tuple[int, int] | None:
         status = 1
         try:
             os.close(read_fd)
-            _send_chunk(per_trial, start, stop, write_fd)
+            try:
+                payload = (True, [per_trial(i) for i in range(start, stop)])
+            except BaseException as exc:  # sent to map_trials, which raises it
+                payload = (False, exc)
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(payload))
             status = 0
         finally:
             os._exit(status)
@@ -179,7 +173,8 @@ def map_trials(trials: int, per_trial) -> list:
     failing trial, as the serial loop would; a child that ends without
     sending a result raises TrialWorkerError. No child outlives the call.
     Chunks left without a child, when no pipe or process can be made, run
-    in this process. A trial may be any independent task: large_k_experiment
+    in this process; one loop takes every chunk in order, running or
+    collecting it. A trial may be any independent task: large_k_experiment
     maps two unlike ones. All chunks run under linalg.one_blas_thread, and
     the caller's count comes back on return: at OpenBLAS's default count,
     forked chunks stalled a library caller's large_k_experiment up to 2.3 s.
@@ -192,22 +187,23 @@ def map_trials(trials: int, per_trial) -> list:
     """
     workers = max(1, min(usable_cpus(), trials))
     bounds = [(w * trials // workers, (w + 1) * trials // workers) for w in range(workers)]
-    children = []  # (pid, read end) of every child not yet reaped, in chunk order
-    tail = trials  # trials from tail on run here, after the children's
+    children = {}  # chunk start: (pid, read end) of every child not yet reaped
     with linalg.one_blas_thread():
         try:
             for start, stop in bounds[1:]:
                 child = _fork_chunk(per_trial, start, stop)
                 if child is None:
-                    tail = start
                     break
-                children.append(child)
-            results = [per_trial(i) for i in range(*bounds[0])]
-            for (start, stop), child in zip(bounds[1:], list(children)):
-                pid, read_fd = child
+                children[start] = child
+            results = []
+            for start, stop in bounds:
+                if start not in children:
+                    results.extend(per_trial(i) for i in range(start, stop))
+                    continue
+                pid, read_fd = children[start]
                 data = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.remove(child)  # reaped: the finally must not kill or wait it again
+                del children[start]  # reaped: the finally must not kill or wait it again
                 os.close(read_fd)
                 try:
                     ok, value = pickle.loads(data)
@@ -217,10 +213,9 @@ def map_trials(trials: int, per_trial) -> list:
                 if not ok:
                     raise value
                 results.extend(value)
-            results.extend(per_trial(i) for i in range(tail, trials))
             return results
         finally:
-            for pid, read_fd in children:
+            for pid, read_fd in children.values():
                 os.kill(pid, signal.SIGKILL)
                 os.close(read_fd)
                 os.waitpid(pid, 0)
@@ -585,6 +580,8 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
     a = 1.0 - spec.gamma1
     z_list = [complex(z) for z in z_list]
     t_list = [float(t) for t in t_list]
+    # Built first, so a point the solver rejects fails before any trial runs.
+    points = [ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a) for z in z_list for t in t_list]
 
     def spectra():
         return [companion_eigenvalues(*sampled_companion(s, 0))
@@ -592,8 +589,7 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
 
     def resolvent():
         means = resolvent_trace_means(spec, config.trials, z_list, t_list)
-        return means, [predicted_stieltjes(ResolventParams(z=z, t=t, gamma0=spec.gamma0, a=a))
-                       for z in z_list for t in t_list]
+        return means, [predicted_stieltjes(params) for params in points]
 
     tasks = (spectra, resolvent)
     (big_eigs, eigs), (means, predictions) = map_trials(2, lambda i: tasks[i]())

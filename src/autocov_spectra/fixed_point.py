@@ -27,6 +27,10 @@ SOLVER_TOL = 1e-12
 BISECTION_STEPS = 64
 # Points per decade of solve_s's geometric t-continuation grid.
 STEPS_PER_DECADE = 40
+# Largest |z|. solve_s squares |z| and t and walks t down from max(10,
+# 10|z|), so t may be 10 times this. No |z| or t above 1e20 was solved in
+# scans; from about 1e153 on the arithmetic overflows.
+MAX_ABS_Z = 1e150
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,24 @@ class ResolventParams:
     def __post_init__(self):
         if self.z == 0:
             raise ValueError("z = 0 is excluded")
+        if not abs(self.z) <= MAX_ABS_Z:
+            raise ValueError(f"|z| must be at most {MAX_ABS_Z:g}, got {abs(self.z):g}")
         if not 0 < self.t < np.inf:
             raise ValueError("t must be positive and finite")
+        if not self.t <= 10 * MAX_ABS_Z:
+            raise ValueError(f"t must be at most {10 * MAX_ABS_Z:g}, got {self.t:g}")
+        if self.t_start / self.t == np.inf:
+            raise ValueError(f"t = {self.t:g} is too small for |z| = {abs(self.z):g}: "
+                             "max(10, 10|z|) / t overflows")
         if not 0 < self.gamma0 < np.inf:
             raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.a <= 0.5:
             raise ValueError("a must lie in (0, 1/2] (the large-lag regime)")
+
+    @property
+    def t_start(self) -> float:
+        """First t of solve_s's continuation, where the asymptote is accurate."""
+        return max(10.0, 10.0 * abs(self.z))
 
 
 @dataclass
@@ -125,7 +141,7 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
     positive root closest to the previous one.
     """
     t_target = params.t
-    t_start = max(10.0, 10.0 * abs(params.z))
+    t_start = params.t_start
     if t_target >= t_start:
         path = [t_target]
     else:

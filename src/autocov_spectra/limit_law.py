@@ -16,6 +16,9 @@ import numpy as np
 # Halvings of g's domain in g_inverse. The domain is at most 1 wide, so 64
 # halvings shrink the bracket to 2^-64 < 6e-20, below float64 resolution.
 BISECTION_STEPS = 64
+# Largest gamma0: g multiplies three factors of about gamma0 at the top of
+# its domain, which overflows above about 5e102.
+MAX_GAMMA0 = 1e100
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,8 @@ class Gamma0Law:
     def __post_init__(self):
         if not 0.0 < self.gamma0 < np.inf:
             raise ValueError(f"gamma0 must be in (0, inf), got {self.gamma0}")
+        if self.gamma0 > MAX_GAMMA0:
+            raise ValueError(f"gamma0 must be at most {MAX_GAMMA0:g}, got {self.gamma0:g}")
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -480,6 +480,26 @@ class TestLargeKRun:
         assert status == (cli.EXIT_ASSERTION if zeroed else cli.EXIT_OK)
 
 
+# Magnitudes whose arithmetic overflowed: (subcommand, config, message) by
+# id. Each exited 3 with (34, 'Numerical result out of range') or "cannot
+# convert float infinity to integer", the last two after a numpy warning.
+OVERFLOWING_MAGNITUDES = {
+    "huge-fixed-point-z": (
+        "fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1e300], "t_list": [0.5]},
+        "|z| must be at most 1e+150, got 1e+300"),
+    "tiny-fixed-point-t": (
+        "fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [1e-308]},
+        "t = 1e-308 is too small for |z| = 1: max(10, 10|z|) / t overflows"),
+    "huge-large-k-z": (
+        "large-k", {"n": 16, "N": 16, "k": 8, "seed": 1, "trials": 1,
+                    "z_list": [1e200], "t_list": [1e-300]},
+        "|z| must be at most 1e+150, got 1e+200"),
+    "huge-gamma0": (
+        "limit-law-table", {"gamma0": 1e300, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}},
+        "gamma0 must be at most 1e+100, got 1e+300"),
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("subcommand,payload", [
         ("esd", {"n": 16, "N": 16, "k": 1, "seed": 1, "trials": 1, "law": "bogus"}),
@@ -566,6 +586,7 @@ class TestExitCodes:
         # A misspelt grid key: it exited 0 and the manifest recorded "stpe".
         ("limit-law-table", {"gamma0": 1.0, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5,
                                                      "stpe": 0.1}}),
+        *[(subcommand, payload) for subcommand, payload, _ in OVERFLOWING_MAGNITUDES.values()],
     ], ids=["unknown-law", "non-integer-trials", "small-lag-gamma1", "negative-t",
             "zero-trials", "zero-h", "non-numeric-h", "negative-gamma0",
             "non-numeric-step", "zero-step", "non-integer-n", "zero-n",
@@ -579,7 +600,8 @@ class TestExitCodes:
             "nan-threshold", "infinite-threshold", "string-t-list", "string-z-list",
             "mapping-z-list", "n-without-seed", "seed-without-n", "unknown-half-width",
             "misspelt-trials", "coarse-h", "three-block-h-0.7", "three-block-h-1",
-            "deeply-nested-law", "deeply-nested-grid-value", "misspelt-grid-step"])
+            "deeply-nested-law", "deeply-nested-grid-value", "misspelt-grid-step",
+            *OVERFLOWING_MAGNITUDES])
     def test_config_errors_exit_three_without_traceback(self, tmp_path, capsys,
                                                         subcommand, payload):
         # In-process: an exception escaping cli.main fails the test.
@@ -590,6 +612,16 @@ class TestExitCodes:
         assert err.startswith(f"config error: {subcommand}: ")
         assert err.count(subcommand) == 1
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand,payload,message", OVERFLOWING_MAGNITUDES.values(),
+                             ids=list(OVERFLOWING_MAGNITUDES))
+    def test_out_of_range_magnitudes_name_the_key(self, tmp_path, subcommand, payload, message):
+        # A fresh interpreter, so that a numpy overflow warning would reach
+        # stderr, where the in-process test above cannot see it.
+        proc = run_cli(subcommand, write_config(tmp_path, payload), tmp_path / "out")
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr == f"config error: {subcommand}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depth,message", [

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import time
 import tracemalloc
 import weakref
 from dataclasses import dataclass
@@ -598,6 +599,57 @@ class TestMapTrials:
         monkeypatch.setattr(os, "fork", no_fork)
         assert experiments.map_trials(7, lambda i: (i, os.getpid())) == [
             (i, os.getpid()) for i in range(7)]
+
+    def test_chunks_after_a_failed_fork_run_here(self, monkeypatch):
+        # 7 trials on 3 workers, and the second fork fails: trials 0-1 and
+        # 4-6 run here, 2-3 in the one child, and come back in trial order.
+        real_fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError("no process to spare")
+            return real_fork()
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        got = experiments.map_trials(7, lambda i: (i, os.getpid()))
+        here = os.getpid()
+        assert [i for i, _ in got] == list(range(7))
+        pids = [pid for _, pid in got]
+        assert pids[:2] + pids[4:] == [here] * 5
+        assert pids[2] == pids[3] != here
+        assert len(forks) == 2
+
+    def test_failing_trial_here_leaves_no_child(self, monkeypatch):
+        # Trial 0 fails in this process while both children sleep: its error
+        # is raised, and the children are killed and reaped, not waited out.
+        real_fork, forked = os.fork, []
+        parent = os.getpid()
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def trial(i):
+            if os.getpid() != parent:
+                time.sleep(60)
+            if i == 0:
+                raise np.linalg.LinAlgError("trial 0 failed")
+            return i
+
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        started = time.monotonic()
+        with pytest.raises(np.linalg.LinAlgError, match="^trial 0 failed$"):
+            experiments.map_trials(9, trial)
+        assert time.monotonic() - started < 30
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_worker_sees_one_blas_thread(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)

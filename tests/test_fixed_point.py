@@ -317,3 +317,24 @@ def test_params_validation():
         ResolventParams(z=1.0, t=-1.0, gamma0=1.0, a=0.5)
     with pytest.raises(ValueError):
         ResolventParams(z=1.0, t=0.5, gamma0=1.0, a=0.9)
+
+
+@pytest.mark.parametrize("z,t,message", [
+    (1e151, 0.5, r"^\|z\| must be at most 1e\+150, got 1e\+151$"),
+    (1e300j, 0.5, r"^\|z\| must be at most 1e\+150, got 1e\+300$"),
+    (1.0, 1e152, r"^t must be at most 1e\+151, got 1e\+152$"),
+    (3.0, 1e-307, r"^t = 1e-307 is too small for \|z\| = 3: "),
+])
+def test_params_out_of_range_magnitude_names_the_parameter(z, t, message):
+    # Each of these once overflowed inside solve_s, with a message that
+    # named no parameter.
+    with pytest.raises(ValueError, match=message):
+        ResolventParams(z=z, t=t, gamma0=1.0, a=0.5)
+
+
+def test_params_accept_magnitudes_at_the_bounds():
+    # solve_s's path starts at t = 10 |z|, so the largest |z| rebuilds its
+    # params at t = 10 * MAX_ABS_Z.
+    ResolventParams(z=fixed_point.MAX_ABS_Z, t=10 * fixed_point.MAX_ABS_Z, gamma0=1.0, a=0.5)
+    # t = 1e-307 still solves at gamma0 = 10: max(10, 10|z|) / t is finite.
+    assert solve_s(ResolventParams(z=1.0, t=1e-307, gamma0=10.0, a=0.5)).s > 0

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from autocov_spectra import cli
 from autocov_spectra.experiments import ks_statistic
-from autocov_spectra.limit_law import Gamma0Law
+from autocov_spectra.limit_law import MAX_GAMMA0, Gamma0Law
 
 
 GAMMA0S = (0.1, 0.5, 1.0, 1.7, 2.0, 4.0)
@@ -54,6 +54,17 @@ class TestG:
             Gamma0Law(2.0).g(0.5)
         with pytest.raises(ValueError):
             Gamma0Law(1.0).g(1.5)
+
+    def test_largest_gamma0_stays_finite(self, recwarn):
+        # g(gamma0) multiplies three factors of about gamma0, so a larger
+        # gamma0 would overflow it: 1e300 once raised OverflowError from
+        # inner_radius, after an overflow warning.
+        law = Gamma0Law(MAX_GAMMA0)
+        cdf = law.radial_cdf(np.linspace(0.0, 1.1 * law.support_radius, 9))
+        assert np.all(np.isfinite(cdf)) and cdf[-1] == 1.0
+        assert not recwarn.list
+        with pytest.raises(ValueError, match=r"^gamma0 must be at most 1e\+100, got 1e\+300$"):
+            Gamma0Law(1e300)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.2, 3.0), st.floats(0.0, 1.0), st.floats(1e-6, 0.5))
