@@ -28,9 +28,9 @@ Every run calls BLAS on one thread (linalg.one_blas_thread), so outputs do
 not depend on the caller's BLAS thread setting; the manifest records the
 count together with the numpy version and its BLAS build. lsv-tail spreads
 its trials, large-k its spectra and its resolvent trials, and esd its
-trials when each eigensolves a matrix of side at least
-experiments.ESD_FORK_MIN_SIDE, over the usable CPUs
-(experiments.map_trials), whose forked workers inherit the pin.
+trials and the trial-0 spectrum its CSVs take, when each eigensolves a
+matrix of side at least experiments.ESD_FORK_MIN_SIDE, over the usable
+CPUs (experiments.map_trials), whose forked workers inherit the pin.
 
 A CLI process, run as a program (python -m) or through the autocov-spectra
 console script (startup.main), starts with startup.start before numpy loads,
@@ -62,10 +62,8 @@ from autocov_spectra import experiments, linalg
 from autocov_spectra.ensembles import (
     EnsembleSpec,
     EntryLaw,
-    companion_eigenvalues,
     moment_diagnostics,
     sample_entry_matrix,
-    sampled_companion,
     trial_seeds,
 )
 from autocov_spectra.experiments import ExperimentConfig
@@ -338,8 +336,7 @@ def _environment() -> dict:
 # decides the exit status and writes the outputs and the manifest.
 def _run_esd(p: dict) -> tuple[bool, dict, dict]:
     config, record = _experiment_config(p, "radial_ks")
-    report = experiments.esd_experiment(config)
-    eigs = companion_eigenvalues(*sampled_companion(config.spec, 0))
+    report, eigs = experiments.esd_experiment(config)
     radii = np.sort(np.abs(eigs)).tolist()
     return report.passed, {
         "esd_report.json": _json_file(report),

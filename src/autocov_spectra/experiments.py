@@ -281,32 +281,38 @@ class ConvergenceReport:
     passed: bool
 
 
-def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    """Take each trial's N eigenvalues of Y from sampled_companion (holding
-    neither X nor Y when n - k < N - 1), compare their empirical radial CDF
-    to the small-lag limit law, and test angular uniformity.
+def esd_experiment(config: ExperimentConfig) -> tuple[ConvergenceReport, np.ndarray]:
+    """(report, eigs): take each trial's N eigenvalues of Y from
+    sampled_companion (holding neither X nor Y when n - k < N - 1), compare
+    their empirical radial CDF to the small-lag limit law, and test angular
+    uniformity; eigs are trial 0's N eigenvalues, which the CLI writes out.
 
     The radial KS scores atom_radii(eigs) with the law's left limit
     (Gamma0Law.radial_cdf_left), so when gamma0 > 1 the structural zeros of
     Y (rank <= n - k) fall in the law's atom at 0 instead of each scoring
     the atom's whole mass as a deviation.
 
-    The trials are independent and run through map_trials when each
+    The tasks are the trials and, last, trial 0's spectrum, eigensolved
+    again. They are independent and run through map_trials when each
     eigensolves a matrix of side at least ESD_FORK_MIN_SIDE
-    (companion_side); below it a forked worker costs more than it saves, and
-    they run in this process. The report is the same either way."""
+    (companion_side), so trials + 1 solves split evenly over the CPUs; below
+    it a forked worker costs more than it saves, and they run in this
+    process, in task order. The results are the same either way."""
     spec = config.spec
     law = Gamma0Law(spec.gamma0)
 
-    def trial(index: int) -> tuple[float, float]:
-        eigs = companion_eigenvalues(*sampled_companion(spec, index))
+    def task(index: int):
+        # Task config.trials is trial 0's again, and returns its eigenvalues.
+        eigs = companion_eigenvalues(*sampled_companion(spec, index % config.trials))
+        if index == config.trials:
+            return eigs
         return (ks_statistic(atom_radii(eigs), law.radial_cdf, law.radial_cdf_left),
                 rotation_invariance_test(eigs))
 
     if companion_side(spec) >= ESD_FORK_MIN_SIDE:
-        results = map_trials(config.trials, trial)
+        *results, eigs = map_trials(config.trials + 1, task)
     else:
-        results = [trial(i) for i in range(config.trials)]
+        *results, eigs = [task(i) for i in range(config.trials + 1)]
     radial_ks, angular_ks = map(list, zip(*results))
     mean_radial = float(np.mean(radial_ks))
     finite_ang = [a for a in angular_ks if np.isfinite(a)]
@@ -319,7 +325,7 @@ def esd_experiment(config: ExperimentConfig) -> ConvergenceReport:
         mean_angular_ks=mean_angular,
         seeds=trial_seeds(spec.master_seed, config.trials),
         passed=bool(passed),
-    )
+    ), eigs
 
 
 @dataclass

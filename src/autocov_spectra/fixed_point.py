@@ -58,11 +58,29 @@ class ResolventParams:
             raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.a <= 0.5:
             raise ValueError("a must lie in (0, 1/2] (the large-lag regime)")
+        # solve_s's companion matrices would hold an inf or a nan, which
+        # numpy rejects with a message that names no parameter.
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(_monic_poly(self, self.t_path)).all()
+        if not finite:
+            raise ValueError(f"|z| = {abs(self.z):g}, t = {self.t:g} and gamma0 = {self.gamma0:g} "
+                             "are out of range: the master quintic's coefficients over "
+                             "t^2 + |z|^2 are not all finite on the solver's t-path")
 
     @property
     def t_start(self) -> float:
         """First t of solve_s's continuation, where the asymptote is accurate."""
         return max(10.0, 10.0 * abs(self.z))
+
+    @property
+    def t_path(self) -> list[float]:
+        """solve_s's continuation: a geometric grid from t_start down to t,
+        or t alone when t >= t_start."""
+        if self.t >= self.t_start:
+            return [self.t]
+        decades = np.log10(self.t_start / self.t)
+        count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
+        return np.geomspace(self.t_start, self.t, count).tolist()
 
 
 @dataclass
@@ -81,20 +99,26 @@ def master_relation(s: float, params: ResolventParams) -> float:
     return (t + w) * (t * s + w * s - g0) + s * abs(params.z) ** 2
 
 
-def _master_poly(params: ResolventParams) -> np.ndarray:
-    """Ascending coefficients of master_relation * (1+s^2)^2."""
-    t, a, g0 = params.t, params.a, params.gamma0
+def _master_poly(params: ResolventParams, t: float) -> np.ndarray:
+    """Ascending coefficients of master_relation * (1+s^2)^2 at t."""
+    a, g0 = params.a, params.gamma0
     p3 = abs(params.z) ** 2 * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0])
     return np.convolve([t, a, t], [-g0, t, a - g0, t]) + p3
+
+
+def _monic_poly(params: ResolventParams, path) -> np.ndarray:
+    """The master quintic's lower coefficients over its leading one, t^2 +
+    |z|^2, at each t of path, one row each."""
+    c = np.array([_master_poly(params, t) for t in path])
+    return c[:, :-1] / c[:, -1:]
 
 
 def _path_roots(params: ResolventParams, path) -> np.ndarray:
     """Roots of the master quintic at each t of path, one row each: the
     eigenvalues of numpy.polynomial's polycompanion matrices, stacked."""
-    c = np.array([_master_poly(replace(params, t=t)) for t in path])
     companion = np.zeros((len(path), 5, 5))
     companion[:, 1:, :-1] = np.eye(4)
-    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    companion[:, :, -1] -= _monic_poly(params, path)
     return np.linalg.eigvals(companion)
 
 
@@ -140,14 +164,7 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
     walks a geometric t-grid down to the target, at each step keeping the
     positive root closest to the previous one.
     """
-    t_target = params.t
-    t_start = params.t_start
-    if t_target >= t_start:
-        path = [t_target]
-    else:
-        decades = np.log10(t_start / t_target)
-        count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
-        path = np.geomspace(t_start, t_target, count).tolist()
+    path = params.t_path
     s_prev = large_t_asymptote(replace(params, t=path[0]))
     for t, roots in zip(path, _path_roots(params, path)):
         real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real

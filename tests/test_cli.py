@@ -480,9 +480,13 @@ class TestLargeKRun:
         assert status == (cli.EXIT_ASSERTION if zeroed else cli.EXIT_OK)
 
 
+OUT_OF_RANGE = (" are out of range: the master quintic's coefficients over t^2 + |z|^2 "
+                "are not all finite on the solver's t-path")
 # Magnitudes whose arithmetic overflowed: (subcommand, config, message) by
-# id. Each exited 3 with (34, 'Numerical result out of range') or "cannot
-# convert float infinity to integer", the last two after a numpy warning.
+# id. The first four exited 3 with (34, 'Numerical result out of range') or
+# "cannot convert float infinity to integer", the third and fourth after a
+# numpy warning; the last four exited 4 with "numeric backend failure: Array
+# must not contain infs or NaNs" after numpy's RuntimeWarnings.
 OVERFLOWING_MAGNITUDES = {
     "huge-fixed-point-z": (
         "fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1e300], "t_list": [0.5]},
@@ -497,6 +501,22 @@ OVERFLOWING_MAGNITUDES = {
     "huge-gamma0": (
         "limit-law-table", {"gamma0": 1e300, "grid": {"start": 0.0, "stop": 1.0, "step": 0.5}},
         "gamma0 must be at most 1e+100, got 1e+300"),
+    # t^2 + |z|^2, the master quintic's leading coefficient, underflows to 0.
+    "tiny-fixed-point-z-and-t": (
+        "fixed-point", {"gamma0": 1.0, "gamma1": 0.5, "z_list": [1e-300], "t_list": [1e-307]},
+        "|z| = 1e-300, t = 1e-307 and gamma0 = 1" + OUT_OF_RANGE),
+    # gamma0 t overflows.
+    "huge-fixed-point-gamma0-t": (
+        "fixed-point", {"gamma0": 1e300, "gamma1": 0.5, "z_list": [1.0], "t_list": [1e10]},
+        "|z| = 1, t = 1e+10 and gamma0 = 1e+300" + OUT_OF_RANGE),
+    "tiny-fixed-point-gamma0": (
+        "fixed-point", {"gamma0": 1.2251743558000783e-75, "gamma1": 0.84,
+                        "z_list": [1.671341345476137e-272], "t_list": [6.884142389464765e-235]},
+        "|z| = 1.67134e-272, t = 6.88414e-235 and gamma0 = 1.22517e-75" + OUT_OF_RANGE),
+    "huge-fixed-point-gamma0-tiny-t": (
+        "fixed-point", {"gamma0": 1.5476340718728332e+269, "gamma1": 0.84,
+                        "z_list": [2.0880029846122828e-70], "t_list": [2.868015299462606e-244]},
+        "|z| = 2.088e-70, t = 2.86802e-244 and gamma0 = 1.54763e+269" + OUT_OF_RANGE),
 }
 
 
@@ -918,16 +938,22 @@ class TestExitCodes:
 
     def test_esd_trial_zero_spectrum_failure_writes_nothing(self, tmp_path, monkeypatch,
                                                             capsys):
-        # The report is computed before trial 0's spectrum, which then fails:
-        # it used to leave esd_report.json without a manifest.
-        def failing(spec, i):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # Every trial succeeds, then trial 0's spectrum for the CSVs, the
+        # last task, fails: it used to leave esd_report.json without a manifest.
+        sampled, calls = experiments.sampled_companion, []
 
-        monkeypatch.setattr(cli, "sampled_companion", failing)
+        def failing(spec, i):
+            calls.append(i)
+            if calls.count(0) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return sampled(spec, i)
+
+        monkeypatch.setattr(experiments, "sampled_companion", failing)
         out = tmp_path / "out"
         status = cli.run("esd", write_config(tmp_path, TINY_CONFIGS["esd"]), output_dir=str(out))
         assert status == cli.EXIT_NUMERIC
         assert capsys.readouterr().err == "numeric backend failure: Eigenvalues did not converge\n"
+        assert calls == [0, 1, 0]
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [[], ["keep.txt"]], ids=["empty", "with-a-file"])
@@ -1137,7 +1163,8 @@ class TestTrialWorkers:
                           f"{min(failing)}\n"}
 
     def test_esd_worker_without_result_exits_four(self, tmp_path, monkeypatch, capsys):
-        # 7 trials on 2 workers: trials 3-6 run in the child, which dies.
+        # 7 trials and trial 0's spectrum on 2 workers: tasks 4-7 run in the
+        # child, which dies.
         parent = os.getpid()
 
         def die(i):
@@ -1150,7 +1177,7 @@ class TestTrialWorkers:
         cfg = write_config(tmp_path, {"n": 24, "N": 24, "k": 1, "seed": 4, "trials": 7})
         assert cli.run("esd", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert capsys.readouterr().err == ("numeric backend failure: the worker for trials "
-                                           "3-6 ended with status 1 and no result\n")
+                                           "4-7 ended with status 1 and no result\n")
 
     def test_large_k_report_independent_of_worker_count(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, self.LARGE_K)

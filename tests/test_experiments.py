@@ -170,9 +170,12 @@ class TestEsdExperiment:
     def test_determinism_and_fields(self):
         config = ExperimentConfig(
             spec=EnsembleSpec(n=64, N=64, k=1, master_seed=3), trials=2)
-        rep1 = esd_experiment(config)
-        rep2 = esd_experiment(config)
+        rep1, eigs1 = esd_experiment(config)
+        rep2, eigs2 = esd_experiment(config)
         assert rep1.radial_ks_per_trial == rep2.radial_ks_per_trial
+        # eigs: trial 0's spectrum, as the CLI's CSVs take it.
+        trial_0 = ensembles.companion_eigenvalues(*ensembles.sampled_companion(config.spec, 0))
+        assert eigs1.tobytes() == eigs2.tobytes() == trial_0.tobytes()
         assert len(rep1.seeds) == 2 and rep1.seeds[0] != rep1.seeds[1]
         assert rep1.mean_radial_ks == pytest.approx(
             np.mean(rep1.radial_ks_per_trial))
@@ -180,7 +183,7 @@ class TestEsdExperiment:
     def test_moderate_size_passes_threshold(self):
         config = ExperimentConfig(
             spec=EnsembleSpec(n=128, N=128, k=1, master_seed=4), trials=2)
-        rep = esd_experiment(config)
+        rep, _ = esd_experiment(config)
         assert rep.passed
         assert rep.mean_radial_ks <= DEFAULT_THRESHOLDS["radial_ks"]
 
@@ -190,14 +193,14 @@ class TestEsdExperiment:
         # eigensolver's rounding noise inside the atom.
         config = ExperimentConfig(
             spec=EnsembleSpec(n=64, N=64, k=20, master_seed=1), trials=2)
-        assert esd_experiment(config).radial_ks_per_trial == [20 / 64, 20 / 64]
+        assert esd_experiment(config)[0].radial_ks_per_trial == [20 / 64, 20 / 64]
 
     @pytest.mark.parametrize("N", [192, 256])
     def test_wide_sample_passes_with_its_zero_atom(self, N):
         # gamma0 > 1: N - n of Y's eigenvalues sit in the law's atom at 0.
         config = ExperimentConfig(
             spec=EnsembleSpec(n=128, N=N, k=1, master_seed=4), trials=2)
-        rep = esd_experiment(config)
+        rep, _ = esd_experiment(config)
         assert rep.passed
         assert max(rep.radial_ks_per_trial) <= DEFAULT_THRESHOLDS["radial_ks"]
 
@@ -205,7 +208,7 @@ class TestEsdExperiment:
                              ids=["gamma0-2", "half-lag"])
     def test_eigensolves_take_the_companion(self, n, N, k, monkeypatch, tmp_path):
         # n - k < N - 1: each trial decomposes the (n-k) x (n-k) companion
-        # once, and the CLI decomposes trial 0's once more for its CSVs.
+        # once, and trial 0's is decomposed once more for the CLI's CSVs.
         solved, original = [], linalg.eigenvalues
 
         def recording(M):
@@ -217,21 +220,19 @@ class TestEsdExperiment:
         m, trials = n - k, 3
         esd_experiment(ExperimentConfig(spec=EnsembleSpec(n=n, N=N, k=k, master_seed=5),
                                         trials=trials))
-        assert solved == [(m, m)] * trials
+        assert solved == [(m, m)] * (trials + 1)
         solved.clear()
         cfg = tmp_path / "esd.json"
         cfg.write_text(json.dumps({"n": n, "N": N, "k": k, "seed": 5, "trials": trials}))
         cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
         assert solved == [(m, m)] * (trials + 1)
 
-    @pytest.mark.parametrize("side", [0, -1], ids=["at-the-gate", "below-the-gate"])
-    def test_cli_eigensolves_fork_only_at_the_gate(self, side, monkeypatch, tmp_path):
-        # Each solve appends "pid side" to a file, so a forked trial's solve
-        # is recorded as well as this process's. On 2 workers, 3 trials of
-        # side ESD_FORK_MIN_SIDE run trial 0 here and trials 1-2 in the
-        # worker; the CLI's re-solve of trial 0 comes last, here. One side
-        # less, every solve is here, as perfbench's small esd run sees it.
-        side += experiments.ESD_FORK_MIN_SIDE
+    @staticmethod
+    def cli_solves(monkeypatch, tmp_path, side, trials):
+        """(pid, side) of each eigensolve of a CLI esd run at n = N = side
+        on 2 usable CPUs. Each solve appends a line to a file, so a forked
+        task's solve is recorded as well as this process's; the order of
+        lines from different processes is a race."""
         log, original = tmp_path / "solves", linalg.eigenvalues
 
         def recording(M):
@@ -241,19 +242,51 @@ class TestEsdExperiment:
 
         monkeypatch.setattr(ensembles, "eigenvalues", recording)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        trials = 3
         cfg = tmp_path / "esd.json"
         cfg.write_text(json.dumps({"n": side, "N": side, "k": 1, "seed": 6, "trials": trials}))
-        cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
-        solves = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        status = cli.run("esd", str(cfg), output_dir=str(tmp_path / "out"))
+        assert status in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    @pytest.mark.parametrize("side", [0, -1], ids=["at-the-gate", "below-the-gate"])
+    def test_cli_eigensolves_fork_only_at_the_gate(self, side, monkeypatch, tmp_path):
+        # On 2 workers, the 4 tasks of 3 trials of side ESD_FORK_MIN_SIDE
+        # split 2 and 2: trials 0-1 here, trial 2 and trial 0's spectrum for
+        # the CSVs in the worker. One side less, every solve is here, as
+        # perfbench's small esd run sees it.
+        side += experiments.ESD_FORK_MIN_SIDE
+        trials = 3
+        solves = self.cli_solves(monkeypatch, tmp_path, side, trials)
         pids = [pid for pid, _ in solves]
         here = os.getpid()
         assert [size for _, size in solves] == [side] * (trials + 1)
         if side < experiments.ESD_FORK_MIN_SIDE:
             assert pids == [here] * (trials + 1)
         else:
-            assert pids[-1] == here and pids.count(here) == 2
+            assert pids.count(here) == 2
             assert len(set(pids)) == 2
+
+    def test_odd_trial_count_splits_the_solves_evenly(self, monkeypatch, tmp_path):
+        # 5 trials and trial 0's spectrum are 6 eigensolves: trials 0-2 here
+        # and, in one worker, trials 3-4 and trial 0 again, so neither CPU
+        # waits on the other for a whole solve. Each task samples through
+        # experiments.sampled_companion, which logs "pid trial".
+        log, sampled = tmp_path / "samples", experiments.sampled_companion
+
+        def recording(spec, i):
+            with open(log, "a") as fh:
+                fh.write("%d %d\n" % (os.getpid(), i))
+            return sampled(spec, i)
+
+        monkeypatch.setattr(experiments, "sampled_companion", recording)
+        monkeypatch.setattr(experiments, "ESD_FORK_MIN_SIDE", 1)
+        pids = [pid for pid, _ in self.cli_solves(monkeypatch, tmp_path, 16, 5)]
+        here = os.getpid()
+        (worker,) = set(pids) - {here}
+        assert len(pids) == 6 and pids.count(here) == pids.count(worker) == 3
+        samples = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(i for pid, i in samples if pid == here) == [0, 1, 2]
+        assert sorted(i for pid, i in samples if pid == worker) == [0, 3, 4]
 
     @pytest.mark.parametrize("n,N,k", [(128, 256, 1), (128, 128, 64)],
                              ids=["gamma0-2", "half-lag"])
@@ -268,7 +301,7 @@ class TestEsdExperiment:
             full = [ks_statistic(atom_radii(linalg.eigenvalues(
                         build_autocov(sample_entry_matrix(spec, i), k))),
                         law.radial_cdf, law.radial_cdf_left) for i in range(2)]
-            rep = esd_experiment(ExperimentConfig(spec=spec, trials=2))
+            rep, _ = esd_experiment(ExperimentConfig(spec=spec, trials=2))
             assert np.max(np.abs(np.subtract(rep.radial_ks_per_trial, full))) <= 1e-12
             assert rep.passed == (np.mean(full) <= DEFAULT_THRESHOLDS["radial_ks"])
             assert rep.passed == (k == 1)
@@ -310,7 +343,7 @@ class TestTrialMemory:
         finally:
             tracemalloc.stop()
         y_bytes = self.N * self.N * 16
-        assert len(held) == {"esd_experiment": 2, "hermitization_pipeline": 1,
+        assert len(held) == {"esd_experiment": 3, "hermitization_pipeline": 1,
                              "cli-esd": 3}[caller]
         assert max(held) <= y_bytes * 5 // 4
 
@@ -342,7 +375,7 @@ class TestTrialMemory:
         m = n - 1
         bound = m * m * 16 + 64 * 1024
         assert bound < self.N * n * 16  # below X alone
-        calls = {"esd_experiment": 2, "hermitization_pipeline": 1, "cli-esd": 3}[caller]
+        calls = {"esd_experiment": 3, "hermitization_pipeline": 1, "cli-esd": 3}[caller]
         assert [shape for shape, _ in held] == [(m, m)] * calls
         assert max(nbytes for _, nbytes in held) <= bound
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,16 @@ def test_params_out_of_range_magnitude_names_the_parameter(z, t, message):
     # named no parameter.
     with pytest.raises(ValueError, match=message):
         ResolventParams(z=z, t=t, gamma0=1.0, a=0.5)
+
+
+def test_params_with_non_finite_path_coefficients_name_the_values():
+    # gamma0 t / (t^2 + |z|^2) peaks at t = |z|, inside solve_s's path, so
+    # it overflows there while both ends of the path stay finite. This once
+    # reached numpy's eigvals, which raised "Array must not contain infs or
+    # NaNs" after RuntimeWarnings.
+    message = "|z| = 1e-10, t = 1e-20 and gamma0 = 1e+300 are out of range: "
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="^" + re.escape(message)):
+        ResolventParams(z=1e-10, t=1e-20, gamma0=1e300, a=0.5)
 
 
 def test_params_accept_magnitudes_at_the_bounds():

@@ -1,0 +1,98 @@
+"""Committed digests of the CLI's outputs: a run that changes an output byte
+fails here, not only in a by-hand comparison with the parent commit.
+
+golden.json holds, for each TINY_CONFIGS entry run in-process with 1 and 2
+usable CPUs, the exit status, the stderr and a sha256 of each output file.
+The manifest is hashed without started, finished and environment, which
+differ from run to run. The bytes depend on numpy and its BLAS, so the file
+records both (as cli._environment names them), and the test compares only
+under that environment and skips, saying why, under any other.
+
+A change that moves an output on purpose rewrites the file in the same diff,
+so review sees which digests moved:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+from test_cli import TINY_CONFIGS
+
+from autocov_spectra import cli, experiments
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+WORKERS = (1, 2)
+# Manifest keys that differ between identical runs.
+VOLATILE = ("started", "finished", "environment")
+
+
+def environment() -> dict:
+    """What the output bytes depend on besides the source: numpy and its BLAS."""
+    env = cli._environment()
+    return {"numpy": env["numpy"], "numpy_blas": env["numpy_blas"]}
+
+
+def digest(subcommand: str, workers: int) -> dict:
+    """Exit status, stderr and {file name: sha256} of one in-process run of
+    TINY_CONFIGS[subcommand] with experiments.usable_cpus() = workers."""
+    usable, err = experiments.usable_cpus, io.StringIO()
+    experiments.usable_cpus = lambda: workers
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(TINY_CONFIGS[subcommand], fh)
+            out = os.path.join(tmp, "out")
+            with contextlib.redirect_stderr(err):
+                status = cli.run(subcommand, cfg, output_dir=out)
+            outputs = {}
+            for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+                with open(os.path.join(out, name), "rb") as fh:
+                    data = fh.read()
+                if name == "manifest.json":
+                    manifest = {key: value for key, value in json.loads(data).items()
+                                if key not in VOLATILE}
+                    data = json.dumps(manifest, sort_keys=True).encode()
+                outputs[name] = hashlib.sha256(data).hexdigest()
+    finally:
+        experiments.usable_cpus = usable
+    return {"status": status, "stderr": err.getvalue(), "outputs": outputs}
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        data = json.load(fh)
+    here = environment()
+    if data["environment"] != here:
+        pytest.skip(f"golden.json was recorded under {data['environment']}; this run has "
+                    f"{here}, whose output bytes may differ, so nothing is compared")
+    return data["runs"]
+
+
+def test_golden_covers_every_tiny_config():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        runs = json.load(fh)["runs"]
+    assert {sub: sorted(by_workers) for sub, by_workers in runs.items()} == {
+        sub: [str(w) for w in WORKERS] for sub in TINY_CONFIGS}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("subcommand", TINY_CONFIGS)
+def test_outputs_match_the_committed_digests(recorded, subcommand, workers):
+    assert digest(subcommand, workers) == recorded[subcommand][str(workers)]
+
+
+if __name__ == "__main__":
+    runs = {sub: {str(w): digest(sub, w) for w in WORKERS} for sub in TINY_CONFIGS}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"environment": environment(), "runs": runs},
+                            indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
