@@ -67,7 +67,7 @@ from autocov_spectra.ensembles import (
     trial_seeds,
 )
 from autocov_spectra.experiments import ExperimentConfig
-from autocov_spectra.fixed_point import ResolventParams, predicted_stieltjes, solve_s
+from autocov_spectra.fixed_point import ResolventParams, solve_s
 from autocov_spectra.limit_law import Gamma0Law
 
 EXIT_OK = 0
@@ -383,17 +383,15 @@ def _run_fixed_point(p: dict) -> tuple[bool, dict, dict]:
             {**p, "N": round(p["gamma0"] * p["n"]), "k": round(p["gamma1"] * p["n"])})
     points = [ResolventParams(z=z, t=t, gamma0=p["gamma0"], a=1.0 - p["gamma1"])
               for z in p["z_list"] for t in p["t_list"]]
-    solutions = [solve_s(params) for params in points]
-    means = [None] * len(points)
-    if config is not None:
-        means = experiments.resolvent_trace_means(config.spec, config.trials,
-                                                  p["z_list"], p["t_list"])
-    rows = []
-    for params, sol, mean in zip(points, solutions, means):
-        emp = 0j if mean is None else complex(mean)
-        err = math.nan if mean is None else abs(emp - predicted_stieltjes(params, sol))
-        rows.append((params.z.real, params.z.imag, params.t, sol.s,
-                     sol.g12.real, sol.g12.imag, emp.real, emp.imag, err))
+    if config is None:
+        solutions = [solve_s(params) for params in points]
+        means, errors = [0j] * len(points), [math.nan] * len(points)
+    else:
+        solutions, means, errors = experiments.resolvent_check(
+            config.spec, config.trials, p["z_list"], p["t_list"], points)
+    rows = [(params.z.real, params.z.imag, params.t, sol.s,
+             sol.g12.real, sol.g12.imag, emp.real, emp.imag, err)
+            for params, sol, emp, err in zip(points, solutions, means, errors)]
     return True, {"fixed_point.csv": _csv_file(
         ["re_z", "im_z", "t", "s", "re_g12", "im_g12",
          "empirical_re", "empirical_im", "abs_error"], rows)}, record

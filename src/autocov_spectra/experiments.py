@@ -30,9 +30,11 @@ from autocov_spectra.ensembles import (
     trial_seeds,
 )
 from autocov_spectra.fixed_point import (
+    FixedPointSolution,
     ResolventParams,
     predicted_stieltjes,
     resolvent_trace,
+    solve_s,
 )
 from autocov_spectra.limit_law import Gamma0Law
 
@@ -547,6 +549,21 @@ def resolvent_trace_means(spec: EnsembleSpec, trials: int, z_list, t_list) -> np
     return per_trial.mean(axis=-1).ravel()
 
 
+def resolvent_check(spec: EnsembleSpec, trials: int, z_list, t_list,
+                    points: list[ResolventParams]
+                    ) -> tuple[list[FixedPointSolution], list[complex], list[float]]:
+    """At every (z, t) of z_list x t_list, z-major, whose ResolventParams are
+    points: solve_s's solution, the empirical mean of resolvent_trace_means
+    and its error |empirical - predicted_stieltjes|. Every point is solved
+    once, after the trials: solving first raised the peak RSS of large-k's
+    forked task by 1.9 MB on a 2-vCPU VM (README)."""
+    means = resolvent_trace_means(spec, trials, z_list, t_list)
+    solutions = [solve_s(params) for params in points]
+    errors = [float(abs(emp - predicted_stieltjes(params, sol)))
+              for params, sol, emp in zip(points, solutions, means)]
+    return solutions, means.tolist(), errors
+
+
 def stability_spec(spec: EnsembleSpec) -> EnsembleSpec:
     """The 2n-sample of large_k_experiment's stability check: spec with n, N
     and k doubled, drawn as trial 0 of master seed + 1."""
@@ -572,7 +589,7 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
     lower rank than n - k, fails it.
 
     Task 0 takes both spectra, the 2n-sample's first, and task 1 the
-    resolvent means, then their predictions: on two CPUs map_trials(2, ...)
+    resolvent check (its means, then its solves): on two CPUs map_trials(2, ...)
     forks task 1, so every eigensolve is in this process and every resolvent
     SVD in the child; on one they run in that order. Trial 0's X is drawn
     twice, streamed for its companion and whole for its resolvent trial.
@@ -594,14 +611,12 @@ def large_k_experiment(config: ExperimentConfig, z_list, t_list) -> LargeKReport
                 for s in (stability_spec(spec), spec)]
 
     def resolvent():
-        means = resolvent_trace_means(spec, config.trials, z_list, t_list)
-        return means, [predicted_stieltjes(params) for params in points]
+        return resolvent_check(spec, config.trials, z_list, t_list, points)[2]
 
     tasks = (spectra, resolvent)
-    (big_eigs, eigs), (means, predictions) = map_trials(2, lambda i: tasks[i]())
+    (big_eigs, eigs), errors = map_trials(2, lambda i: tasks[i]())
     stability = ks_two_sample(atom_radii(eigs), atom_radii(big_eigs))
     stability_ok = stability <= config.thresholds["stability_ks"]
-    errors = [float(abs(emp - pred)) for emp, pred in zip(means, predictions)]
     mean_error = float(np.mean(errors))
     resolvent_ok = mean_error <= config.thresholds["resolvent_abs_error"]
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from autocov_spectra.linalg import _as_matrix, singular_values
 
-SOLVER_TOL = 1e-12
 # Halvings of the 2e-6 relative bracket in _refine; 64 reach float64
 # resolution long before the count runs out.
 BISECTION_STEPS = 64
@@ -123,32 +122,27 @@ def _path_roots(params: ResolventParams, path) -> np.ndarray:
 
 
 def _refine(s: float, params: ResolventParams) -> float:
-    """Polish a root of the master relation to residual <= SOLVER_TOL."""
+    """Polish the continuation's root s of the master relation by bisection
+    on [s(1 - 1e-6), s(1 + 1e-6)]; np.linalg.LinAlgError, naming the point,
+    when the relation does not change sign across that bracket."""
     lo, hi = s * (1.0 - 1e-6), s * (1.0 + 1e-6)
     f_lo, f_hi = master_relation(lo, params), master_relation(hi, params)
-    if f_lo * f_hi < 0:
-        # Bisection keeps the end whose sign matches f_lo and stops once the
-        # midpoint rounds to an end.
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if (master_relation(mid, params) < 0) == (f_lo < 0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    # Newton fallback with a numeric derivative.
-    for _ in range(50):
-        f = master_relation(s, params)
-        if abs(f) <= SOLVER_TOL:
+    # Signs, not f_lo * f_hi, which underflows to 0 at tiny scales.
+    if (f_lo < 0) == (f_hi < 0):
+        raise np.linalg.LinAlgError(
+            f"the master relation does not change sign within 1e-6 of the continuation's "
+            f"root s={s} at {params}")
+    # Bisection keeps the end whose sign matches f_lo and stops once the
+    # midpoint rounds to an end.
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
             break
-        h = max(1e-9, 1e-9 * s)
-        df = (master_relation(s + h, params) - master_relation(s - h, params)) / (2 * h)
-        if df == 0:
-            break
-        s -= f / df
-    return s
+        if (master_relation(mid, params) < 0) == (f_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def large_t_asymptote(params: ResolventParams) -> float:
@@ -162,7 +156,8 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
 
     Starts at t_start = max(10, 10 |z|) where the asymptote is accurate and
     walks a geometric t-grid down to the target, at each step keeping the
-    positive root closest to the previous one.
+    positive root closest to the previous one. np.linalg.LinAlgError, naming
+    params, when a step has no positive root or _refine finds no sign change.
     """
     path = params.t_path
     s_prev = large_t_asymptote(replace(params, t=path[0]))
@@ -172,7 +167,8 @@ def solve_s(params: ResolventParams) -> FixedPointSolution:
         if positive.size == 0:
             raise np.linalg.LinAlgError(
                 f"no positive root of the master relation at t={t} (previous s={s_prev}); "
-                f"relation at 0 is {master_relation(0.0, replace(params, t=t))}")
+                f"relation at 0 is {master_relation(0.0, replace(params, t=t))}; "
+                f"solving {params}")
         s_prev = float(positive[np.argmin(np.abs(positive - s_prev))])
     s = _refine(s_prev, params)
     g12 = -params.z * s / (params.t + params.a * s / (1.0 + s * s))

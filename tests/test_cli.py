@@ -869,6 +869,23 @@ class TestExitCodes:
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert "no positive root" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        # The companion eigensolve finds no positive root at the path's first step.
+        {"gamma0": 1e-50, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]},
+        # No sign change across _refine's bracket: a Newton fallback once
+        # exited 0 here with s off by 6.0e-4 and by 55 %.
+        {"gamma0": 1.459, "gamma1": 0.56, "z_list": [3.46], "t_list": [2.159016143435955e-28]},
+        {"gamma0": 1e-30, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]},
+    ], ids=["no-positive-root", "tiny-t", "tiny-gamma0"])
+    def test_unresolved_root_exits_four_naming_the_point(self, tmp_path, capsys, payload):
+        out = tmp_path / "out"
+        status = cli.run("fixed-point", write_config(tmp_path, payload), output_dir=str(out))
+        assert status == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric backend failure: ") and err.count("\n") == 1
+        assert f"t={payload['t_list'][0]}, gamma0={payload['gamma0']}, a=" in err
+        assert not out.exists()
+
     def test_raw_linalg_error_exits_four(self, tmp_path, monkeypatch, capsys):
         # LinAlgError is a ValueError: run must test for it before the
         # config-error clause.
@@ -1241,6 +1258,24 @@ class TestTrialWorkers:
         assert cli.run("large-k", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
         assert capsys.readouterr().err == ("numeric backend failure: the worker for trials "
                                            "1-1 ended with status 1 and no result\n")
+
+    def test_real_solver_failure_in_the_resolvent_task_exits_four(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # solve_s finds no positive root at t near 9.4e-32 on its way to
+        # t = 1e-300; on two CPUs that happens in the forked task 1.
+        cfg = write_config(tmp_path, {**TINY_CONFIGS["large-k"], "t_list": [1e-300]})
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert cli.run("large-k", cfg, output_dir=str(out)) == cli.EXIT_NUMERIC
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numeric backend failure: no positive root of the master "
+                                    "relation at t=9.4")
+        assert errors[0].endswith("; solving ResolventParams(z=(1+0j), t=1e-300, gamma0=1.0, "
+                                  "a=0.5)\n") and errors[0].count("\n") == 1
 
     def test_no_worker_outlives_the_run(self, tmp_path):
         # A fresh interpreter has no other children. lsv-tail and esd (its
