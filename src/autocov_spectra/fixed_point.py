@@ -15,7 +15,7 @@ roots at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +34,19 @@ MAX_ABS_Z = 1e150
 
 @dataclass(frozen=True)
 class ResolventParams:
-    """Point (z, t) and limit shape (gamma0, a = 1 - gamma1) for the solver."""
+    """Point (z, t) and limit shape (gamma0, a = 1 - gamma1) for the solver.
+
+    path is solve_s's t-continuation: a geometric grid from max(10, 10|z|),
+    where the asymptote is accurate, down to t, or t alone when t is at least
+    that. monic holds the master quintic's lower coefficients over its
+    leading one, t^2 + |z|^2, one row per t of path."""
 
     z: complex
     t: float
     gamma0: float
     a: float
+    path: list[float] = field(init=False, repr=False, compare=False)
+    monic: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.z == 0:
@@ -50,36 +57,29 @@ class ResolventParams:
             raise ValueError("t must be positive and finite")
         if not self.t <= 10 * MAX_ABS_Z:
             raise ValueError(f"t must be at most {10 * MAX_ABS_Z:g}, got {self.t:g}")
-        if self.t_start / self.t == np.inf:
+        t_start = max(10.0, 10.0 * abs(self.z))
+        if t_start / self.t == np.inf:
             raise ValueError(f"t = {self.t:g} is too small for |z| = {abs(self.z):g}: "
                              "max(10, 10|z|) / t overflows")
         if not 0 < self.gamma0 < np.inf:
             raise ValueError("gamma0 must be positive and finite")
         if not 0.0 < self.a <= 0.5:
             raise ValueError("a must lie in (0, 1/2] (the large-lag regime)")
+        path = [self.t]
+        if self.t < t_start:
+            count = max(2, int(np.ceil(np.log10(t_start / self.t) * STEPS_PER_DECADE)) + 1)
+            path = np.geomspace(t_start, self.t, count).tolist()
         # solve_s's companion matrices would hold an inf or a nan, which
         # numpy rejects with a message that names no parameter.
         with np.errstate(all="ignore"):
-            finite = np.isfinite(_monic_poly(self, self.t_path)).all()
-        if not finite:
+            c = np.array([_master_poly(self, t) for t in path])
+            monic = c[:, :-1] / c[:, -1:]
+        if not np.isfinite(monic).all():
             raise ValueError(f"|z| = {abs(self.z):g}, t = {self.t:g} and gamma0 = {self.gamma0:g} "
                              "are out of range: the master quintic's coefficients over "
                              "t^2 + |z|^2 are not all finite on the solver's t-path")
-
-    @property
-    def t_start(self) -> float:
-        """First t of solve_s's continuation, where the asymptote is accurate."""
-        return max(10.0, 10.0 * abs(self.z))
-
-    @property
-    def t_path(self) -> list[float]:
-        """solve_s's continuation: a geometric grid from t_start down to t,
-        or t alone when t >= t_start."""
-        if self.t >= self.t_start:
-            return [self.t]
-        decades = np.log10(self.t_start / self.t)
-        count = max(2, int(np.ceil(decades * STEPS_PER_DECADE)) + 1)
-        return np.geomspace(self.t_start, self.t, count).tolist()
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "monic", monic)
 
 
 @dataclass
@@ -105,19 +105,12 @@ def _master_poly(params: ResolventParams, t: float) -> np.ndarray:
     return np.convolve([t, a, t], [-g0, t, a - g0, t]) + p3
 
 
-def _monic_poly(params: ResolventParams, path) -> np.ndarray:
-    """The master quintic's lower coefficients over its leading one, t^2 +
-    |z|^2, at each t of path, one row each."""
-    c = np.array([_master_poly(params, t) for t in path])
-    return c[:, :-1] / c[:, -1:]
-
-
-def _path_roots(params: ResolventParams, path) -> np.ndarray:
-    """Roots of the master quintic at each t of path, one row each: the
-    eigenvalues of numpy.polynomial's polycompanion matrices, stacked."""
-    companion = np.zeros((len(path), 5, 5))
+def _path_roots(params: ResolventParams) -> np.ndarray:
+    """Roots of the master quintic at each t of params.path, one row each:
+    the eigenvalues of numpy.polynomial's polycompanion matrices, stacked."""
+    companion = np.zeros((len(params.path), 5, 5))
     companion[:, 1:, :-1] = np.eye(4)
-    companion[:, :, -1] -= _monic_poly(params, path)
+    companion[:, :, -1] -= params.monic
     return np.linalg.eigvals(companion)
 
 
@@ -154,14 +147,13 @@ def large_t_asymptote(params: ResolventParams) -> float:
 def solve_s(params: ResolventParams) -> FixedPointSolution:
     """Positive solution of the master relation, selected by t-continuation.
 
-    Starts at t_start = max(10, 10 |z|) where the asymptote is accurate and
-    walks a geometric t-grid down to the target, at each step keeping the
-    positive root closest to the previous one. np.linalg.LinAlgError, naming
-    params, when a step has no positive root or _refine finds no sign change.
+    Walks params.path from its first t, where the asymptote is accurate, down
+    to the target, at each step keeping the positive root closest to the
+    previous one. np.linalg.LinAlgError, naming params, when a step has no
+    positive root or _refine finds no sign change.
     """
-    path = params.t_path
-    s_prev = large_t_asymptote(replace(params, t=path[0]))
-    for t, roots in zip(path, _path_roots(params, path)):
+    s_prev = large_t_asymptote(replace(params, t=params.path[0]))
+    for t, roots in zip(params.path, _path_roots(params)):
         real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
         positive = np.unique(real[real > 0.0])
         if positive.size == 0:

@@ -863,7 +863,7 @@ class TestExitCodes:
     def test_fixed_point_solver_failure_exits_four(self, tmp_path, monkeypatch, capsys):
         # Every root of every continuation step is negative.
         monkeypatch.setattr(fixed_point, "_path_roots",
-                            lambda params, path: -np.ones((len(path), 5)))
+                            lambda params: -np.ones((len(params.path), 5)))
         cfg = write_config(tmp_path, {
             "gamma0": 1.0, "gamma1": 0.5, "z_list": [1.0], "t_list": [0.5]})
         assert cli.run("fixed-point", cfg, output_dir=str(tmp_path / "o")) == cli.EXIT_NUMERIC
@@ -889,7 +889,7 @@ class TestExitCodes:
     def test_raw_linalg_error_exits_four(self, tmp_path, monkeypatch, capsys):
         # LinAlgError is a ValueError: run must test for it before the
         # config-error clause.
-        def roots(params, path):
+        def roots(params):
             raise np.linalg.LinAlgError("roots did not converge")
 
         monkeypatch.setattr(fixed_point, "_path_roots", roots)

@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import re
 import warnings
 
@@ -277,10 +279,10 @@ class TestPathRoots:
     def test_rows_are_polyroots_bit_for_bit(self, grid):
         for z, t, gamma0, a in grid:
             params = ResolventParams(z=z, t=t, gamma0=gamma0, a=a)
-            path = _continuation_path(params)
-            rows = fixed_point._path_roots(params, path)
-            assert rows.shape == (len(path), 5)
-            for t_step, row in zip(path, rows):
+            assert params.path == _continuation_path(params)
+            rows = fixed_point._path_roots(params)
+            assert rows.shape == (len(params.path), 5)
+            for t_step, row in zip(params.path, rows):
                 oracle = _polyroots(z, t_step, gamma0, a).astype(complex)
                 np.testing.assert_array_equal(np.sort(row), oracle)
 
@@ -311,6 +313,50 @@ class TestPathRoots:
         params = ResolventParams(z=1.0 + 0.5j, t=t, gamma0=1.5, a=0.4)
         solve_s(params)
         assert calls == [(len(_continuation_path(params)), 5, 5)]
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 20.0], ids=["long-path", "path", "no-path"])
+    def test_one_coefficient_build_per_point(self, monkeypatch, t):
+        # One row per t of the path, built when the point is; the extra call
+        # is solve_s's one-step point at path[0] for the asymptote.
+        calls = []
+        master_poly = fixed_point._master_poly
+
+        def counted(params, t_step):
+            calls.append(t_step)
+            return master_poly(params, t_step)
+
+        monkeypatch.setattr(fixed_point, "_master_poly", counted)
+        params = ResolventParams(z=1.0 + 0.5j, t=t, gamma0=1.5, a=0.4)
+        solve_s(params)
+        assert len(calls) == len(params.path) + 1
+
+
+class TestPointIdentity:
+    """path and monic are derived from (z, t, gamma0, a) and take no part in
+    equality, hashing or repr, which the exit-4 messages print."""
+
+    def test_equal_points_compare_and_hash_alike(self):
+        p, q = (ResolventParams(z=1.0 + 0.5j, t=0.05, gamma0=1.5, a=0.4) for _ in range(2))
+        assert p == q and hash(p) == hash(q)
+        assert p != ResolventParams(z=1.0 + 0.5j, t=0.06, gamma0=1.5, a=0.4)
+
+    def test_repr_shows_only_the_parameters(self):
+        p = ResolventParams(z=1.0 + 0.5j, t=0.05, gamma0=1.5, a=0.4)
+        assert repr(p) == "ResolventParams(z=(1+0.5j), t=0.05, gamma0=1.5, a=0.4)"
+
+    @pytest.mark.parametrize("t2", [0.001, 1.0, 20.0])
+    def test_replace_rebuilds_the_path(self, t2):
+        p = ResolventParams(z=1.0 + 0.5j, t=0.05, gamma0=1.5, a=0.4)
+        fresh = ResolventParams(z=1.0 + 0.5j, t=t2, gamma0=1.5, a=0.4)
+        moved = dataclasses.replace(p, t=t2)
+        assert moved.path == fresh.path == _continuation_path(fresh)
+        np.testing.assert_array_equal(moved.monic, fresh.monic)
+
+    def test_pickle_round_trip(self):
+        p = ResolventParams(z=1.0 + 0.5j, t=0.05, gamma0=1.5, a=0.4)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.path == p.path
+        np.testing.assert_array_equal(q.monic, p.monic)
 
 
 class TestG12:
